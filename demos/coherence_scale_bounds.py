@@ -41,7 +41,7 @@ def main():
     print("seeded audit across 3000 random states (plus classical and "
           "Fock-space draws)")
     report = random_audit(n_states=3000, modes=2, seed=42, fock_states=300,
-                          classical_states=300, jobs=4)
+                          classical_states=300)
     status = "PASS" if not report.violations else "FAIL"
     print(f"[{status}] {report.checks} checks, {len(report.violations)} violations")
     for name, entry in sorted(report.by_check.items()):

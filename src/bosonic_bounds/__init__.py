@@ -13,6 +13,8 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundCheck,
     NAStarSolution,
+    coherence_scale_checks,
+    even_split_check,
     g,
     g_prime,
     gaussian_pure_bound,
@@ -25,6 +27,7 @@ from .bounds import (
     split_bound_asymptotic,
     theorem_split_bound,
     theorem_symmetric_bound,
+    uneven_split_check,
 )
 from .errors import (
     AsymmetricInputError,
@@ -100,6 +103,7 @@ from .gaussian import (
 from .symplectic import (
     Bipartition,
     check_physicality,
+    default_bipartition,
     omega,
     partial_transpose,
     symplectic_eigenvalues,

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .tolerances import TAU_CHECK, TAU_ROOT, TAU_SAT
+from .tolerances import TAU_CHECK, TAU_SAT
 
 __all__ = [
     "g",
@@ -26,9 +26,12 @@ __all__ = [
     "split_bound_asymptotic",
     "gaussian_pure_bound",
     "BoundCheck",
+    "even_split_check",
+    "uneven_split_check",
     "log_negativity_qcs_bound",
     "log_negativity_qcs_refined",
     "qcs_implication_report",
+    "coherence_scale_checks",
 ]
 
 
@@ -257,6 +260,31 @@ def _check(provenance: str, lhs: float, rhs: float, tau_check: float, tau_sat: f
     )
 
 
+def even_split_check(
+    ef: float,
+    mtn: float,
+    n: int,
+    tau_check: float = TAU_CHECK,
+    tau_sat: float = TAU_SAT,
+) -> BoundCheck:
+    """E_F <= (n/2) g((M_TN - 1)/2) for a pure state of n modes split evenly."""
+    rhs = theorem_symmetric_bound(mtn, n)
+    return _check("entanglement vs total noise (even split)", ef, rhs, tau_check, tau_sat)
+
+
+def uneven_split_check(
+    ef: float,
+    mtn: float,
+    n_a: int,
+    n_b: int,
+    tau_check: float = TAU_CHECK,
+    tau_sat: float = TAU_SAT,
+) -> BoundCheck:
+    """E_F <= n_A g(N_A*/n_A) for a pure state split into n_A | n_B modes."""
+    rhs = theorem_split_bound(mtn, n_a, n_b)
+    return _check("entanglement vs total noise (uneven split)", ef, rhs, tau_check, tau_sat)
+
+
 def log_negativity_qcs_bound(
     en: float,
     qcs2: float,
@@ -332,4 +360,28 @@ def qcs_implication_report(
                 tau_sat,
             )
         )
+    return out
+
+
+def coherence_scale_checks(
+    en: float,
+    qcs2: float,
+    n: int,
+    n_minus: int,
+    det_v: float,
+    tau_check: float = TAU_CHECK,
+    tau_sat: float = TAU_SAT,
+) -> list[BoundCheck]:
+    """Every coherence-scale inequality that applies to an n-mode state.
+
+    The mode-counting ceiling when n_minus >= 1, the two-mode refinement
+    (which needs det V) when also n = 2 and E_N > 0, then the threshold
+    implications of :func:`qcs_implication_report`.
+    """
+    out = []
+    if n_minus >= 1:
+        out.append(log_negativity_qcs_bound(en, qcs2, n, n_minus, tau_check, tau_sat))
+        if n == 2 and en > 0.0:
+            out.append(log_negativity_qcs_refined(qcs2, en, det_v, tau_check, tau_sat))
+    out.extend(qcs_implication_report(qcs2, en, n, tau_check, tau_sat))
     return out

@@ -31,16 +31,13 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    BoundCheck,
+    coherence_scale_checks,
+    even_split_check,
     g,
-    log_negativity_qcs_bound,
-    log_negativity_qcs_refined,
     mtn_floor_from_entanglement,
     na_star_asymptotic,
-    qcs_implication_report,
     solve_na_star,
-    theorem_split_bound,
-    theorem_symmetric_bound,
+    uneven_split_check,
 )
 from .errors import AuditViolationError, CutoffOverflowError, SchemaError
 from .experiments import (
@@ -62,8 +59,8 @@ from .fock import (
     qcs2_fock,
     total_noise,
 )
-from .gaussian import gaussian_measures, load_gaussian, qcs2_gaussian
-from .symplectic import Bipartition
+from .gaussian import gaussian_measures, load_gaussian
+from .symplectic import Bipartition, default_bipartition
 from .tolerances import TAU_CHECK, TAU_TRUNC
 
 # Keys holding entanglement entropies or logarithmic negativities (nats);
@@ -110,12 +107,6 @@ def _parse_fock_arg(text: str):
     if not os.path.exists(text):
         raise SchemaError(f"no such Fock state file: {text}")
     return load_fock(text)
-
-
-def _default_bipartition(n: int) -> Bipartition | None:
-    if n < 2:
-        return None
-    return Bipartition(n // 2, n - n // 2)
 
 
 def _convert_units(payload, ebits: bool):
@@ -198,7 +189,7 @@ def _cmd_measure(args) -> int:
     bp = (
         _parse_bipartition(args.bipartition, state.n)
         if args.bipartition
-        else _default_bipartition(state.n)
+        else default_bipartition(state.n)
     )
     if kind == "gaussian":
         rep = gaussian_measures(state, bp)
@@ -234,32 +225,16 @@ def _cmd_bound_check(args) -> int:
     bp = (
         _parse_bipartition(args.bipartition, state.n)
         if args.bipartition
-        else _default_bipartition(state.n)
+        else default_bipartition(state.n)
     )
     tau_check = args.tau_check
-    checks = []
     if kind == "gaussian":
         rep = gaussian_measures(state, bp)
         payload = {"qcs2": rep.qcs2, "log_negativity": rep.log_negativity,
                    "n_minus": rep.n_minus}
-        if rep.n_minus >= 1:
-            checks.append(
-                log_negativity_qcs_bound(
-                    rep.log_negativity, rep.qcs2, state.n, rep.n_minus,
-                    tau_check=tau_check,
-                )
-            )
-            if state.n == 2 and rep.log_negativity > 0.0:
-                det_v = float(np.linalg.det(state.cov))
-                checks.append(
-                    log_negativity_qcs_refined(
-                        rep.qcs2, rep.log_negativity, det_v, tau_check=tau_check
-                    )
-                )
-        checks.extend(
-            qcs_implication_report(
-                rep.qcs2, rep.log_negativity, state.n, tau_check=tau_check
-            )
+        checks = coherence_scale_checks(
+            rep.log_negativity, rep.qcs2, state.n, rep.n_minus,
+            float(np.linalg.det(state.cov)), tau_check=tau_check,
         )
     else:
         if bp is None:
@@ -268,13 +243,10 @@ def _cmd_bound_check(args) -> int:
         mtn = mtn_pure(state, tau=tau)
         ef = entanglement_entropy(state, bp, tau=tau)
         payload = {"mtn": mtn, "ef": ef}
+        checks = []
         if bp.n_a == bp.n_b:
-            bound = theorem_symmetric_bound(mtn, state.n)
-            checks.append(_fock_check(
-                "entanglement vs total noise (even split)", ef, bound, tau_check))
-        bound = theorem_split_bound(mtn, bp.n_a, bp.n_b)
-        checks.append(_fock_check(
-            "entanglement vs total noise (uneven split)", ef, bound, tau_check))
+            checks.append(even_split_check(ef, mtn, state.n, tau_check=tau_check))
+        checks.append(uneven_split_check(ef, mtn, bp.n_a, bp.n_b, tau_check=tau_check))
         floor = mtn_floor_from_entanglement(ef, state.n)
         if floor is not None:
             payload["mtn_floor"] = floor
@@ -283,18 +255,6 @@ def _cmd_bound_check(args) -> int:
     payload["config"] = _config_echo(args, kind=kind)
     _emit(payload, args)
     return 0
-
-
-def _fock_check(name, lhs, rhs, tau_check):
-    margin = rhs - lhs
-    return BoundCheck(
-        provenance=name,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        holds=margin >= -tau_check,
-        saturated=abs(margin) <= 1e-6,
-    )
 
 
 def _cmd_nastar(args) -> int:
@@ -349,7 +309,7 @@ def _cmd_figure(args) -> int:
     )
     for name in targets:
         if name == "beamsplitter-sweep":
-            beam_splitter_sweep(out_dir=args.out, tau=args.tau_trunc, jobs=args.jobs)
+            beam_splitter_sweep(out_dir=args.out, tau=args.tau_trunc)
             written.append("beam_splitter_sweep.csv")
         elif name == "bound-profile":
             bound_profile_sweep(out_dir=args.out)
@@ -371,7 +331,6 @@ def _cmd_audit(args) -> int:
             fock_states=args.fock_states,
             classical_states=args.classical_states,
             tau_check=args.tau_check,
-            jobs=args.jobs,
         )
     except AuditViolationError as exc:
         sys.stderr.write(
@@ -411,6 +370,10 @@ def _config_echo(args, **extra) -> dict:
 
 # ---------------------------------------------------------------------------
 # parser
+
+# Threads were no faster than serial runs; --jobs stays so existing command
+# lines and their config echo keep working.
+_JOBS_HELP = "accepted and ignored: audit and figure run serially"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--tau-trunc", type=float, default=TAU_TRUNC, dest="tau_trunc")
     p.set_defaults(func=_cmd_figure)
 
@@ -484,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fock-states", type=int, default=200, dest="fock_states")
     p.add_argument("--classical-states", type=int, default=200, dest="classical_states")
     p.add_argument("--seed", type=int, help="falls back to BOSONIC_BOUNDS_SEED, then 0")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser(

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -31,15 +30,14 @@ import numpy as np
 
 from . import __version__ as _version
 from .bounds import (
+    coherence_scale_checks,
+    even_split_check,
     g,
     gaussian_pure_bound,
-    log_negativity_qcs_bound,
-    log_negativity_qcs_refined,
     na_star_asymptotic,
-    qcs_implication_report,
     solve_na_star,
     theorem_split_bound,
-    theorem_symmetric_bound,
+    uneven_split_check,
 )
 from .errors import AuditViolationError
 from .fock import (
@@ -63,7 +61,7 @@ from .gaussian import (
     random_classical_state,
     random_gaussian_state,
 )
-from .symplectic import Bipartition
+from .symplectic import Bipartition, default_bipartition
 from .tolerances import TAU_CHECK, TAU_TRUNC
 
 __all__ = [
@@ -224,7 +222,6 @@ def beam_splitter_sweep(
     squeeze_grid=None,
     out_dir=None,
     tau: float = TAU_TRUNC,
-    jobs: int = 1,
 ) -> list[dict]:
     """Entanglement generated by a balanced beam splitter, family by family.
 
@@ -239,15 +236,10 @@ def beam_splitter_sweep(
     squeeze_grid = (
         list(squeeze_grid) if squeeze_grid else [0.1, 0.25, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5]
     )
-    tasks = []
+    rows = []
     for family in families:
         grid = number_grid if family in ("number-split", "twin-number") else squeeze_grid
-        tasks.extend((family, p) for p in grid)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda t: _bs_row(t[0], t[1], tau), tasks))
-    else:
-        rows = [_bs_row(f, p, tau) for f, p in tasks]
+        rows.extend(_bs_row(family, p, tau) for p in grid)
     if out_dir is not None:
         spec = SweepSpec(
             "beam_splitter_sweep",
@@ -440,30 +432,20 @@ class AuditReport:
 
 
 def _audit_gaussian_chunk(rng, count, modes, tau_check, report):
-    bp = Bipartition(max(modes // 2, 1), modes - max(modes // 2, 1))
+    bp = default_bipartition(modes)
     for _ in range(count):
         st = random_gaussian_state(modes, rng, squeeze_max=1.2)
         rep = gaussian_measures(st, bp)
         inst = {"kind": "gaussian", "modes": modes, "state": gaussian_to_dict(st)}
-        if rep.n_minus >= 1:
-            chk = log_negativity_qcs_bound(
-                rep.log_negativity, rep.qcs2, modes, rep.n_minus, tau_check=tau_check
-            )
-            report.record(chk.provenance, chk.margin, chk.holds, inst)
-        if modes == 2 and rep.n_minus >= 1 and rep.log_negativity > 0.0:
-            det_v = float(np.linalg.det(st.cov))
-            chk = log_negativity_qcs_refined(
-                rep.qcs2, rep.log_negativity, det_v, tau_check=tau_check
-            )
-            report.record(chk.provenance, chk.margin, chk.holds, inst)
-        for chk in qcs_implication_report(
-            rep.qcs2, rep.log_negativity, modes, tau_check=tau_check
+        for chk in coherence_scale_checks(
+            rep.log_negativity, rep.qcs2, modes, rep.n_minus,
+            float(np.linalg.det(st.cov)), tau_check=tau_check,
         ):
             report.record(chk.provenance, chk.margin, chk.holds, inst)
 
 
 def _audit_classical_chunk(rng, count, modes, tau_check, report):
-    bp = Bipartition(max(modes // 2, 1), modes - max(modes // 2, 1))
+    bp = default_bipartition(modes)
     for _ in range(count):
         st = random_classical_state(modes, rng)
         inst = {"kind": "classical", "modes": modes, "state": gaussian_to_dict(st)}
@@ -492,14 +474,11 @@ def _audit_fock_chunk(rng, count, tau_check, report):
                 "state": fock_to_dict(psi)}
         if modes == 2:
             ef = entanglement_entropy(psi, Bipartition(1, 1))
-            bound = theorem_symmetric_bound(mtn, 2)
-            name = "entanglement vs total noise (even split)"
+            chk = even_split_check(ef, mtn, 2, tau_check=tau_check)
         else:
             ef = entanglement_entropy(psi, Bipartition(1, 2))
-            bound = theorem_split_bound(mtn, 1, 2)
-            name = "entanglement vs total noise (uneven split)"
-        margin = bound - ef
-        report.record(name, margin, margin >= -tau_check, inst)
+            chk = uneven_split_check(ef, mtn, 1, 2, tau_check=tau_check)
+        report.record(chk.provenance, chk.margin, chk.holds, inst)
 
 
 def random_audit(
@@ -509,7 +488,6 @@ def random_audit(
     fock_states: int = 200,
     classical_states: int = 200,
     tau_check: float = TAU_CHECK,
-    jobs: int = 1,
 ) -> AuditReport:
     """Randomized no-violation audit of every bound in the package.
 
@@ -517,9 +495,11 @@ def random_audit(
     Fock states, evaluates every applicable bound, and raises
     AuditViolationError carrying the seed and offending instance if any
     margin dips below -tau_check.  Results are deterministic in (seed,
-    counts) and independent of ``jobs``: sampling is split over a fixed
-    number of chunks with spawned seeds.
+    counts): each family is split into at most 16 chunks, each drawn from
+    its own seed spawned from ``seed``.
     """
+    if modes < 2:
+        raise ValueError(f"the audit splits states in two, so it needs modes >= 2, got {modes}")
     if seed is None:
         seed = 0
     report = AuditReport(seed=seed, counts={
@@ -532,33 +512,18 @@ def random_audit(
         chunks = min(_AUDIT_CHUNKS, total) or 1
         sizes = [total // chunks + (1 if i < total % chunks else 0) for i in range(chunks)]
         groups.append((name, sizes))
-    seeds = np.random.SeedSequence(seed).spawn(sum(len(s) for _, s in groups))
-    tasks = []
-    pos = 0
+    seeds = iter(np.random.SeedSequence(seed).spawn(sum(len(s) for _, s in groups)))
     for name, sizes in groups:
         for size in sizes:
-            tasks.append((name, size, seeds[pos]))
-            pos += 1
-
-    def run_chunk(task):
-        name, size, ss = task
-        sub = AuditReport(seed=seed, counts={})
-        rng = np.random.default_rng(ss)
-        if name == "gaussian":
-            _audit_gaussian_chunk(rng, size, modes, tau_check, sub)
-        elif name == "classical":
-            _audit_classical_chunk(rng, size, modes, tau_check, sub)
-        else:
-            _audit_fock_chunk(rng, size, tau_check, sub)
-        return sub
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            subs = list(pool.map(run_chunk, tasks))
-    else:
-        subs = [run_chunk(t) for t in tasks]
-    for sub in subs:
-        report.merge(sub)
+            sub = AuditReport(seed=seed, counts={})
+            rng = np.random.default_rng(next(seeds))
+            if name == "gaussian":
+                _audit_gaussian_chunk(rng, size, modes, tau_check, sub)
+            elif name == "classical":
+                _audit_classical_chunk(rng, size, modes, tau_check, sub)
+            else:
+                _audit_fock_chunk(rng, size, tau_check, sub)
+            report.merge(sub)
     if report.violations:
         raise AuditViolationError(
             f"{len(report.violations)} bound violation(s) found (seed {seed}); "

@@ -15,6 +15,7 @@ from .errors import SchemaError, UnphysicalStateError
 from .symplectic import (
     Bipartition,
     check_physicality,
+    default_bipartition,
     omega,
     partial_transpose,
     symplectic_eigenvalues,
@@ -224,13 +225,12 @@ class MeasureReport:
 def gaussian_measures(st: GaussianState, bp: Bipartition | None = None) -> MeasureReport:
     """Evaluate coherence scale, Fisher information, and log-negativity.
 
-    With no bipartition the state is split down the middle when the mode
-    count is even, else log-negativity fields are reported for the 1|(n-1)
-    split.
+    With no bipartition the state takes :func:`default_bipartition`: the
+    n//2 | n - n//2 split (2|3 at five modes), and no split at one mode,
+    where the log-negativity is 0.
     """
     if bp is None:
-        half = st.n // 2
-        bp = Bipartition(max(half, 1), st.n - max(half, 1)) if st.n > 1 else None
+        bp = default_bipartition(st.n)
     qcs2 = qcs2_gaussian(st)
     nu = symplectic_eigenvalues(st.cov)
     if not check_physicality(st.cov):

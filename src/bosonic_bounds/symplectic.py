@@ -17,6 +17,7 @@ from .tolerances import TAU_PD, TAU_PHYS, TAU_SYM
 
 __all__ = [
     "Bipartition",
+    "default_bipartition",
     "omega",
     "validate_covariance",
     "symplectic_eigenvalues",
@@ -56,6 +57,13 @@ class Bipartition:
         """Flat quadrature indices (X_i, P_i interleaved) for the given modes."""
         modes = np.asarray(list(modes), dtype=int)
         return np.concatenate([2 * modes, 2 * modes + 1]) if modes.size else modes
+
+
+def default_bipartition(n: int) -> Bipartition | None:
+    """The n//2 | n - n//2 split used when none is given; None for one mode."""
+    if n < 2:
+        return None
+    return Bipartition(n // 2, n - n // 2)
 
 
 def omega(n: int) -> np.ndarray:

@@ -270,7 +270,7 @@ def test_criterion6_randomized_bound_audit():
     for n in (2, 3, 4):
         report = random_audit(
             n_states=10_000, modes=n, seed=2026 + n,
-            fock_states=0, classical_states=0, tau_check=1e-9, jobs=4,
+            fock_states=0, classical_states=0, tau_check=1e-9,
         )
         assert report.violations == []
         total += report.checks

@@ -87,6 +87,37 @@ def test_bound_check_fock_keeps_both_routes(capsys):
     assert any(n.endswith("(uneven split)") for n in names)
 
 
+_MODE_COUNTING = "log-negativity vs coherence-scale (mode-counting)"
+_EVEN = "entanglement vs total noise (even split)"
+_UNEVEN = "entanglement vs total noise (uneven split)"
+
+
+@pytest.mark.parametrize(
+    "state, extra, expected",
+    [
+        ("tmsv", [], [_MODE_COUNTING, "two-mode coherence-scale refinement",
+                      "entangled-enough implies nonclassical"]),
+        ("mixed3", [], [_MODE_COUNTING]),
+        ("N=2,2", [], [_EVEN, _UNEVEN]),
+        ("N=2,1,0", ["--bipartition", "1:2"], [_UNEVEN]),
+    ],
+)
+def test_bound_check_provenance_order(state, extra, expected, tmp_path, capsys):
+    from bosonic_bounds import make_tmsv, random_gaussian_state
+
+    if state.startswith("N="):
+        argv = ["--fock", state]
+    else:
+        path = tmp_path / f"{state}.json"
+        st = (make_tmsv(0.8) if state == "tmsv"
+              else random_gaussian_state(3, seed=123, squeeze_max=1.2))
+        save_gaussian(st, path)
+        argv = ["--gaussian", str(path)]
+    payload = run_json(["bound-check", *argv, *extra], capsys)
+    assert payload["all_hold"]
+    assert [c["provenance"] for c in payload["checks"]] == expected
+
+
 def test_nastar_all_methods(capsys):
     payload = run_json(
         ["nastar", "--N", "100", "--nA", "1", "--nB", "3", "--method", "all"], capsys

@@ -110,18 +110,23 @@ def test_frozen_envelope_shape_and_monotonicity():
             assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_random_audit_clean_and_jobs_invariant():
+def test_random_audit_clean_and_deterministic():
     rep1 = random_audit(n_states=120, modes=2, seed=7, fock_states=24,
-                        classical_states=24, jobs=1)
-    rep4 = random_audit(n_states=120, modes=2, seed=7, fock_states=24,
-                        classical_states=24, jobs=4)
+                        classical_states=24)
+    rep2 = random_audit(n_states=120, modes=2, seed=7, fock_states=24,
+                        classical_states=24)
     assert rep1.violations == []
-    assert rep1.to_dict() == rep4.to_dict()
+    assert rep1.to_dict() == rep2.to_dict()
     assert rep1.checks > 0
     for entry in rep1.by_check.values():
         assert entry["count"] > 0
         assert entry["min_margin"] >= 0.0
         assert entry["tightest"] is not None
+
+
+def test_random_audit_needs_two_modes():
+    with pytest.raises(ValueError, match="modes >= 2"):
+        random_audit(n_states=4, modes=1, seed=0, fock_states=0, classical_states=0)
 
 
 def test_random_audit_three_mode_states():

@@ -7,6 +7,7 @@ from bosonic_bounds import (
     Bipartition,
     NonPositiveDefiniteError,
     check_physicality,
+    default_bipartition,
     make_thermal,
     make_tmsv,
     omega,
@@ -35,6 +36,14 @@ def test_bipartition_validates_counts():
         Bipartition(0, 2)
     with pytest.raises(ValueError):
         Bipartition(1, -1)
+
+
+@pytest.mark.parametrize(
+    "n, split", [(1, None), (2, (1, 1)), (3, (1, 2)), (5, (2, 3))]
+)
+def test_default_bipartition(n, split):
+    expected = Bipartition(*split) if split else None
+    assert default_bipartition(n) == expected
 
 
 def test_bipartition_quad_indices_interleaved():
