@@ -7,7 +7,6 @@ state of given entropy and vice versa.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -243,9 +242,6 @@ class BoundCheck:
             "holds": self.holds,
             "saturated": self.saturated,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _check(provenance: str, lhs: float, rhs: float, tau_check: float, tau_sat: float) -> BoundCheck:

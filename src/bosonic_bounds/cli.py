@@ -196,7 +196,8 @@ def _cmd_measure(args) -> int:
         payload = rep.to_dict()
     else:
         tau = args.tau_trunc
-        mtn = mtn_pure(state, tau=tau)
+        noise = total_noise(state, tau=tau)
+        mtn = noise / state.n
         dim = int(np.prod([c + 2 for c in state.cutoffs]))
         if dim <= 256:
             # Independent commutator route through the density operator.
@@ -209,7 +210,7 @@ def _cmd_measure(args) -> int:
             "cutoffs": list(state.cutoffs),
             "tail_mass": state.tail_mass,
             "qcs2": qcs2,
-            "total_noise": total_noise(state, tau=tau),
+            "total_noise": noise,
             "mtn": mtn,
         }
         if bp is not None:

@@ -24,14 +24,12 @@ from .tolerances import TAU_TRUNC
 __all__ = [
     "FockPureState",
     "FockDensityOperator",
-    "annihilation",
-    "quadrature_x",
-    "quadrature_p",
     "make_fock_number",
     "make_fock_coherent",
     "make_fock_squeezed",
     "make_fock_tmsv",
     "make_fock_thermal",
+    "pad_fock",
     "squeezed_cutoff",
     "tmsv_cutoff",
     "thermal_cutoff",
@@ -139,33 +137,6 @@ class FockDensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# single-mode operators
-
-
-def annihilation(d: int) -> np.ndarray:
-    """Truncated annihilation operator, shape (d, d)."""
-    return np.diag(np.sqrt(np.arange(1.0, d)), k=1)
-
-
-def quadrature_x(d: int) -> np.ndarray:
-    a = annihilation(d)
-    return (a + a.T) / math.sqrt(2.0)
-
-
-def quadrature_p(d: int) -> np.ndarray:
-    a = annihilation(d)
-    return (a - a.T) / (1j * math.sqrt(2.0))
-
-
-def _embed(op: np.ndarray, mode: int, cutoffs) -> np.ndarray:
-    """Lift a single-mode operator to the full product space."""
-    full = np.ones((1, 1))
-    for i, d in enumerate(cutoffs):
-        full = np.kron(full, op if i == mode else np.eye(d))
-    return full
-
-
-# ---------------------------------------------------------------------------
 # analytic families and their cutoffs
 
 
@@ -193,12 +164,10 @@ def squeezed_cutoff(s: float, tau: float = TAU_TRUNC) -> int:
     if t2 == 0.0:
         return 1
     term = 1.0 / math.cosh(s)  # |c_0|^2
-    acc = term
     m = 0
     while term * t2 / (1.0 - t2) > 0.5 * tau and m < 100000:
         m += 1
         term *= t2 * (2 * m - 1) / (2 * m)
-        acc += term
     return 2 * m + 2
 
 
@@ -326,14 +295,23 @@ def make_fock_thermal(nbar: float, cutoff: int = None, tau: float = TAU_TRUNC) -
 # moments and measures
 
 
-def _lowered(amps: np.ndarray, mode: int) -> np.ndarray:
-    """Apply the annihilation operator for one mode to an amplitude tensor."""
-    d = amps.shape[mode]
-    out = np.zeros_like(amps)
-    k = np.arange(1, d)
-    src = np.moveaxis(amps, mode, 0)[1:]
-    dst = np.moveaxis(out, mode, 0)
-    dst[: d - 1] = np.sqrt(k).reshape(-1, *[1] * (amps.ndim - 1)) * src
+def _ladder(t: np.ndarray, axis: int, create: bool = False) -> np.ndarray:
+    """Apply one mode's annihilation (or creation) operator along a tensor axis.
+
+    The axis indexes that mode's photon number k: a|k> = sqrt(k)|k-1> and
+    a^dag|k> = sqrt(k+1)|k+1>, the level a^dag pushes past the cutoff dropped.
+    """
+    d = t.shape[axis]
+    shape = [1] * t.ndim
+    shape[axis] = d - 1
+    w = np.sqrt(np.arange(1, d)).reshape(shape)
+    low = (slice(None),) * axis + (slice(0, d - 1),)
+    high = (slice(None),) * axis + (slice(1, d),)
+    out = np.zeros_like(t)
+    if create:
+        np.multiply(w, t[low], out=out[high])
+    else:
+        np.multiply(w, t[high], out=out[low])
     return out
 
 
@@ -352,10 +330,10 @@ def quadrature_moments(psi: FockPureState) -> tuple[np.ndarray, np.ndarray]:
     """
     amps = psi.amps
     n = psi.n
-    low = [_lowered(amps, i) for i in range(n)]
+    low = [_ladder(amps, i) for i in range(n)]
     m1 = np.array([np.vdot(amps, low[i]) for i in range(n)])
     K = np.array([[np.vdot(low[i], low[j]) for j in range(n)] for i in range(n)])
-    M2 = np.array([[np.vdot(amps, _lowered(low[j], i)) for j in range(n)] for i in range(n)])
+    M2 = np.array([[np.vdot(amps, _ladder(low[j], i)) for j in range(n)] for i in range(n)])
     mean = np.zeros(2 * n)
     mean[0::2] = math.sqrt(2.0) * m1.real
     mean[1::2] = math.sqrt(2.0) * m1.imag
@@ -492,26 +470,28 @@ def apply_beam_splitter_fock(
 def qcs2_fock(rho: FockDensityOperator) -> float:
     """Squared quadrature coherence scale of a density operator.
 
-    C^2 = sum_j Tr([rho, R_j][R_j, rho]) / (2 n Tr rho^2), evaluated with
-    truncated quadrature matrices; equals Tr V^{-1} / (2n) on Gaussian
-    states up to truncation error.  The quadrature action is exact only on
-    occupations at least two levels below each cutoff, so states populated
-    near their boundary should be padded first (see pad_fock).
+    C^2 = sum_j Tr([rho, R_j][R_j, rho]) / (2 n Tr rho^2) over the 2n
+    quadratures; equals Tr V^{-1} / (2n) on Gaussian states up to truncation
+    error.  With X and P built from the truncated ladder operator a_j, the
+    two terms of mode j sum to 2 ||[rho, a_j]||_F^2, so exactly
+
+        C^2 = sum_j ||rho a_j - a_j rho||_F^2 / (n Tr rho^2).
+
+    On ``rho.mat`` reshaped to ``cutoffs + cutoffs``, a_j rho lowers row axis
+    j and rho a_j raises column axis n + j (a_j^T = a_j^dag), so the cost is
+    O(n D^2) in the dimension D, with no D x D operator.  The truncated
+    a_j^dag drops the level above each cutoff, so the value is the
+    untruncated one once every mode's top level is empty; states
+    populated up to their boundary should be padded first (see pad_fock).
     """
     n = rho.n
-    mat = rho.mat
-    rho2 = mat @ mat
-    pur = float(rho2.trace().real)
+    t = rho.mat.reshape(rho.cutoffs + rho.cutoffs)
     acc = 0.0
-    for mode in range(n):
-        d = rho.cutoffs[mode]
-        for op in (quadrature_x(d), quadrature_p(d)):
-            R = _embed(op, mode, rho.cutoffs)
-            A = mat @ R
-            term1 = float(np.sum(rho2 * (R @ R).T).real)
-            term2 = float(np.sum(A * A.T).real)
-            acc += term1 - term2
-    return acc / (n * pur)
+    for j in range(n):
+        comm = _ladder(t, n + j, create=True)
+        comm -= _ladder(t, j)
+        acc += float(np.vdot(comm, comm).real)
+    return acc / (n * rho.purity())
 
 
 # ---------------------------------------------------------------------------

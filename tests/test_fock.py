@@ -206,6 +206,42 @@ def test_qcs2_fock_pure_states_reduce_to_mtn():
     assert qcs2_fock(rho) == pytest.approx(mtn_pure(psi), rel=1e-12)
 
 
+def test_qcs2_fock_two_mode_thermal_product():
+    # unequal occupations and cutoffs (16 and 29 levels, dimension 464)
+    rho1, rho2 = make_fock_thermal(0.3), make_fock_thermal(0.8)
+    rho = FockDensityOperator(np.kron(rho1.mat, rho2.mat), rho1.cutoffs + rho2.cutoffs)
+    assert rho1.cutoffs != rho2.cutoffs
+    expected = 0.5 * (1.0 / (2.0 * 0.3 + 1.0) + 1.0 / (2.0 * 0.8 + 1.0))
+    assert qcs2_fock(rho) == pytest.approx(expected, abs=1e-9)
+
+
+def _qcs2_dense_reference(rho):
+    """sum_R Tr(rho^2 R^2) - Tr(rho R rho R) over Kronecker-lifted truncated X and P."""
+    mat = rho.mat
+    rho2 = mat @ mat
+    acc = 0.0
+    for mode, d in enumerate(rho.cutoffs):
+        a = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+        for op in ((a + a.T) / math.sqrt(2.0), (a - a.T) / (1j * math.sqrt(2.0))):
+            R = np.ones((1, 1))
+            for i, c in enumerate(rho.cutoffs):
+                R = np.kron(R, op if i == mode else np.eye(c))
+            A = mat @ R
+            acc += float(np.sum(rho2 * (R @ R).T).real) - float(np.sum(A * A.T).real)
+    return acc / (rho.n * float(rho2.trace().real))
+
+
+@pytest.mark.parametrize("cutoffs", [(4, 6), (3, 4, 5)])
+@pytest.mark.parametrize("rank", [1, 3])
+def test_qcs2_fock_matches_dense_quadrature_formula(cutoffs, rank):
+    rng = np.random.default_rng(rank * 100 + len(cutoffs))
+    dim = int(np.prod(cutoffs))
+    z = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    mat = (z * rng.uniform(0.1, 1.0, size=rank)) @ z.conj().T
+    rho = FockDensityOperator(mat / mat.trace().real, cutoffs)
+    assert qcs2_fock(rho) == pytest.approx(_qcs2_dense_reference(rho), rel=1e-12, abs=0.0)
+
+
 def test_pad_fock_keeps_measures():
     psi = make_fock_tmsv(0.5, tau=1e-12)
     padded = pad_fock(psi, 3)

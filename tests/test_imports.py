@@ -1,9 +1,12 @@
-"""Every module-level import in the package modules is used.
+"""Every module-level import in the package modules is used, and every
+re-export of the package is public in its defining module.
 
 A stdlib ``ast`` pass standing in for a linter: a name bound by a top-level
 ``import`` must appear as a name somewhere in the same module or be listed
-in its ``__all__``.  ``__init__.py`` is skipped because its imports are the
-package's re-exports.
+in its ``__all__``.  ``__init__.py`` is skipped there because its imports are
+the package's re-exports; those must instead be listed in the ``__all__`` of
+the module defining them, so ``import *`` and the module's own public list
+agree with the package.
 """
 
 import ast
@@ -58,3 +61,30 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined_names(tree):
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def test_package_reexports_are_in_module_all():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    missing = []
+    for node in init.body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        tree = ast.parse((PACKAGE / f"{node.module}.py").read_text())
+        exported = _exported_names(tree)
+        if not exported:
+            continue  # without __all__, import * takes every public name
+        defined = _defined_names(tree)
+        missing += [
+            f"{node.module}.{alias.name}"
+            for alias in node.names
+            if alias.name in defined and alias.name not in exported
+        ]
+    assert missing == []
