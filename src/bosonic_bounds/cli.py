@@ -79,13 +79,17 @@ _EBIT_KEYS = {
 }
 
 
-def _parse_bipartition(text: str, n: int | None = None) -> Bipartition:
+def _bipartition(args, n: int) -> Bipartition | None:
+    """The --bipartition split checked against n modes, else the default split."""
+    if not args.bipartition:
+        return default_bipartition(n)
+    text = args.bipartition
     try:
         a, b = text.split(":")
         bp = Bipartition(int(a), int(b))
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bipartition must look like '1:2', got {text!r}") from exc
-    if n is not None and bp.n != n:
+    if bp.n != n:
         raise SchemaError(
             f"bipartition {text} covers {bp.n} modes but the state has {n}"
         )
@@ -186,11 +190,7 @@ def _load_state(args):
 
 def _cmd_measure(args) -> int:
     kind, state = _load_state(args)
-    bp = (
-        _parse_bipartition(args.bipartition, state.n)
-        if args.bipartition
-        else default_bipartition(state.n)
-    )
+    bp = _bipartition(args, state.n)
     if kind == "gaussian":
         rep = gaussian_measures(state, bp)
         payload = rep.to_dict()
@@ -223,11 +223,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_bound_check(args) -> int:
     kind, state = _load_state(args)
-    bp = (
-        _parse_bipartition(args.bipartition, state.n)
-        if args.bipartition
-        else default_bipartition(state.n)
-    )
+    bp = _bipartition(args, state.n)
     tau_check = args.tau_check
     if kind == "gaussian":
         rep = gaussian_measures(state, bp)
@@ -280,7 +276,7 @@ def _cmd_beamsplitter(args) -> int:
         raise SchemaError(
             f"the balanced beam splitter acts on 2 modes, state has {state.n}"
         )
-    bp = _parse_bipartition(args.bipartition, 2) if args.bipartition else Bipartition(1, 1)
+    bp = _bipartition(args, 2)
     tau = args.tau_trunc
     mtn_in = mtn_pure(state, tau=tau)
     out = apply_beam_splitter_fock(state, tau=tau)
@@ -372,11 +368,6 @@ def _config_echo(args, **extra) -> dict:
 # ---------------------------------------------------------------------------
 # parser
 
-# Threads were no faster than serial runs; --jobs stays so existing command
-# lines and their config echo keep working.
-_JOBS_HELP = "accepted and ignored: audit and figure run serially"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosonic-bounds",
@@ -437,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--tau-trunc", type=float, default=TAU_TRUNC, dest="tau_trunc")
     p.set_defaults(func=_cmd_figure)
 
@@ -448,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fock-states", type=int, default=200, dest="fock_states")
     p.add_argument("--classical-states", type=int, default=200, dest="classical_states")
     p.add_argument("--seed", type=int, help="falls back to BOSONIC_BOUNDS_SEED, then 0")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser(

@@ -377,8 +377,6 @@ def load_nastar_envelope() -> list[dict]:
 # ---------------------------------------------------------------------------
 # randomized audit
 
-_AUDIT_CHUNKS = 16
-
 
 @dataclass
 class AuditReport:
@@ -407,20 +405,6 @@ class AuditReport:
         if not holds:
             self.violations.append({"check": name, "margin": margin, **instance})
 
-    def merge(self, other: "AuditReport"):
-        self.checks += other.checks
-        self.violations.extend(other.violations)
-        for name, count in other.counts.items():
-            self.counts[name] = self.counts.get(name, 0) + count
-        for name, entry in other.by_check.items():
-            mine = self.by_check.setdefault(
-                name, {"count": 0, "min_margin": math.inf, "tightest": None}
-            )
-            mine["count"] += entry["count"]
-            if entry["min_margin"] < mine["min_margin"]:
-                mine["min_margin"] = entry["min_margin"]
-                mine["tightest"] = entry["tightest"]
-
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
@@ -431,7 +415,7 @@ class AuditReport:
         }
 
 
-def _audit_gaussian_chunk(rng, count, modes, tau_check, report):
+def _audit_gaussian(rng, count, modes, tau_check, report):
     bp = default_bipartition(modes)
     for _ in range(count):
         st = random_gaussian_state(modes, rng, squeeze_max=1.2)
@@ -444,7 +428,7 @@ def _audit_gaussian_chunk(rng, count, modes, tau_check, report):
             report.record(chk.provenance, chk.margin, chk.holds, inst)
 
 
-def _audit_classical_chunk(rng, count, modes, tau_check, report):
+def _audit_classical(rng, count, modes, tau_check, report):
     bp = default_bipartition(modes)
     for _ in range(count):
         st = random_classical_state(modes, rng)
@@ -464,7 +448,7 @@ def _random_fock_pure(rng, modes, cutoff) -> FockPureState:
     return FockPureState(z)
 
 
-def _audit_fock_chunk(rng, count, tau_check, report):
+def _audit_fock(rng, count, tau_check, report):
     for idx in range(count):
         modes = 2 if idx % 2 == 0 else 3
         cutoff = 6 if modes == 2 else 4
@@ -495,8 +479,9 @@ def random_audit(
     Fock states, evaluates every applicable bound, and raises
     AuditViolationError carrying the seed and offending instance if any
     margin dips below -tau_check.  Results are deterministic in (seed,
-    counts): each family is split into at most 16 chunks, each drawn from
-    its own seed spawned from ``seed``.
+    counts): the Gaussian, classical and Fock slices each draw from their
+    own generator spawned from ``seed``, so one slice's count does not move
+    another slice's states.
     """
     if modes < 2:
         raise ValueError(f"the audit splits states in two, so it needs modes >= 2, got {modes}")
@@ -507,23 +492,12 @@ def random_audit(
         "classical": classical_states,
         "fock": fock_states,
     })
-    groups = []
-    for name, total in (("gaussian", n_states), ("classical", classical_states), ("fock", fock_states)):
-        chunks = min(_AUDIT_CHUNKS, total) or 1
-        sizes = [total // chunks + (1 if i < total % chunks else 0) for i in range(chunks)]
-        groups.append((name, sizes))
-    seeds = iter(np.random.SeedSequence(seed).spawn(sum(len(s) for _, s in groups)))
-    for name, sizes in groups:
-        for size in sizes:
-            sub = AuditReport(seed=seed, counts={})
-            rng = np.random.default_rng(next(seeds))
-            if name == "gaussian":
-                _audit_gaussian_chunk(rng, size, modes, tau_check, sub)
-            elif name == "classical":
-                _audit_classical_chunk(rng, size, modes, tau_check, sub)
-            else:
-                _audit_fock_chunk(rng, size, tau_check, sub)
-            report.merge(sub)
+    gauss_rng, classical_rng, fock_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
+    )
+    _audit_gaussian(gauss_rng, n_states, modes, tau_check, report)
+    _audit_classical(classical_rng, classical_states, modes, tau_check, report)
+    _audit_fock(fock_rng, fock_states, tau_check, report)
     if report.violations:
         raise AuditViolationError(
             f"{len(report.violations)} bound violation(s) found (seed {seed}); "

@@ -331,26 +331,27 @@ def quadrature_moments(psi: FockPureState) -> tuple[np.ndarray, np.ndarray]:
     amps = psi.amps
     n = psi.n
     low = [_ladder(amps, i) for i in range(n)]
-    m1 = np.array([np.vdot(amps, low[i]) for i in range(n)])
-    K = np.array([[np.vdot(low[i], low[j]) for j in range(n)] for i in range(n)])
-    M2 = np.array([[np.vdot(amps, _ladder(low[j], i)) for j in range(n)] for i in range(n)])
+
+    def against_low(v):
+        return [np.vdot(v, lo) for lo in low]
+
+    m1 = np.array(against_low(amps))
+    K = np.array([against_low(lo) for lo in low])
+    # <a_i^dag a_i> is real; dropping its rounding residue keeps xp = px.
+    np.fill_diagonal(K, K.diagonal().real)
+    # <a_i a_j> = <a_i^dag psi | a_j psi>: the truncated a^dag is exactly the
+    # adjoint of the truncated a.  Each raised vector is freed once its row
+    # is done, so at most one is alive beside the n lowered ones.
+    M2 = np.array([against_low(_ladder(amps, i, create=True)) for i in range(n)])
     mean = np.zeros(2 * n)
     mean[0::2] = math.sqrt(2.0) * m1.real
     mean[1::2] = math.sqrt(2.0) * m1.imag
-    sym = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        for j in range(n):
-            xx = M2[i, j].real + K[i, j].real + (0.5 if i == j else 0.0)
-            pp = -M2[i, j].real + K[i, j].real + (0.5 if i == j else 0.0)
-            if i == j:
-                xp = px = M2[i, i].imag
-            else:
-                xp = M2[i, j].imag + K[i, j].imag
-                px = M2[i, j].imag - K[i, j].imag
-            sym[2 * i, 2 * j] = xx
-            sym[2 * i + 1, 2 * j + 1] = pp
-            sym[2 * i, 2 * j + 1] = xp
-            sym[2 * i + 1, 2 * j] = px
+    half = 0.5 * np.eye(n)
+    sym = np.empty((2 * n, 2 * n))
+    sym[0::2, 0::2] = M2.real + K.real + half
+    sym[1::2, 1::2] = -M2.real + K.real + half
+    sym[0::2, 1::2] = M2.imag + K.imag
+    sym[1::2, 0::2] = M2.imag - K.imag
     V = 2.0 * sym - 2.0 * np.outer(mean, mean)
     return mean, V
 
@@ -672,10 +673,12 @@ def fock_from_dict(data: dict) -> FockPureState:
             re, im = float(row[n]), float(row[n + 1])
         except (TypeError, ValueError):
             raise SchemaError(f"field 'amps' row {rownum} has non-numeric amplitude")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise SchemaError(f"field 'amps' row {rownum} has a non-finite amplitude")
         amps[tuple(idx)] = complex(re, im)
     tail = data.get("tail_mass", 0.0)
-    if not isinstance(tail, (int, float)) or tail < 0.0:
-        raise SchemaError("field 'tail_mass' must be a nonnegative number")
+    if not isinstance(tail, (int, float)) or not 0.0 <= tail < math.inf:
+        raise SchemaError("field 'tail_mass' must be a finite nonnegative number")
     return FockPureState(amps, float(tail))
 
 

@@ -351,12 +351,16 @@ def gaussian_from_dict(data: dict) -> GaussianState:
         raise SchemaError(f"field 'mean' is not numeric: {exc}") from exc
     if mean.shape != (2 * n,):
         raise SchemaError(f"field 'mean' must have length {2 * n}, got shape {mean.shape}")
+    if not np.all(np.isfinite(mean)):
+        raise SchemaError("field 'mean' has a non-finite entry")
     try:
         cov = np.asarray(data["cov"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"field 'cov' is not numeric: {exc}") from exc
     if cov.shape != (2 * n, 2 * n):
         raise SchemaError(f"field 'cov' must be {2 * n} x {2 * n}, got shape {cov.shape}")
+    if not np.all(np.isfinite(cov)):
+        raise SchemaError("field 'cov' has a non-finite entry")
     try:
         return GaussianState(mean, cov)
     except ValueError as exc:

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -236,6 +239,48 @@ def test_malformed_json_file(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run_cli(["measure", "--gaussian", str(path)], capsys)
     assert code == 2
+
+
+_NAN_FOCK_AMP = {"n": 2, "cutoffs": [2, 2], "amps": [[0, 0, 1.0, 0.0], [1, 1, math.nan, 0.0]]}
+_NAN_FOCK_TAIL = {"n": 2, "cutoffs": [2, 2], "amps": [[0, 0, 1.0, 0.0]], "tail_mass": math.nan}
+_NAN_GAUSS_MEAN = {"n": 1, "mean": [0.0, math.nan], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+_NAN_GAUSS_COV = {"n": 1, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, math.nan]]}
+
+
+@pytest.mark.parametrize(
+    "kind, data, field",
+    [
+        ("--fock", _NAN_FOCK_AMP, "field 'amps' row 1 has a non-finite"),
+        ("--fock", _NAN_FOCK_TAIL, "field 'tail_mass' must be a finite"),
+        ("--gaussian", _NAN_GAUSS_MEAN, "field 'mean' has a non-finite"),
+        ("--gaussian", _NAN_GAUSS_COV, "field 'cov' has a non-finite"),
+    ],
+)
+def test_non_finite_state_file_names_the_field(kind, data, field, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data))  # json writes NaN, and json.load accepts it
+    code, out, err = run_cli(["measure", kind, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+def test_jobs_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["audit", "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_readme_cli_block_parses():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme.read_text(), re.S).group(1)
+    lines = [ln.split("#")[0] for ln in block.splitlines() if ln.startswith("bosonic-bounds ")]
+    assert len(lines) >= 8
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert callable(parser.parse_args(argv).func), line
 
 
 def test_bad_bipartition_is_reported(capsys):

@@ -145,18 +145,36 @@ def test_random_audit_reports_seed_and_instance_on_violation():
     assert "check" in exc.value.instance
 
 
-def test_audit_report_merge_accumulates():
-    a = AuditReport(seed=1, counts={"gaussian": 2})
-    b = AuditReport(seed=1, counts={"gaussian": 3})
-    a.record("demo", 0.5, True, {"id": 1})
-    b.record("demo", 0.2, True, {"id": 2})
-    b.record("other", 1.0, True, {"id": 3})
-    a.merge(b)
-    assert a.checks == 3
-    assert a.counts["gaussian"] == 5
-    assert a.by_check["demo"]["count"] == 2
-    assert a.by_check["demo"]["min_margin"] == 0.2
-    assert a.by_check["demo"]["tightest"] == {"id": 2}
+def test_audit_report_record_keeps_first_tightest_and_ordered_violations():
+    report = AuditReport(seed=1, counts={"gaussian": 4})
+    first = {"id": 1}
+    report.record("demo", 0.2, True, first)
+    report.record("demo", 0.2, True, {"id": 2})
+    report.record("bad", -0.5, False, {"id": 3})
+    report.record("demo", 0.7, True, {"id": 4})
+    report.record("bad", -0.1, False, {"id": 5})
+    first["id"] = 99
+    assert report.checks == 5
+    demo = report.by_check["demo"]
+    assert demo["count"] == 3
+    assert demo["min_margin"] == 0.2
+    # the first instance to reach the minimum wins a tie, stored as a copy
+    assert demo["tightest"] == {"id": 1}
+    assert report.by_check["bad"]["tightest"] == {"id": 3}
+    assert report.violations == [
+        {"check": "bad", "margin": -0.5, "id": 3},
+        {"check": "bad", "margin": -0.1, "id": 5},
+    ]
+
+
+def test_random_audit_gaussian_slice_ignores_other_slice_counts():
+    alone = random_audit(n_states=30, modes=2, seed=4, fock_states=0,
+                         classical_states=0)
+    mixed = random_audit(n_states=30, modes=2, seed=4, fock_states=7,
+                         classical_states=5)
+    assert alone.by_check
+    for name, entry in alone.by_check.items():
+        assert mixed.by_check[name] == entry
 
 
 def test_counterexample_demo_flags():

@@ -242,6 +242,30 @@ def test_qcs2_fock_matches_dense_quadrature_formula(cutoffs, rank):
     assert qcs2_fock(rho) == pytest.approx(_qcs2_dense_reference(rho), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("cutoffs", [(4, 6), (3, 4, 5)])
+def test_quadrature_moments_match_dense_quadratures(cutoffs):
+    rng = np.random.default_rng(len(cutoffs))
+    z = rng.normal(size=cutoffs) + 1j * rng.normal(size=cutoffs)
+    # an empty top level per mode makes the truncated quadratures exact
+    psi = pad_fock(FockPureState(z / np.linalg.norm(z)), 1)
+    vec = psi.amps.ravel()
+    quads = []
+    for mode, d in enumerate(psi.cutoffs):
+        a = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+        for op in ((a + a.T) / math.sqrt(2.0), (a - a.T) / (1j * math.sqrt(2.0))):
+            R = np.ones((1, 1))
+            for i, c in enumerate(psi.cutoffs):
+                R = np.kron(R, op if i == mode else np.eye(c))
+            quads.append(R)
+    ref_mean = np.array([np.vdot(vec, R @ vec).real for R in quads])
+    ref_cov = np.array(
+        [[np.vdot(vec, (R @ S + S @ R) @ vec).real for S in quads] for R in quads]
+    ) - 2.0 * np.outer(ref_mean, ref_mean)
+    mean, cov = quadrature_moments(psi)
+    assert_allclose(mean, ref_mean, rtol=0.0, atol=1e-13)
+    assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-13)
+
+
 def test_pad_fock_keeps_measures():
     psi = make_fock_tmsv(0.5, tau=1e-12)
     padded = pad_fock(psi, 3)
