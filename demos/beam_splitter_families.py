@@ -6,70 +6,45 @@ beam splitter and compares the output entanglement entropy E_F with the
 input budget g((M_TN - 1)/2).  The ratio is 1 exactly when the input is a
 pair of orthogonally squeezed vacua (the output is then a two-mode squeezed
 vacuum), drifts toward 1 for twin number states |N,N>, and toward 1/2 for
-single-arm number states |N,0>.
+single-arm number states |N,0>.  Every row comes from the library's
+beam-splitter sweep.
 """
 
 import math
 
-import numpy as np
+from bosonic_bounds import beam_splitter_sweep, g
 
-from bosonic_bounds import (
-    Bipartition,
-    apply_beam_splitter_fock,
-    entanglement_entropy,
-    g,
-    make_fock_number,
-    make_fock_squeezed,
-    make_fock_tmsv,
-    mtn_pure,
-    squeezed_cutoff,
-)
-from bosonic_bounds.fock import FockPureState
-
-BP = Bipartition(1, 1)
-
-
-def ratio_for(psi_in, tau=1e-10):
-    out = apply_beam_splitter_fock(psi_in, tau=tau)
-    g_in = g((mtn_pure(psi_in) - 1.0) / 2.0)
-    ef = entanglement_entropy(out, BP, tau=10.0 * tau)
-    return ef, g_in, ef / g_in
+NUMBERS = [2, 5, 10, 20, 40]
 
 
 def main():
-    print("single-arm number states |N,0>  (ratio drifts down toward 1/2)")
-    for N in (2, 5, 10, 20, 40):
-        ef, g_in, ratio = ratio_for(make_fock_number((N, 0)))
-        print(f"  N={N:3d}  E_F={ef:8.5f}  g_in={g_in:8.5f}  ratio={ratio:.5f}")
-
-    print("twin number states |N,N>  (ratio climbs toward 1)")
-    for N in (2, 5, 10, 20, 40):
-        ef, g_in, ratio = ratio_for(make_fock_number((N, N)))
-        print(f"  N={N:3d}  E_F={ef:8.5f}  g_in={g_in:8.5f}  ratio={ratio:.5f}")
+    for family, title in (
+        ("number-split", "single-arm number states |N,0>  (ratio drifts down toward 1/2)"),
+        ("twin-number", "twin number states |N,N>  (ratio climbs toward 1)"),
+    ):
+        print(title)
+        for row in beam_splitter_sweep(families=(family,), number_grid=NUMBERS):
+            print(f"  N={int(row['param']):3d}  E_F={row['ef']:8.5f}  "
+                  f"g_in={row['g_in']:8.5f}  ratio={row['ratio']:.5f}")
 
     print("orthogonally squeezed pair |s,0> x |s,pi/2>  (ratio is exactly 1)")
     worst = 0.0
-    for s in (0.3, 0.6, 0.9):
-        cutoff = squeezed_cutoff(s, 1e-12)
-        m1 = make_fock_squeezed(s, 0.0, cutoff, 1e-10)
-        m2 = make_fock_squeezed(s, math.pi / 2.0, cutoff, 1e-10)
-        pair = FockPureState(
-            np.tensordot(m1.amps, m2.amps, axes=0), m1.tail_mass + m2.tail_mass
-        )
-        ef, g_in, ratio = ratio_for(pair)
-        print(f"  s={s}  E_F={ef:8.5f}  g_in={g_in:8.5f}  ratio={ratio:.12f}")
-        worst = max(worst, abs(ratio - 1.0))
+    for row in beam_splitter_sweep(families=("orthogonal-squeezed",),
+                                   squeeze_grid=[0.3, 0.6, 0.9]):
+        print(f"  s={row['param']}  E_F={row['ef']:8.5f}  g_in={row['g_in']:8.5f}  "
+              f"ratio={row['ratio']:.12f}")
+        worst = max(worst, abs(row["ratio"] - 1.0))
     status = "PASS" if worst <= 1e-9 else "FAIL"
     print(f"[{status}] orthogonal squeezing converts everything: "
           f"max |ratio - 1| = {worst:.2e}")
 
     print("two-mode squeezed vacuum saturates the bound with equality")
     worst = 0.0
-    for r in (0.2, 0.5, 0.8, 1.1):
-        psi = make_fock_tmsv(r, tau=1e-12)
-        ef = entanglement_entropy(psi, BP, tau=1e-10)
-        gap = abs(ef - g(math.sinh(r) ** 2))
-        print(f"  r={r}  E_F={ef:8.5f}  g(sinh^2 r)={g(math.sinh(r) ** 2):8.5f}  "
+    for row in beam_splitter_sweep(families=("tmsv-direct",),
+                                   squeeze_grid=[0.2, 0.5, 0.8, 1.1]):
+        exact = g(math.sinh(row["param"]) ** 2)
+        gap = abs(row["ef"] - exact)
+        print(f"  r={row['param']}  E_F={row['ef']:8.5f}  g(sinh^2 r)={exact:8.5f}  "
               f"gap={gap:.2e}")
         worst = max(worst, gap)
     status = "PASS" if worst <= 1e-6 else "FAIL"

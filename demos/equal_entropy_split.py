@@ -7,7 +7,7 @@ bisection, compares the two closed-form approximations, and prints the
 resulting bound profile.
 """
 
-from bosonic_bounds import g, na_star_asymptotic, solve_na_star
+from bosonic_bounds import bound_profile_sweep, solve_na_star, split_accuracy_sweep
 
 PAIRS = [(1, 1), (1, 3), (2, 5), (3, 9)]
 
@@ -26,23 +26,19 @@ def main():
     header = f"  {'nu':>8} {'bisection':>12} {'leading':>12} {'refined':>12}"
     print(header)
     worst_ok = True
-    for nu in (10.0, 30.0, 100.0, 300.0, 1000.0):
-        exact = solve_na_star(nu, 1, 3)
-        lead = na_star_asymptotic(nu, 1, 3, "leading")
-        refined = na_star_asymptotic(nu, 1, 3, "refined")
-        rel_l = abs(lead.na_star - exact.na_star) / exact.na_star
-        rel_r = abs(refined.na_star - exact.na_star) / exact.na_star
+    # With n_A = 1 the per-mode splits in these rows are N_A* itself.
+    for row in split_accuracy_sweep([(1, 3)], (10.0, 30.0, 100.0, 300.0, 1000.0)):
+        rel_l, rel_r = row["relerr_leading"], row["relerr_refined"]
         worst_ok = worst_ok and rel_r < rel_l
-        print(f"  {nu:8.0f} {exact.na_star:12.6f} {lead.na_star:12.6f} "
-              f"{refined.na_star:12.6f}   relerr {rel_l:.1e} / {rel_r:.1e}")
+        print(f"  {row['nu']:8.0f} {row['nu_star']:12.6f} {row['nu_star_leading']:12.6f} "
+              f"{row['nu_star_refined']:12.6f}   relerr {rel_l:.1e} / {rel_r:.1e}")
     status = "PASS" if worst_ok else "FAIL"
     print(f"[{status}] the refined split beats the leading one at every "
           "budget shown")
 
     print("bound per A-mode across the profile, pair (1,3)")
-    for nu in (1.0, 3.0, 10.0, 30.0, 100.0):
-        sol = solve_na_star(nu, 1, 3)
-        print(f"  nu={nu:6.1f}  g(N_A*) = {g(sol.na_star):8.5f}")
+    for row in bound_profile_sweep([(1, 3)], (1.0, 3.0, 10.0, 30.0, 100.0)):
+        print(f"  nu={row['nu']:6.1f}  g(N_A*) = {row['ef_per_na']:8.5f}")
 
 
 if __name__ == "__main__":

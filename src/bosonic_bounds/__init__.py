@@ -40,7 +40,6 @@ from .errors import (
 )
 from .experiments import (
     AuditReport,
-    SweepSpec,
     beam_splitter_sweep,
     bound_profile_sweep,
     counterexample_demo,

@@ -65,7 +65,6 @@ from .symplectic import Bipartition, default_bipartition
 from .tolerances import TAU_CHECK, TAU_TRUNC
 
 __all__ = [
-    "SweepSpec",
     "AuditReport",
     "beam_splitter_sweep",
     "bound_profile_sweep",
@@ -80,36 +79,20 @@ __all__ = [
 _FLOAT_FMT = "%.17g"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Resolved configuration of one sweep, echoed into its manifest."""
-
-    name: str
-    params: dict
-    seed: int | None = None
-    tolerances: dict = field(
-        default_factory=lambda: {"tau_check": TAU_CHECK, "tau_trunc": TAU_TRUNC}
-    )
-
-    def manifest(self, columns) -> dict:
-        return {
-            "version": _version,
-            "sweep": self.name,
-            "params": self.params,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "columns": list(columns),
-        }
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return _FLOAT_FMT % x
     return str(x)
 
 
-def write_sweep(out_dir, name: str, columns, rows, spec: SweepSpec) -> tuple[str, str]:
-    """Write rows to <out_dir>/<name>.csv plus <name>.manifest.json."""
+def write_sweep(
+    out_dir, name: str, columns, rows, params: dict, tau_trunc: float = TAU_TRUNC
+) -> tuple[str, str]:
+    """Write rows to <out_dir>/<name>.csv plus <name>.manifest.json.
+
+    The manifest echoes ``params`` and the tolerances the sweep ran with;
+    its ``seed`` is null because no sweep draws random numbers.
+    """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     man_path = os.path.join(out_dir, f"{name}.manifest.json")
@@ -119,7 +102,15 @@ def write_sweep(out_dir, name: str, columns, rows, spec: SweepSpec) -> tuple[str
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in columns])
     with open(man_path, "w") as fh:
-        json.dump(spec.manifest(columns), fh, indent=1, sort_keys=True)
+        manifest = {
+            "version": _version,
+            "sweep": name,
+            "params": params,
+            "seed": None,
+            "tolerances": {"tau_check": TAU_CHECK, "tau_trunc": tau_trunc},
+            "columns": list(columns),
+        }
+        json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return csv_path, man_path
 
@@ -149,19 +140,18 @@ _BS_COLUMNS = (
 
 
 def _bs_row(family: str, param: float, tau: float) -> dict:
-    bp = Bipartition(1, 1)
-    if family == "number-split":
+    # ref is the large-input asymptote of E_F; None means the ratio itself
+    # tends to 1, so the gap is measured there.
+    if family in ("number-split", "twin-number"):
         N = int(param)
-        psi_in = make_fock_number((N, 0))
-        psi_out = apply_beam_splitter_fock(psi_in, tau=tau)
-        cutoff = psi_in.cutoffs[0]
-        gap_ref = 0.5 * math.log(2.0 * math.pi * math.e * N) if N else 0.0
-    elif family == "twin-number":
-        N = int(param)
-        psi_in = make_fock_number((N, N))
-        psi_out = apply_beam_splitter_fock(psi_in, tau=tau)
-        cutoff = psi_in.cutoffs[0]
-        gap_ref = math.log(math.pi * N / 4.0) if N else 0.0
+        twin = family == "twin-number"
+        psi_in = make_fock_number((N, N) if twin else (N, 0))
+        if N == 0:
+            ref = 0.0
+        elif twin:
+            ref = math.log(math.pi * N / 4.0)
+        else:
+            ref = 0.5 * math.log(2.0 * math.pi * math.e * N)
     elif family == "antisqueezed-vacuum":
         s = float(param)
         cutoff = squeezed_cutoff(2.0 * s, tau * 1e-2)
@@ -169,8 +159,7 @@ def _bs_row(family: str, param: float, tau: float) -> dict:
         amps = np.zeros((cutoff, cutoff), dtype=complex)
         amps[:, 0] = mode1.amps
         psi_in = FockPureState(amps, mode1.tail_mass)
-        psi_out = apply_beam_splitter_fock(psi_in, tau=tau)
-        gap_ref = None
+        ref = g(math.sinh(s) ** 2)
     elif family == "orthogonal-squeezed":
         s = float(param)
         cutoff = squeezed_cutoff(s, tau * 1e-2)
@@ -179,30 +168,25 @@ def _bs_row(family: str, param: float, tau: float) -> dict:
         psi_in = FockPureState(
             np.tensordot(m1.amps, m2.amps, axes=0), m1.tail_mass + m2.tail_mass
         )
-        psi_out = apply_beam_splitter_fock(psi_in, tau=tau)
-        gap_ref = None
+        ref = None
     elif family == "tmsv-direct":
         r = float(param)
-        cutoff = tmsv_cutoff(r, tau)
-        psi_in = psi_out = make_fock_tmsv(r, cutoff, tau)
-        gap_ref = None
+        psi_in = make_fock_tmsv(r, tmsv_cutoff(r, tau), tau)
+        ref = None
     else:
         raise ValueError(f"unknown family {family!r}")
+    # tmsv-direct is already the state a balanced beam splitter makes from
+    # an orthogonally squeezed pair.
+    psi_out = psi_in if family == "tmsv-direct" else apply_beam_splitter_fock(psi_in, tau=tau)
     mtn_in = mtn_pure(psi_in, tau=10.0 * tau)
     g_in = g((mtn_in - 1.0) / 2.0)
-    ef = entanglement_entropy(psi_out, bp, tau=10.0 * tau)
+    ef = entanglement_entropy(psi_out, Bipartition(1, 1), tau=10.0 * tau)
     ratio = ef / g_in if g_in > 0.0 else 1.0
     if ef > g_in + TAU_CHECK:
         raise AssertionError(
             f"sweep row violates the symmetric bound: family {family} param {param} "
             f"E_F {ef!r} > g_in {g_in!r}"
         )
-    if family == "antisqueezed-vacuum":
-        gap = abs(ef - g(math.sinh(float(param)) ** 2))
-    elif family in ("orthogonal-squeezed", "tmsv-direct"):
-        gap = abs(ratio - 1.0)
-    else:
-        gap = abs(ef - gap_ref)
     return {
         "family": family,
         "param": float(param),
@@ -210,9 +194,9 @@ def _bs_row(family: str, param: float, tau: float) -> dict:
         "g_in": g_in,
         "ef": ef,
         "ratio": ratio,
-        "cutoff": int(cutoff),
+        "cutoff": int(psi_in.cutoffs[0]),
         "tail_mass": psi_out.tail_mass,
-        "asymptote_gap": gap,
+        "asymptote_gap": abs(ratio - 1.0) if ref is None else abs(ef - ref),
     }
 
 
@@ -241,17 +225,37 @@ def beam_splitter_sweep(
         grid = number_grid if family in ("number-split", "twin-number") else squeeze_grid
         rows.extend(_bs_row(family, p, tau) for p in grid)
     if out_dir is not None:
-        spec = SweepSpec(
-            "beam_splitter_sweep",
-            {
-                "families": list(families),
-                "number_grid": number_grid,
-                "squeeze_grid": squeeze_grid,
-                "tau": tau,
-            },
-        )
-        write_sweep(out_dir, "beam_splitter_sweep", _BS_COLUMNS, rows, spec)
+        params = {
+            "families": list(families),
+            "number_grid": number_grid,
+            "squeeze_grid": squeeze_grid,
+            "tau": tau,
+        }
+        write_sweep(out_dir, "beam_splitter_sweep", _BS_COLUMNS, rows, params, tau)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# equal-entropy split over (mode pair, photons per A-mode) grids
+
+
+def _split_points(pairs, nu_grid, variants):
+    """Solve the equal-entropy split at every grid point.
+
+    Yields ``(head, N, sol, closed)`` per pair and nu, pairs outermost:
+    ``head`` holds the n_a, n_b, mu and nu columns, N = nu n_a is the photon
+    budget, ``sol`` the bisection solution, and ``closed`` the closed-form
+    N_A* of each named variant.  The closed forms warn outside their
+    validity range; the sweeps report what they give there.
+    """
+    for n_a, n_b in pairs:
+        for nu in nu_grid:
+            N = nu * n_a
+            sol = solve_na_star(N, n_a, n_b)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                closed = [na_star_asymptotic(N, n_a, n_b, v).na_star for v in variants]
+            yield {"n_a": n_a, "n_b": n_b, "mu": n_a / n_b, "nu": float(nu)}, N, sol, closed
 
 
 # ---------------------------------------------------------------------------
@@ -282,32 +286,23 @@ def bound_profile_sweep(pairs=None, nu_grid=None, out_dir=None) -> list[dict]:
         list(nu_grid) if nu_grid is not None else list(np.geomspace(1.0, 100.0, 25))
     )
     rows = []
-    for n_a, n_b in pairs:
-        for nu in nu_grid:
-            N = nu * n_a
-            sol = solve_na_star(N, n_a, n_b)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                asym = na_star_asymptotic(N, n_a, n_b, "leading")
-            # The closed form can leave [0, N] at small nu; report NaN there.
-            asym_col = (
-                g(asym.na_star / n_a) if 0.0 < asym.na_star <= N else math.nan
-            )
-            rows.append(
-                {
-                    "n_a": n_a,
-                    "n_b": n_b,
-                    "mu": n_a / n_b,
-                    "nu": float(nu),
-                    "ef_per_na": g(sol.na_star / n_a),
-                    "ef_per_na_asymptotic": asym_col,
-                    "gaussian_per_na": g(nu / 2.0),
-                    "residual": sol.residual,
-                }
-            )
+    for head, N, sol, (lead,) in _split_points(pairs, nu_grid, ("leading",)):
+        n_a = head["n_a"]
+        rows.append(
+            {
+                **head,
+                "ef_per_na": g(sol.na_star / n_a),
+                # The closed form can leave [0, N] at small nu; report NaN there.
+                "ef_per_na_asymptotic": g(lead / n_a) if 0.0 < lead <= N else math.nan,
+                "gaussian_per_na": g(head["nu"] / 2.0),
+                "residual": sol.residual,
+            }
+        )
     if out_dir is not None:
-        spec = SweepSpec("bound_profile", {"pairs": pairs, "nu_grid": nu_grid})
-        write_sweep(out_dir, "bound_profile", _PROFILE_COLUMNS, rows, spec)
+        write_sweep(
+            out_dir, "bound_profile", _PROFILE_COLUMNS, rows,
+            {"pairs": pairs, "nu_grid": nu_grid},
+        )
     return rows
 
 
@@ -339,32 +334,26 @@ def split_accuracy_sweep(pairs=None, nu_grid=None, out_dir=None) -> list[dict]:
         list(nu_grid) if nu_grid is not None else list(np.geomspace(1.0, 1000.0, 25))
     )
     rows = []
-    for n_a, n_b in pairs:
-        for nu in nu_grid:
-            N = nu * n_a
-            sol = solve_na_star(N, n_a, n_b)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                lead = na_star_asymptotic(N, n_a, n_b, "leading")
-                refined = na_star_asymptotic(N, n_a, n_b, "refined")
-            star = sol.na_star / n_a
-            rows.append(
-                {
-                    "n_a": n_a,
-                    "n_b": n_b,
-                    "mu": n_a / n_b,
-                    "nu": float(nu),
-                    "nu_star": star,
-                    "nu_star_leading": lead.na_star / n_a,
-                    "nu_star_refined": refined.na_star / n_a,
-                    "relerr_leading": abs(lead.na_star - sol.na_star) / sol.na_star,
-                    "relerr_refined": abs(refined.na_star - sol.na_star) / sol.na_star,
-                    "residual": sol.residual,
-                }
-            )
+    for head, _, sol, (lead, refined) in _split_points(
+        pairs, nu_grid, ("leading", "refined")
+    ):
+        n_a, exact = head["n_a"], sol.na_star
+        rows.append(
+            {
+                **head,
+                "nu_star": exact / n_a,
+                "nu_star_leading": lead / n_a,
+                "nu_star_refined": refined / n_a,
+                "relerr_leading": abs(lead - exact) / exact,
+                "relerr_refined": abs(refined - exact) / exact,
+                "residual": sol.residual,
+            }
+        )
     if out_dir is not None:
-        spec = SweepSpec("split_accuracy", {"pairs": pairs, "nu_grid": nu_grid})
-        write_sweep(out_dir, "split_accuracy", _ACCURACY_COLUMNS, rows, spec)
+        write_sweep(
+            out_dir, "split_accuracy", _ACCURACY_COLUMNS, rows,
+            {"pairs": pairs, "nu_grid": nu_grid},
+        )
     return rows
 
 

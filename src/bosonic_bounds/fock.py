@@ -215,14 +215,15 @@ def pad_fock(psi: FockPureState, extra: int = 2) -> FockPureState:
 
 def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUNC) -> FockPureState:
     """Single-mode coherent state with amplitude alpha."""
-    if cutoff is None:
-        cutoff = 8
-        while (1.0 - _poisson_cdf(abs(alpha) ** 2, cutoff - 1)) > tau:
-            cutoff *= 2
     # Imported here: scipy.special adds about 35 ms and 3.5 MB to importing
     # the package (measured on a 2-core host), and only this function uses it.
-    from scipy.special import gammaln
+    from scipy.special import gammainc, gammaln
 
+    if cutoff is None:
+        # gammainc(c, |alpha|^2) is the Poisson mass at levels >= c.
+        cutoff = 8
+        while gammainc(cutoff, abs(alpha) ** 2) > tau:
+            cutoff *= 2
     k = np.arange(cutoff)
     logs = -0.5 * abs(alpha) ** 2 + k * np.log(np.abs(alpha)) - 0.5 * gammaln(k + 1) \
         if alpha != 0 else np.where(k == 0, 0.0, -np.inf)
@@ -231,15 +232,6 @@ def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUN
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
     _require_tail(tail, cutoff, tau, "coherent")
     return FockPureState(amps, tail)
-
-
-def _poisson_cdf(lam: float, kmax: int) -> float:
-    term = math.exp(-lam)
-    acc = term
-    for k in range(1, kmax + 1):
-        term *= lam / k
-        acc += term
-    return acc
 
 
 def make_fock_squeezed(
@@ -671,15 +663,19 @@ def fock_from_dict(data: dict) -> FockPureState:
             raise SchemaError(f"field 'amps' row {rownum} has indices outside cutoffs")
         try:
             re, im = float(row[n]), float(row[n + 1])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(f"field 'amps' row {rownum} has non-numeric amplitude")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise SchemaError(f"field 'amps' row {rownum} has a non-finite amplitude")
         amps[tuple(idx)] = complex(re, im)
     tail = data.get("tail_mass", 0.0)
-    if not isinstance(tail, (int, float)) or not 0.0 <= tail < math.inf:
+    try:
+        tail = float(tail) if isinstance(tail, (int, float)) else math.nan
+    except OverflowError:
+        tail = math.inf
+    if not 0.0 <= tail < math.inf:
         raise SchemaError("field 'tail_mass' must be a finite nonnegative number")
-    return FockPureState(amps, float(tail))
+    return FockPureState(amps, tail)
 
 
 def save_fock(psi: FockPureState, path) -> None:

@@ -347,7 +347,7 @@ def gaussian_from_dict(data: dict) -> GaussianState:
         raise SchemaError("field 'n' must be a positive integer")
     try:
         mean = np.asarray(data["mean"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"field 'mean' is not numeric: {exc}") from exc
     if mean.shape != (2 * n,):
         raise SchemaError(f"field 'mean' must have length {2 * n}, got shape {mean.shape}")
@@ -355,7 +355,7 @@ def gaussian_from_dict(data: dict) -> GaussianState:
         raise SchemaError("field 'mean' has a non-finite entry")
     try:
         cov = np.asarray(data["cov"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"field 'cov' is not numeric: {exc}") from exc
     if cov.shape != (2 * n, 2 * n):
         raise SchemaError(f"field 'cov' must be {2 * n} x {2 * n}, got shape {cov.shape}")

@@ -245,6 +245,11 @@ _NAN_FOCK_AMP = {"n": 2, "cutoffs": [2, 2], "amps": [[0, 0, 1.0, 0.0], [1, 1, ma
 _NAN_FOCK_TAIL = {"n": 2, "cutoffs": [2, 2], "amps": [[0, 0, 1.0, 0.0]], "tail_mass": math.nan}
 _NAN_GAUSS_MEAN = {"n": 1, "mean": [0.0, math.nan], "cov": [[1.0, 0.0], [0.0, 1.0]]}
 _NAN_GAUSS_COV = {"n": 1, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, math.nan]]}
+_HUGE = 10**400  # an exact JSON integer too large for a float
+_HUGE_FOCK_AMP = {"n": 1, "cutoffs": [2], "amps": [[0, _HUGE, 0.0]]}
+_HUGE_FOCK_TAIL = {"n": 1, "cutoffs": [2], "amps": [[0, 1.0, 0.0]], "tail_mass": _HUGE}
+_HUGE_GAUSS_MEAN = {"n": 1, "mean": [0.0, _HUGE], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+_HUGE_GAUSS_COV = {"n": 1, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, _HUGE]]}
 
 
 @pytest.mark.parametrize(
@@ -254,11 +259,16 @@ _NAN_GAUSS_COV = {"n": 1, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, math.nan
         ("--fock", _NAN_FOCK_TAIL, "field 'tail_mass' must be a finite"),
         ("--gaussian", _NAN_GAUSS_MEAN, "field 'mean' has a non-finite"),
         ("--gaussian", _NAN_GAUSS_COV, "field 'cov' has a non-finite"),
+        ("--fock", _HUGE_FOCK_AMP, "field 'amps' row 0 has non-numeric"),
+        ("--fock", _HUGE_FOCK_TAIL, "field 'tail_mass' must be a finite"),
+        ("--gaussian", _HUGE_GAUSS_MEAN, "field 'mean' is not numeric"),
+        ("--gaussian", _HUGE_GAUSS_COV, "field 'cov' is not numeric"),
     ],
 )
 def test_non_finite_state_file_names_the_field(kind, data, field, tmp_path, capsys):
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(data))  # json writes NaN, and json.load accepts it
+    # json writes NaN and big integers, and json.load accepts both
+    path.write_text(json.dumps(data))
     code, out, err = run_cli(["measure", kind, str(path)], capsys)
     assert code == 2
     assert out == ""

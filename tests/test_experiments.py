@@ -1,12 +1,13 @@
+import importlib.util
 import json
 import math
 import os
+import pathlib
 
 import pytest
 
 from bosonic_bounds import (
     AuditReport,
-    SweepSpec,
     beam_splitter_sweep,
     bound_profile_sweep,
     counterexample_demo,
@@ -18,6 +19,8 @@ from bosonic_bounds import (
 from bosonic_bounds.errors import AuditViolationError
 from bosonic_bounds.experiments import write_sweep
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
 
 def _read(path):
     with open(path, "rb") as fh:
@@ -25,9 +28,8 @@ def _read(path):
 
 
 def test_write_sweep_emits_csv_and_manifest(tmp_path):
-    spec = SweepSpec(name="demo", params={"x": 1})
     rows = [{"a": 1.0, "b": 0.5}, {"a": 2.0, "b": 0.25}]
-    csv_path, man_path = write_sweep(tmp_path, "demo", ["a", "b"], rows, spec)
+    csv_path, man_path = write_sweep(tmp_path, "demo", ["a", "b"], rows, {"x": 1})
     assert os.path.exists(csv_path) and os.path.exists(man_path)
     lines = _read(csv_path).decode().splitlines()
     assert lines[0] == "a,b"
@@ -56,6 +58,16 @@ def test_beam_splitter_sweep_small_grid(tmp_path):
         if row["family"] == "orthogonal-squeezed":
             assert row["ratio"] == pytest.approx(1.0, abs=1e-9)
     assert os.path.exists(os.path.join(tmp_path, "beam_splitter_sweep.csv"))
+
+
+def test_beam_splitter_manifest_records_the_sweep_tau(tmp_path):
+    beam_splitter_sweep(
+        families=("number-split",), number_grid=[1], tau=1e-8, out_dir=tmp_path
+    )
+    manifest = json.loads(_read(tmp_path / "beam_splitter_sweep.manifest.json"))
+    assert manifest["params"]["tau"] == 1e-8
+    assert manifest["tolerances"]["tau_trunc"] == 1e-8
+    assert manifest["seed"] is None
 
 
 def test_beam_splitter_sweep_single_photon_exact(tmp_path):
@@ -108,6 +120,14 @@ def test_frozen_envelope_shape_and_monotonicity():
         for col in ("relerr_leading", "relerr_refined"):
             vals = [r[col] for r in sub]
             assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_freeze_tool_reproduces_the_shipped_envelope():
+    path = ROOT / "tools" / "freeze_nastar_regression.py"
+    spec = importlib.util.spec_from_file_location("freeze_nastar_regression", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.envelope_rows() == load_nastar_envelope()
 
 
 def test_random_audit_clean_and_deterministic():

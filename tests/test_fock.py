@@ -61,6 +61,16 @@ def test_coherent_state_is_minimum_noise():
     assert mtn_pure(psi, tau=1e-9) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_coherent_cutoff_search_returns_at_large_amplitude():
+    # exp(-|alpha|^2) underflows to 0 past |alpha|^2 ~ 745, so the cutoff
+    # search must not rebuild the Poisson mass from its first term.
+    psi = make_fock_coherent(30.0)
+    assert psi.cutoffs == (2048,)
+    assert psi.tail_mass <= 1e-10
+    photons = np.sum(np.arange(2048) * np.abs(psi.amps) ** 2)
+    assert photons == pytest.approx(900.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("phi", [0.0, np.pi / 2, np.pi / 4, 1.1])
 def test_squeezed_fock_matches_gaussian_covariance(phi):
     s = 0.6

@@ -1,5 +1,5 @@
-"""Every module-level import in the package modules is used, and every
-re-export of the package is public in its defining module.
+"""Every module-level import in the package modules, demos and tools is
+used, and every re-export of the package is public in its defining module.
 
 A stdlib ``ast`` pass standing in for a linter: a name bound by a top-level
 ``import`` must appear as a name somewhere in the same module or be listed
@@ -14,8 +14,10 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "bosonic_bounds"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bosonic_bounds"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def _imported_names(tree):
@@ -58,7 +60,7 @@ def test_detector_flags_only_unused_names():
     assert unused_imports(source) == ["os", "pi"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 

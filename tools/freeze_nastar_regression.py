@@ -2,9 +2,11 @@
 
 Freezes the relative error of both closed-form equal-entropy splits against
 the bisection solver on a fixed (mode pair, photons-per-A-mode) grid.  The
-test suite asserts that current errors stay within this envelope and that
-they decrease along nu for every pair, so the grid deliberately uses mode
-ratios where both variants are monotone.
+rows come from ``experiments.split_accuracy_sweep``, the same loop behind
+``figure --name split-accuracy``.  The test suite asserts that current
+errors stay within this envelope and that they decrease along nu for every
+pair, so the grid deliberately uses mode ratios where both variants are
+monotone.
 
 Run from the repository root:
 
@@ -13,9 +15,8 @@ Run from the repository root:
 
 import json
 import pathlib
-import warnings
 
-from bosonic_bounds.bounds import na_star_asymptotic, solve_na_star
+from bosonic_bounds.experiments import split_accuracy_sweep
 
 PAIRS = [(1, 2), (1, 3), (1, 5)]
 NU_GRID = [10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0]
@@ -29,26 +30,24 @@ OUT = (
 )
 
 
+def envelope_rows() -> list[dict]:
+    """The envelope's rows, in the order they are frozen."""
+    # Every pair has n_A = 1, so the sweep's per-mode nu_star is N_A* itself.
+    return [
+        {
+            "n_a": row["n_a"],
+            "n_b": row["n_b"],
+            "nu": row["nu"],
+            "na_star": row["nu_star"],
+            "relerr_leading": row["relerr_leading"],
+            "relerr_refined": row["relerr_refined"],
+        }
+        for row in split_accuracy_sweep(PAIRS, NU_GRID)
+    ]
+
+
 def main() -> None:
-    rows = []
-    for n_a, n_b in PAIRS:
-        for nu in NU_GRID:
-            N = nu * n_a
-            sol = solve_na_star(N, n_a, n_b)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                lead = na_star_asymptotic(N, n_a, n_b, "leading")
-                refined = na_star_asymptotic(N, n_a, n_b, "refined")
-            rows.append(
-                {
-                    "n_a": n_a,
-                    "n_b": n_b,
-                    "nu": nu,
-                    "na_star": sol.na_star,
-                    "relerr_leading": abs(lead.na_star - sol.na_star) / sol.na_star,
-                    "relerr_refined": abs(refined.na_star - sol.na_star) / sol.na_star,
-                }
-            )
+    rows = envelope_rows()
     OUT.parent.mkdir(parents=True, exist_ok=True)
     with OUT.open("w") as fh:
         json.dump(rows, fh, indent=1)
