@@ -7,7 +7,8 @@ input budget g((M_TN - 1)/2).  The ratio is 1 exactly when the input is a
 pair of orthogonally squeezed vacua (the output is then a two-mode squeezed
 vacuum), drifts toward 1 for twin number states |N,N>, and toward 1/2 for
 single-arm number states |N,0>.  Every row comes from the library's
-beam-splitter sweep.
+beam-splitter sweep: the number-state rows from truncated Fock amplitudes,
+the squeezed rows from covariance matrices, which need no truncation.
 """
 
 import math

@@ -33,6 +33,7 @@ from .errors import (
     AsymmetricInputError,
     AuditViolationError,
     CutoffOverflowError,
+    MixedStateError,
     NonPositiveDefiniteError,
     SchemaError,
     TruncationError,
@@ -81,6 +82,7 @@ from .gaussian import (
     GaussianState,
     MeasureReport,
     apply_beam_splitter,
+    entanglement_entropy_gaussian,
     gaussian_from_dict,
     gaussian_measures,
     gaussian_to_dict,

@@ -13,6 +13,10 @@ class UnphysicalStateError(ValueError):
     """A covariance matrix violates the uncertainty bound (min symplectic eigenvalue < 1)."""
 
 
+class MixedStateError(ValueError):
+    """A quantity defined only for pure states was asked of a mixed state."""
+
+
 class TruncationError(ValueError):
     """A Fock-space cutoff leaves more probability mass in the tail than allowed."""
 

@@ -9,6 +9,11 @@ CSV column orders
 -----------------
 beam_splitter_sweep.csv:
     family, param, mtn_in, g_in, ef, ratio, cutoff, tail_mass, asymptote_gap
+    The number families (number-split, twin-number) run in truncated Fock
+    space.  The squeezed families (antisqueezed-vacuum, orthogonal-squeezed,
+    tmsv-direct) have Gaussian inputs and pure Gaussian outputs, so they run
+    on covariance matrices; their rows have cutoff 0 and tail_mass 0, meaning
+    no truncation.
 bound_profile.csv:
     n_a, n_b, mu, nu, ef_per_na, ef_per_na_asymptotic, gaussian_per_na, residual
 split_accuracy.csv:
@@ -47,19 +52,21 @@ from .fock import (
     entanglement_entropy,
     make_counterexample_states,
     make_fock_number,
-    make_fock_squeezed,
-    make_fock_tmsv,
     mtn_pure,
-    squeezed_cutoff,
-    tmsv_cutoff,
 )
 from .gaussian import (
+    apply_beam_splitter,
+    entanglement_entropy_gaussian,
     gaussian_measures,
     gaussian_to_dict,
     log_negativity_gaussian,
+    make_squeezed,
+    make_tmsv,
+    make_vacuum,
     qcs2_gaussian,
     random_classical_state,
     random_gaussian_state,
+    tensor,
 )
 from .symplectic import Bipartition, default_bipartition
 from .tolerances import TAU_CHECK, TAU_TRUNC
@@ -152,35 +159,31 @@ def _bs_row(family: str, param: float, tau: float) -> dict:
             ref = math.log(math.pi * N / 4.0)
         else:
             ref = 0.5 * math.log(2.0 * math.pi * math.e * N)
-    elif family == "antisqueezed-vacuum":
-        s = float(param)
-        cutoff = squeezed_cutoff(2.0 * s, tau * 1e-2)
-        mode1 = make_fock_squeezed(2.0 * s, 0.0, cutoff, tau)
-        amps = np.zeros((cutoff, cutoff), dtype=complex)
-        amps[:, 0] = mode1.amps
-        psi_in = FockPureState(amps, mode1.tail_mass)
-        ref = g(math.sinh(s) ** 2)
-    elif family == "orthogonal-squeezed":
-        s = float(param)
-        cutoff = squeezed_cutoff(s, tau * 1e-2)
-        m1 = make_fock_squeezed(s, 0.0, cutoff, tau)
-        m2 = make_fock_squeezed(s, math.pi / 2.0, cutoff, tau)
-        psi_in = FockPureState(
-            np.tensordot(m1.amps, m2.amps, axes=0), m1.tail_mass + m2.tail_mass
-        )
-        ref = None
-    elif family == "tmsv-direct":
-        r = float(param)
-        psi_in = make_fock_tmsv(r, tmsv_cutoff(r, tau), tau)
-        ref = None
+        psi_out = apply_beam_splitter_fock(psi_in, tau=tau)
+        mtn_in = mtn_pure(psi_in, tau=10.0 * tau)
+        ef = entanglement_entropy(psi_out, Bipartition(1, 1), tau=10.0 * tau)
+        cutoff, tail_mass = int(psi_in.cutoffs[0]), psi_out.tail_mass
     else:
-        raise ValueError(f"unknown family {family!r}")
-    # tmsv-direct is already the state a balanced beam splitter makes from
-    # an orthogonally squeezed pair.
-    psi_out = psi_in if family == "tmsv-direct" else apply_beam_splitter_fock(psi_in, tau=tau)
-    mtn_in = mtn_pure(psi_in, tau=10.0 * tau)
+        s = float(param)
+        if family == "antisqueezed-vacuum":
+            st_in = tensor(make_squeezed(2.0 * s), make_vacuum(1))
+            ref = g(math.sinh(s) ** 2)
+        elif family == "orthogonal-squeezed":
+            st_in = tensor(make_squeezed(s), make_squeezed(s, math.pi / 2.0))
+            ref = None
+        elif family == "tmsv-direct":
+            st_in = make_tmsv(s)
+            ref = None
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        # tmsv-direct is already the state a balanced beam splitter makes
+        # from an orthogonally squeezed pair.
+        st_out = st_in if family == "tmsv-direct" else apply_beam_splitter(st_in)
+        mtn_in = float(np.trace(st_in.cov)) / (2 * st_in.n)
+        ef = entanglement_entropy_gaussian(st_out, Bipartition(1, 1))
+        # Gaussian rows are exact: no Fock truncation, so no cutoff or tail.
+        cutoff, tail_mass = 0, 0.0
     g_in = g((mtn_in - 1.0) / 2.0)
-    ef = entanglement_entropy(psi_out, Bipartition(1, 1), tau=10.0 * tau)
     ratio = ef / g_in if g_in > 0.0 else 1.0
     if ef > g_in + TAU_CHECK:
         raise AssertionError(
@@ -194,8 +197,8 @@ def _bs_row(family: str, param: float, tau: float) -> dict:
         "g_in": g_in,
         "ef": ef,
         "ratio": ratio,
-        "cutoff": int(psi_in.cutoffs[0]),
-        "tail_mass": psi_out.tail_mass,
+        "cutoff": cutoff,
+        "tail_mass": tail_mass,
         "asymptote_gap": abs(ratio - 1.0) if ref is None else abs(ef - ref),
     }
 
@@ -209,8 +212,13 @@ def beam_splitter_sweep(
 ) -> list[dict]:
     """Entanglement generated by a balanced beam splitter, family by family.
 
-    Number families sweep the photon count; squeezed families sweep the
-    squeezing parameter.  Every row re-checks E_F <= g((M_TN - 1)/2).
+    Number families sweep the photon count through the Fock-space beam
+    splitter; ``tau`` is their truncation budget and their rows record the
+    per-mode cutoff and the output tail mass.  Squeezed families sweep the
+    squeezing parameter on covariance matrices: E_F comes from the
+    symplectic spectrum of the output's reduced covariance and M_TN =
+    Tr V / (2n) from the input's, with no truncation, so their rows have
+    cutoff 0 and tail_mass 0.  Every row re-checks E_F <= g((M_TN - 1)/2).
     """
     families = tuple(families) if families else BS_FAMILIES
     for f in families:

@@ -219,8 +219,11 @@ def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUN
     # the package (measured on a 2-core host), and only this function uses it.
     from scipy.special import gammainc, gammaln
 
+    # gammainc(c, |alpha|^2) is the Poisson mass at levels >= c.  It is the
+    # recorded tail: 1 - sum |c_k|^2 carries rounding of order 1e-12 at
+    # |alpha|^2 ~ 400, enough to reject a cutoff that meets tau = 1e-12.
+    # gammainc(0, 0) is nan, so cutoff 0 keeps the whole mass as its tail.
     if cutoff is None:
-        # gammainc(c, |alpha|^2) is the Poisson mass at levels >= c.
         cutoff = 8
         while gammainc(cutoff, abs(alpha) ** 2) > tau:
             cutoff *= 2
@@ -229,7 +232,7 @@ def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUN
         if alpha != 0 else np.where(k == 0, 0.0, -np.inf)
     phase = np.exp(1j * np.angle(alpha) * k) if alpha != 0 else np.ones(cutoff)
     amps = np.exp(logs) * phase
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
+    tail = float(gammainc(cutoff, abs(alpha) ** 2)) if cutoff > 0 else 1.0
     _require_tail(tail, cutoff, tau, "coherent")
     return FockPureState(amps, tail)
 

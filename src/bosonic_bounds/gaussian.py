@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError, UnphysicalStateError
+from .bounds import g
+from .errors import MixedStateError, SchemaError, UnphysicalStateError
 from .symplectic import (
     Bipartition,
     check_physicality,
@@ -36,6 +37,7 @@ __all__ = [
     "qcs2_gaussian",
     "qcs2_gaussian_char_oracle",
     "log_negativity_gaussian",
+    "entanglement_entropy_gaussian",
     "gaussian_measures",
     "random_orthogonal_symplectic",
     "random_symplectic",
@@ -198,6 +200,34 @@ def log_negativity_gaussian(st: GaussianState, bp: Bipartition) -> tuple[float, 
     n_minus = int(np.count_nonzero(below))
     en = float(-np.sum(np.log(nu[below]))) if n_minus else 0.0
     return en, n_minus
+
+
+def entanglement_entropy_gaussian(st: GaussianState, bp: Bipartition) -> float:
+    """Entanglement entropy of a pure Gaussian state across a bipartition.
+
+    E_F = sum_k g((nu_k - 1)/2) over the symplectic eigenvalues nu_k of the
+    covariance restricted to party A's quadratures (Weedbrook et al., Rev.
+    Mod. Phys. 84, 621 (2012)).  On the larger party the modes that share
+    no entanglement have nu = 1 only up to rounding, so nu_k - 1 is clamped
+    at 0.
+
+    Raises
+    ------
+    MixedStateError
+        If the largest symplectic eigenvalue of the full covariance exceeds
+        1 + TAU_PHYS; E_F is then not the entanglement of the state.
+    """
+    if st.n != bp.n:
+        raise ValueError(f"state has {st.n} modes, bipartition {bp.n}")
+    nu_max = float(symplectic_eigenvalues(st.cov)[-1])
+    if nu_max > 1.0 + TAU_PHYS:
+        raise MixedStateError(
+            f"entanglement entropy needs a pure state; largest symplectic "
+            f"eigenvalue {nu_max:.12g} exceeds 1 + {TAU_PHYS:.1e}"
+        )
+    idx = bp.quad_indices(bp.a_modes)
+    nu_a = symplectic_eigenvalues(st.cov[np.ix_(idx, idx)])
+    return float(sum(g(max(nu - 1.0, 0.0) / 2.0) for nu in nu_a))
 
 
 @dataclass(frozen=True)

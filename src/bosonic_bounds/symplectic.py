@@ -56,7 +56,7 @@ class Bipartition:
     def quad_indices(self, modes) -> np.ndarray:
         """Flat quadrature indices (X_i, P_i interleaved) for the given modes."""
         modes = np.asarray(list(modes), dtype=int)
-        return np.concatenate([2 * modes, 2 * modes + 1]) if modes.size else modes
+        return np.stack([2 * modes, 2 * modes + 1], axis=1).reshape(-1)
 
 
 def default_bipartition(n: int) -> Bipartition | None:

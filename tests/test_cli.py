@@ -138,13 +138,17 @@ def test_figure_writes_deterministic_csv(tmp_path, capsys):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
     for d in (d1, d2):
-        code, _, err = run_cli(
-            ["figure", "--name", "split-accuracy", "--out", str(d)], capsys
-        )
+        code, _, err = run_cli(["figure", "--name", "all", "--out", str(d)], capsys)
         assert code == 0, err
-    name = "split_accuracy.csv"
-    assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-    header = (d1 / name).read_text().splitlines()[0]
+    names = sorted(p.name for p in d1.iterdir())
+    assert names == sorted(
+        f"{sweep}.{ext}"
+        for sweep in ("beam_splitter_sweep", "bound_profile", "split_accuracy")
+        for ext in ("csv", "manifest.json")
+    )
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    header = (d1 / "split_accuracy.csv").read_text().splitlines()[0]
     assert header.startswith("n_a,n_b,mu,nu")
 
 

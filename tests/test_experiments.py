@@ -3,18 +3,29 @@ import json
 import math
 import os
 import pathlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from bosonic_bounds import (
     AuditReport,
+    Bipartition,
+    FockPureState,
+    apply_beam_splitter_fock,
     beam_splitter_sweep,
     bound_profile_sweep,
     counterexample_demo,
+    entanglement_entropy,
     g,
     load_nastar_envelope,
+    make_fock_squeezed,
+    make_fock_tmsv,
+    mtn_pure,
     random_audit,
     split_accuracy_sweep,
+    squeezed_cutoff,
+    tmsv_cutoff,
 )
 from bosonic_bounds.errors import AuditViolationError
 from bosonic_bounds.experiments import write_sweep
@@ -86,6 +97,60 @@ def test_sweep_output_is_deterministic(tmp_path):
     assert _read(d1 / "beam_splitter_sweep.manifest.json") == _read(
         d2 / "beam_splitter_sweep.manifest.json"
     )
+
+
+def _fock_route(family, s, tau):
+    """(E_F of the output, M_TN of the input) of a squeezed row in Fock space."""
+    if family == "antisqueezed-vacuum":
+        cutoff = squeezed_cutoff(2.0 * s, tau * 1e-2)
+        mode = make_fock_squeezed(2.0 * s, 0.0, cutoff, tau)
+        amps = np.zeros((cutoff, cutoff), dtype=complex)
+        amps[:, 0] = mode.amps
+        psi_in = FockPureState(amps, mode.tail_mass)
+    elif family == "orthogonal-squeezed":
+        cutoff = squeezed_cutoff(s, tau * 1e-2)
+        m1 = make_fock_squeezed(s, 0.0, cutoff, tau)
+        m2 = make_fock_squeezed(s, math.pi / 2.0, cutoff, tau)
+        psi_in = FockPureState(
+            np.tensordot(m1.amps, m2.amps, axes=0), m1.tail_mass + m2.tail_mass
+        )
+    else:
+        psi_in = make_fock_tmsv(s, tmsv_cutoff(s, tau), tau)
+    psi_out = (
+        psi_in if family == "tmsv-direct" else apply_beam_splitter_fock(psi_in, tau=tau)
+    )
+    ef = entanglement_entropy(psi_out, Bipartition(1, 1), tau=10.0 * tau)
+    return ef, mtn_pure(psi_in, tau=10.0 * tau)
+
+
+@pytest.mark.parametrize("s", [0.4, 0.8])
+@pytest.mark.parametrize(
+    "family, tol",
+    [("antisqueezed-vacuum", 1e-10), ("orthogonal-squeezed", 1e-10),
+     # the Fock two-mode squeezed vacuum is truncated at the sweep's tau
+     ("tmsv-direct", 5e-9)],
+)
+def test_gaussian_sweep_rows_agree_with_the_fock_route(family, tol, s):
+    (row,) = beam_splitter_sweep(families=(family,), squeeze_grid=[s])
+    ef, mtn = _fock_route(family, s, 1e-10)
+    assert row["ef"] == pytest.approx(ef, abs=tol)
+    assert row["mtn_in"] == pytest.approx(mtn, rel=tol)
+    assert (row["cutoff"], row["tail_mass"]) == (0, 0.0)
+
+
+def test_default_beam_splitter_sweep_reaches_high_squeezing_in_little_memory():
+    tracemalloc.start()
+    try:
+        rows = beam_splitter_sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for family in ("antisqueezed-vacuum", "orthogonal-squeezed", "tmsv-direct"):
+        params = {r["param"] for r in rows if r["family"] == family}
+        assert {1.2, 1.5} <= params
+    (top,) = [r for r in rows if r["family"] == "antisqueezed-vacuum" and r["param"] == 1.5]
+    assert top["ef"] == pytest.approx(g(math.sinh(1.5) ** 2), rel=1e-12)
 
 
 def test_bound_profile_even_split_matches_gaussian_column():

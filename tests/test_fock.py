@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import gammainc
 
 from bosonic_bounds import (
     Bipartition,
@@ -69,6 +70,18 @@ def test_coherent_cutoff_search_returns_at_large_amplitude():
     assert psi.tail_mass <= 1e-10
     photons = np.sum(np.arange(2048) * np.abs(psi.amps) ** 2)
     assert photons == pytest.approx(900.0, rel=1e-12)
+
+
+def test_coherent_tail_is_the_poisson_tail():
+    # Here 1 - sum |c_k|^2 rounds to 1.06e-12 while the Poisson tail at
+    # cutoff 512 is 9.84e-13, inside tau.
+    alpha = 19.198 * np.exp(0.3j)
+    tail = gammainc(512, abs(alpha) ** 2)
+    assert make_fock_coherent(alpha, tau=1e-12).tail_mass == tail
+    psi = make_fock_coherent(alpha, cutoff=512, tau=1e-12)
+    assert psi.cutoffs == (512,) and psi.tail_mass == tail
+    with pytest.raises(TruncationError):
+        make_fock_coherent(0.0, cutoff=0)
 
 
 @pytest.mark.parametrize("phi", [0.0, np.pi / 2, np.pi / 4, 1.1])

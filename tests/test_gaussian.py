@@ -7,9 +7,12 @@ from numpy.testing import assert_allclose
 from bosonic_bounds import (
     Bipartition,
     GaussianState,
+    MixedStateError,
     SchemaError,
     UnphysicalStateError,
     apply_beam_splitter,
+    entanglement_entropy_gaussian,
+    g,
     gaussian_from_dict,
     gaussian_measures,
     gaussian_to_dict,
@@ -63,6 +66,35 @@ def test_tmsv_is_pure_and_entangled():
     en, n_minus = log_negativity_gaussian(st, Bipartition(1, 1))
     assert en == pytest.approx(1.6, abs=1e-10)
     assert n_minus == 1
+
+
+@pytest.mark.parametrize("r", [0.1, 1.0, 2.0, 3.0])
+def test_tmsv_entanglement_entropy_is_g_of_sinh_squared(r):
+    ef = entanglement_entropy_gaussian(make_tmsv(r), Bipartition(1, 1))
+    assert ef == pytest.approx(g(np.sinh(r) ** 2), rel=1e-12)
+
+
+def test_gaussian_entanglement_entropy_is_the_same_from_either_party():
+    # On the two-mode party one symplectic eigenvalue is 1 up to rounding,
+    # sometimes just below it.
+    rng = np.random.default_rng(2004)
+    move_first_mode_last = [2, 3, 4, 5, 0, 1]
+    for _ in range(200):
+        st = random_gaussian_state(3, rng, purity_profile="pure")
+        idx = np.ix_(move_first_mode_last, move_first_mode_last)
+        moved = GaussianState(st.mean[move_first_mode_last], st.cov[idx])
+        one = entanglement_entropy_gaussian(st, Bipartition(1, 2))
+        two = entanglement_entropy_gaussian(moved, Bipartition(2, 1))
+        assert two == pytest.approx(one, rel=1e-10)
+
+
+def test_gaussian_entanglement_entropy_rejects_mixed_and_mismatched_states():
+    with pytest.raises(MixedStateError, match="eigenvalue 2 "):
+        entanglement_entropy_gaussian(
+            tensor(make_thermal(0.5), make_vacuum(1)), Bipartition(1, 1)
+        )
+    with pytest.raises(ValueError, match="bipartition"):
+        entanglement_entropy_gaussian(make_tmsv(0.5), Bipartition(1, 2))
 
 
 def test_tensor_stacks_blocks():
