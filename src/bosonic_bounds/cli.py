@@ -96,6 +96,22 @@ def _bipartition(args, n: int) -> Bipartition | None:
     return bp
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tau-check and --tau-trunc: a finite number.
+
+    NaN would make every comparison against the tolerance false.  A negative
+    --tau-check asks each check for a margin of at least its size; a negative
+    --tau-trunc is a budget no state meets, refused by the tail checks.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_fock_arg(text: str):
     """A path to a Fock JSON file, or an inline number state 'N=k1,k2,...'."""
     if text.startswith("N="):
@@ -390,10 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="Fock state JSON file or inline number state 'N=10,0'",
             )
             p.add_argument("--bipartition", help="mode split like '1:1'")
-            p.add_argument("--tau-trunc", type=float, default=TAU_TRUNC,
+            p.add_argument("--tau-trunc", type=_tolerance, default=TAU_TRUNC,
                            dest="tau_trunc", help="truncation tail budget")
         if checks:
-            p.add_argument("--tau-check", type=float, default=TAU_CHECK,
+            p.add_argument("--tau-check", type=_tolerance, default=TAU_CHECK,
                            dest="tau_check", help="bound-violation tolerance")
 
     p = sub.add_parser("measure", help="measures of one state")
@@ -428,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tau-trunc", type=float, default=TAU_TRUNC, dest="tau_trunc")
+    p.add_argument("--tau-trunc", type=_tolerance, default=TAU_TRUNC, dest="tau_trunc")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("audit", help="randomized no-violation audit")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CutoffOverflowError, SchemaError, TruncationError
 from .symplectic import Bipartition
@@ -53,6 +52,13 @@ __all__ = [
 ]
 
 
+def _check_tail_mass(tail_mass: float):
+    if not math.isfinite(tail_mass):
+        raise ValueError(f"tail_mass {tail_mass} is not finite")
+    if tail_mass < -1e-12:
+        raise ValueError("tail_mass must be >= 0")
+
+
 @dataclass(frozen=True)
 class FockPureState:
     """Dense amplitude tensor over per-mode photon-number cutoffs.
@@ -70,11 +76,14 @@ class FockPureState:
         amps = np.array(self.amps, dtype=complex)
         if amps.ndim < 1:
             raise ValueError("amplitude tensor needs at least one mode")
+        if amps.size == 0:
+            raise ValueError(f"amplitude tensor of shape {amps.shape} is empty")
         norm2 = float(np.sum(np.abs(amps) ** 2))
+        if not math.isfinite(norm2):
+            raise ValueError("amplitude tensor has a non-finite entry")
         if norm2 > 1.0 + 1e-9:
             raise ValueError(f"squared norm {norm2:.12g} exceeds 1")
-        if self.tail_mass < -1e-12:
-            raise ValueError("tail_mass must be >= 0")
+        _check_tail_mass(self.tail_mass)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "tail_mass", float(max(self.tail_mass, 0.0)))
@@ -105,7 +114,13 @@ class FockDensityOperator:
         dim = int(np.prod(cutoffs))
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match cutoffs {cutoffs}")
-        herm = float(np.max(np.abs(mat - mat.conj().T))) if dim else 0.0
+        if dim == 0:
+            raise ValueError(f"density matrix for cutoffs {cutoffs} is empty")
+        _check_tail_mass(self.tail_mass)
+        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        # A NaN or infinite entry makes its own difference non-finite.
+        if not math.isfinite(herm):
+            raise ValueError("density matrix has a non-finite entry")
         if herm > 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
             raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
         mat = 0.5 * (mat + mat.conj().T)
@@ -215,8 +230,8 @@ def pad_fock(psi: FockPureState, extra: int = 2) -> FockPureState:
 
 def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUNC) -> FockPureState:
     """Single-mode coherent state with amplitude alpha."""
-    # Imported here: scipy.special adds about 35 ms and 3.5 MB to importing
-    # the package (measured on a 2-core host), and only this function uses it.
+    # Imported here, the package's only scipy import: on a 2-core host it
+    # takes about 0.25 s and 23 MB beyond the numpy-only package import.
     from scipy.special import gammainc, gammaln
 
     # gammainc(c, |alpha|^2) is the Poisson mass at levels >= c.  It is the
@@ -409,11 +424,9 @@ def beam_splitter_block(M: int) -> np.ndarray:
     rotation matrix elements to machine precision.  The column for input
     |N, 0> reproduces the binomial amplitude law sqrt(C(N, m) 2^{-N}).
     """
-    if M == 0:
-        return np.ones((1, 1))
     m = np.arange(M)
     alpha = (math.pi / 4.0) * np.sqrt((m + 1.0) * (M - m))
-    lam, Q = eigh_tridiagonal(np.zeros(M + 1), alpha)
+    lam, Q = np.linalg.eigh(np.diag(alpha, 1) + np.diag(alpha, -1))
     D = (1j) ** np.arange(M + 1)
     U = (np.conj(D)[:, None] * Q) @ (np.exp(1j * lam)[:, None] * (Q.T * D[None, :]))
     out = U.real

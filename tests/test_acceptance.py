@@ -11,7 +11,6 @@ if the implementation ever disagrees.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest

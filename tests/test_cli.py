@@ -4,10 +4,14 @@ import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
 from bosonic_bounds import cli, make_vacuum, save_gaussian
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv, capsys):
@@ -286,15 +290,67 @@ def test_jobs_flag_is_a_usage_error(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def _readme_cli_argvs():
+    """The argument lists of the commands in the README's CLI block."""
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = [ln.split("#")[0] for ln in block.group(1).splitlines()
+             if ln.startswith("bosonic-bounds ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
 def test_readme_cli_block_parses():
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme.read_text(), re.S).group(1)
-    lines = [ln.split("#")[0] for ln in block.splitlines() if ln.startswith("bosonic-bounds ")]
-    assert len(lines) >= 8
+    argvs = _readme_cli_argvs()
+    assert len(argvs) >= 8
     parser = cli.build_parser()
-    for line in lines:
-        argv = shlex.split(line)[1:]
-        assert callable(parser.parse_args(argv).func), line
+    for argv in argvs:
+        assert callable(parser.parse_args(argv).func), argv
+
+
+_RUN_WITHOUT_OUTPUT = """
+import contextlib, io, json, sys
+from bosonic_bounds import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_readme_cli_commands_run_without_scipy(tmp_path):
+    """Every README command runs, in a fresh interpreter, on numpy alone."""
+    save_gaussian(make_vacuum(2), tmp_path / "state.json")
+    argvs = _readme_cli_argvs()
+    for argv in argvs:
+        if "--states" in argv:  # a small audit loads the same modules
+            argv[argv.index("--states") + 1] = "20"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_OUTPUT, json.dumps(argvs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(argvs)
+    assert result["scipy"] == []
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e400", "tight"])
+@pytest.mark.parametrize(
+    "argv",
+    [["audit", "--states", "20", "--tau-check"],
+     ["bound-check", "--fock", "N=2,2", "--tau-check"],
+     ["measure", "--fock", "N=2,0", "--tau-trunc"],
+     ["figure", "--name", "bound-profile", "--out", "unused", "--tau-trunc"]],
+    ids=["audit", "bound-check", "measure", "figure"],
+)
+def test_non_finite_tolerance_is_a_usage_error(argv, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv[:-1], f"{argv[-1]}={value}"])
+    assert exc.value.code == 2
+    assert "must be a finite number" in capsys.readouterr().err
 
 
 def test_bad_bipartition_is_reported(capsys):

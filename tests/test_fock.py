@@ -162,6 +162,27 @@ def test_beam_splitter_block_is_unitary():
         assert_allclose(u @ u.T.conj(), np.eye(m + 1), atol=1e-12)
 
 
+def _block_by_tridiagonal_solver(M):
+    """The balanced beam-splitter block from scipy's tridiagonal eigensolver."""
+    from scipy.linalg import eigh_tridiagonal
+
+    if M == 0:
+        return np.ones((1, 1))
+    m = np.arange(M)
+    alpha = (math.pi / 4.0) * np.sqrt((m + 1.0) * (M - m))
+    lam, Q = eigh_tridiagonal(np.zeros(M + 1), alpha)
+    D = (1j) ** np.arange(M + 1)
+    return ((np.conj(D)[:, None] * Q) @ (np.exp(1j * lam)[:, None] * (Q.T * D[None, :]))).real
+
+
+def test_beam_splitter_block_matches_tridiagonal_solver():
+    assert beam_splitter_block.cache_parameters()["maxsize"] is None
+    for M in range(81):
+        u = beam_splitter_block(M)
+        assert u.dtype == np.float64 and not u.flags.writeable
+        assert_allclose(u, _block_by_tridiagonal_solver(M), rtol=0, atol=1e-14)
+
+
 def test_beam_splitter_single_photon():
     psi = make_fock_number((1, 0))
     out = apply_beam_splitter_fock(psi)
@@ -381,3 +402,22 @@ def test_fock_from_dict_names_offending_field():
 def test_norm_validation():
     with pytest.raises(ValueError):
         FockPureState(np.full((2,), 1.0 + 0j))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FockPureState(np.zeros(0)),
+        lambda: FockPureState([math.nan]),
+        lambda: FockPureState([1.0], math.nan),
+        lambda: FockPureState([1.0], math.inf),
+        lambda: FockDensityOperator(np.zeros((0, 0)), (0,)),
+        lambda: FockDensityOperator([[math.nan]], (1,)),
+        lambda: FockDensityOperator(np.eye(1), (1,), math.nan),
+    ],
+    ids=["empty", "nan-amplitude", "nan-tail", "inf-tail", "density-empty",
+         "density-nan-entry", "density-nan-tail"],
+)
+def test_non_finite_or_empty_fock_states_are_rejected(build):
+    with pytest.raises(ValueError, match="empty|finite"):
+        build()

@@ -1,4 +1,4 @@
-"""Every module-level import in the package modules, demos and tools is
+"""Every module-level import in the package modules, demos, tools and tests is
 used, and every re-export of the package is public in its defining module.
 
 A stdlib ``ast`` pass standing in for a linter: a name bound by a top-level
@@ -17,7 +17,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bosonic_bounds"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-SCRIPTS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+SCRIPTS = sorted(
+    p for d in ("demos", "tools", "tests") for p in (ROOT / d).glob("*.py")
+)
 
 
 def _imported_names(tree):
