@@ -54,6 +54,7 @@ from .fock import (
     apply_beam_splitter_fock,
     beam_splitter_block,
     entanglement_entropy,
+    entanglement_measures_pure,
     fock_from_dict,
     fock_to_dict,
     load_fock,

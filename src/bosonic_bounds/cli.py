@@ -51,8 +51,8 @@ from .fock import (
     FockDensityOperator,
     apply_beam_splitter_fock,
     entanglement_entropy,
+    entanglement_measures_pure,
     load_fock,
-    log_negativity_pure,
     make_fock_number,
     mtn_pure,
     pad_fock,
@@ -97,11 +97,10 @@ def _bipartition(args, n: int) -> Bipartition | None:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tau-check and --tau-trunc: a finite number.
+    """argparse type of --tau-check: a finite number.
 
     NaN would make every comparison against the tolerance false.  A negative
-    --tau-check asks each check for a margin of at least its size; a negative
-    --tau-trunc is a budget no state meets, refused by the tail checks.
+    --tau-check asks each check for a margin of at least its size.
     """
     try:
         value = float(text)
@@ -109,6 +108,18 @@ def _tolerance(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _budget(text: str) -> float:
+    """argparse type of --tau-trunc: a finite number >= 0.
+
+    A negative tail budget is one no state meets, and some commands never
+    compare against it, so it is refused here rather than late or never.
+    """
+    value = _tolerance(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -230,8 +241,9 @@ def _cmd_measure(args) -> int:
             "mtn": mtn,
         }
         if bp is not None:
-            payload["ef"] = entanglement_entropy(state, bp, tau=tau)
-            payload["log_negativity"] = log_negativity_pure(state, bp, tau=tau)
+            payload["ef"], payload["log_negativity"] = entanglement_measures_pure(
+                state, bp, tau=tau
+            )
     payload["config"] = _config_echo(args, kind=kind)
     _emit(payload, args)
     return 0
@@ -297,13 +309,13 @@ def _cmd_beamsplitter(args) -> int:
     mtn_in = mtn_pure(state, tau=tau)
     out = apply_beam_splitter_fock(state, tau=tau)
     g_in = g((mtn_in - 1.0) / 2.0)
-    ef = entanglement_entropy(out, bp, tau=tau)
+    ef, log_negativity = entanglement_measures_pure(out, bp, tau=tau)
     payload = {
         "mtn_in": mtn_in,
         "g_in": g_in,
         "ef": ef,
         "ratio": ef / g_in if g_in > 0.0 else 1.0,
-        "log_negativity": log_negativity_pure(out, bp, tau=tau),
+        "log_negativity": log_negativity,
         "tail_mass": out.tail_mass,
         "cutoffs": list(out.cutoffs),
         "config": _config_echo(args),
@@ -406,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="Fock state JSON file or inline number state 'N=10,0'",
             )
             p.add_argument("--bipartition", help="mode split like '1:1'")
-            p.add_argument("--tau-trunc", type=_tolerance, default=TAU_TRUNC,
+            p.add_argument("--tau-trunc", type=_budget, default=TAU_TRUNC,
                            dest="tau_trunc", help="truncation tail budget")
         if checks:
             p.add_argument("--tau-check", type=_tolerance, default=TAU_CHECK,
@@ -444,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tau-trunc", type=_tolerance, default=TAU_TRUNC, dest="tau_trunc")
+    p.add_argument("--tau-trunc", type=_budget, default=TAU_TRUNC, dest="tau_trunc")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("audit", help="randomized no-violation audit")

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from bosonic_bounds import cli, make_vacuum, save_gaussian
+from bosonic_bounds import cli, fock, make_vacuum, save_gaussian
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -55,6 +55,24 @@ def test_beamsplitter_matches_binomial_entropy(capsys):
     payload = run_json(["beamsplitter", "--fock", "N=10,0"], capsys)
     assert payload["ef"] == pytest.approx(1.8759536052468004, abs=1e-9)
     assert payload["ratio"] == pytest.approx(payload["ef"] / payload["g_in"], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv", [["measure", "--fock", "N=3,1"], ["beamsplitter", "--fock", "N=3,1"]],
+    ids=["measure", "beamsplitter"],
+)
+def test_fock_request_takes_one_schmidt_decomposition(argv, capsys, monkeypatch):
+    calls = []
+    original = fock.schmidt_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "schmidt_coefficients", counted)
+    payload = run_json(argv, capsys)
+    assert len(calls) == 1
+    assert {"ef", "log_negativity"} <= set(payload)
 
 
 def test_beamsplitter_ebits_unit(capsys):
@@ -314,12 +332,17 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "numpy.ma": sorted(m for m in sys.modules
+                                    if m == "numpy.ma" or m.startswith("numpy.ma."))}))
 """
 
 
 def test_readme_cli_commands_run_without_scipy(tmp_path):
-    """Every README command runs, in a fresh interpreter, on numpy alone."""
+    """Every README command runs, in a fresh interpreter, on numpy alone.
+
+    numpy.ma costs about 10 ms and 1 MB to import; no command needs it.
+    """
     save_gaussian(make_vacuum(2), tmp_path / "state.json")
     argvs = _readme_cli_argvs()
     for argv in argvs:
@@ -335,6 +358,7 @@ def test_readme_cli_commands_run_without_scipy(tmp_path):
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * len(argvs)
     assert result["scipy"] == []
+    assert result["numpy.ma"] == []
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf", "1e400", "tight"])
@@ -351,6 +375,29 @@ def test_non_finite_tolerance_is_a_usage_error(argv, value, capsys):
         cli.main([*argv[:-1], f"{argv[-1]}={value}"])
     assert exc.value.code == 2
     assert "must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["measure", "--fock", "N=2,0"],
+     ["bound-check", "--fock", "N=2,2"],
+     ["beamsplitter", "--fock", "N=2,0"],
+     ["figure", "--name", "bound-profile", "--out", "unused"]],
+    ids=["measure", "bound-check", "beamsplitter", "figure"],
+)
+@pytest.mark.parametrize("flag", [["--tau-trunc", "-1"], ["--tau-trunc=-1e-300"]])
+def test_negative_tail_budget_is_a_usage_error(argv, flag, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a figure that got through would write here
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --tau-trunc: must be >= 0" in err
+
+
+def test_zero_tail_budget_is_accepted(capsys):
+    payload = run_json(["measure", "--fock", "N=2,0", "--tau-trunc", "0"], capsys)
+    assert payload["config"]["tau_trunc"] == 0.0
 
 
 def test_bad_bipartition_is_reported(capsys):

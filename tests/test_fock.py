@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from bosonic_bounds import (
     apply_beam_splitter_fock,
     beam_splitter_block,
     entanglement_entropy,
+    entanglement_measures_pure,
+    fock,
     fock_from_dict,
     fock_to_dict,
     g,
@@ -77,11 +83,56 @@ def test_coherent_tail_is_the_poisson_tail():
     # cutoff 512 is 9.84e-13, inside tau.
     alpha = 19.198 * np.exp(0.3j)
     tail = gammainc(512, abs(alpha) ** 2)
-    assert make_fock_coherent(alpha, tau=1e-12).tail_mass == tail
+    poisson = pytest.approx(tail, rel=1e-10, abs=0.0)
+    assert make_fock_coherent(alpha, tau=1e-12).tail_mass == poisson
     psi = make_fock_coherent(alpha, cutoff=512, tau=1e-12)
-    assert psi.cutoffs == (512,) and psi.tail_mass == tail
+    assert psi.cutoffs == (512,) and psi.tail_mass == poisson
+    assert 1.0 - psi.norm2() != pytest.approx(tail, rel=1e-2, abs=0.0)
     with pytest.raises(TruncationError):
         make_fock_coherent(0.0, cutoff=0)
+
+
+def test_poisson_tail_matches_regularized_gamma():
+    cutoffs = sorted({*range(1, 65), *np.geomspace(1, 4096, 60).astype(int).tolist()})
+    for x in np.geomspace(1e-6, 2000.0, 80):
+        for c in cutoffs:
+            ref = gammainc(c, x)
+            got = fock._poisson_tail(c, float(x))
+            if ref < 1e-280:  # below the Poisson tail anyone records
+                assert got < 1e-270
+            else:
+                assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (c, x)
+    assert fock._poisson_tail(0, 2.0) == 1.0
+    assert fock._poisson_tail(5, 0.0) == 0.0
+
+
+def test_coherent_cutoff_search_keeps_the_power_of_two_rule():
+    for x in np.geomspace(1e-6, 2000.0, 60):
+        for tau in (1e-6, 1e-9, 1e-12, 1e-14):
+            expected = 8
+            while gammainc(expected, x) > tau:
+                expected *= 2
+            psi = make_fock_coherent(math.sqrt(x) * np.exp(0.7j), tau=tau)
+            assert psi.cutoffs == (expected,), (x, tau)
+
+
+_COHERENT_MODULES = """
+import json, sys
+from bosonic_bounds import make_fock_coherent
+make_fock_coherent(3.0)
+make_fock_coherent(30.0)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_coherent_states_load_no_scipy():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COHERENT_MODULES],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("phi", [0.0, np.pi / 2, np.pi / 4, 1.1])
@@ -242,6 +293,123 @@ def test_beam_splitter_overflow_raises_when_mass_would_be_lost():
 def test_qcs2_fock_thermal_matches_gaussian_value():
     rho = make_fock_thermal(1.0, tau=1e-12)
     assert qcs2_fock(rho) == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+def _beam_splitter_all_blocks(psi, modes=(0, 1), tau=1e-12):
+    """apply_beam_splitter_fock as a loop over every total-photon block."""
+    i, j = modes
+    di, dj = psi.cutoffs[i], psi.cutoffs[j]
+    work = np.moveaxis(psi.amps.copy(), (i, j), (0, 1))
+    batch = work.reshape(di, dj, -1)
+    out = np.zeros_like(batch)
+    fits = min(di, dj) - 1
+    dropped = 0.0
+    for M in range(di + dj - 1):
+        ks = np.arange(max(0, M - dj + 1), min(di - 1, M) + 1)
+        vec = batch[ks, M - ks, :]
+        mass = float(np.sum(np.abs(vec) ** 2))
+        if mass == 0.0:
+            continue
+        if M > fits:
+            if mass > tau:
+                raise CutoffOverflowError(f"block {M}")
+            dropped += mass
+            continue
+        out[ks, M - ks, :] = beam_splitter_block(M) @ vec
+    result = np.moveaxis(out.reshape(work.shape), (0, 1), (i, j))
+    return FockPureState(result, psi.tail_mass + dropped)
+
+
+def _random_amps(rng, shape, keep, modes=None):
+    """Random amplitudes, each kept with probability keep.
+
+    With a mode pair, only the total-photon blocks of that pair that fit
+    both its cutoffs are filled.
+    """
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps *= rng.random(shape) < keep
+    if modes is not None:
+        i, j = modes
+        levels = np.indices(shape)
+        amps *= levels[i] + levels[j] < min(shape[i], shape[j])
+    return amps / np.linalg.norm(amps)
+
+
+def _beam_splitter_cases():
+    rng = np.random.default_rng(8)
+    cases = [(make_fock_number(occ), (0, 1), 1e-12)
+             for occ in [(0, 0), (1, 0), (40, 0), (20, 20), (7, 3), (0, 5)]]
+    cases.append((make_fock_number((2, 3, 1), cutoffs=(5, 4, 6)), (2, 0), 1e-12))
+    for shape, modes in [((6, 9), (0, 1)), ((5, 4, 3), (0, 2)), ((4, 3, 5), (2, 1))]:
+        for keep in (0.05, 0.3, 1.0):
+            cases.append((FockPureState(_random_amps(rng, shape, keep, modes)), modes, 1e-12))
+    # a populated block whose squared mass underflows to 0.0 is skipped
+    amps = np.zeros((4, 4), dtype=complex)
+    amps[1, 0], amps[0, 2] = 1e-170, 1.0
+    cases.append((FockPureState(amps), (0, 1), 1e-12))
+    # blocks past the cutoffs holding mass <= tau go to the tail
+    amps = _random_amps(rng, (5, 5), 1.0)
+    amps[np.add.outer(np.arange(5), np.arange(5)) > 4] *= 1e-6
+    cases.append((FockPureState(amps / np.linalg.norm(amps), 1e-13), (1, 0), 1e-8))
+    return cases
+
+
+@pytest.mark.parametrize("psi, modes, tau", _beam_splitter_cases())
+def test_beam_splitter_matches_all_blocks_loop_bit_for_bit(psi, modes, tau):
+    out = apply_beam_splitter_fock(psi, modes, tau=tau)
+    ref = _beam_splitter_all_blocks(psi, modes, tau=tau)
+    assert out.amps.tobytes() == ref.amps.tobytes()
+    assert out.tail_mass == ref.tail_mass
+
+
+def test_beam_splitter_tail_drop_and_overflow_follow_the_all_blocks_loop():
+    amps = np.zeros((4, 4), dtype=complex)
+    amps[0, 0], amps[3, 3] = math.sqrt(1.0 - 1e-10), 1e-5
+    psi = FockPureState(amps)
+    out = apply_beam_splitter_fock(psi, tau=1e-8)
+    ref = _beam_splitter_all_blocks(psi, tau=1e-8)
+    assert out.tail_mass == ref.tail_mass > 0.0
+    assert out.amps.tobytes() == ref.amps.tobytes()
+    for tau in (1e-12, 0.0):
+        with pytest.raises(CutoffOverflowError):
+            _beam_splitter_all_blocks(psi, tau=tau)
+        with pytest.raises(CutoffOverflowError, match="total-photon block 6"):
+            apply_beam_splitter_fock(psi, tau=tau)
+
+
+def _random_fock_state(rng, shape, tail_mass=0.0):
+    return FockPureState(_random_amps(rng, shape, 1.0), tail_mass)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (4, 5), (13, 13), (6, 6, 6), (216,)])
+def test_from_pure_is_the_checked_outer_product_without_an_eigensolve(shape, monkeypatch):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    psi = _random_fock_state(rng, shape, tail_mass=1e-9)
+    v = psi.amps.reshape(-1)
+    ref = FockDensityOperator(np.outer(v, v.conj()), psi.cutoffs, psi.tail_mass)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("from_pure ran an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    rho = FockDensityOperator.from_pure(psi)
+    assert rho.mat.tobytes() == ref.mat.tobytes()
+    assert rho.mat.dtype == ref.mat.dtype and rho.mat.shape == ref.mat.shape
+    assert not rho.mat.flags.writeable
+    assert rho.cutoffs == ref.cutoffs and rho.tail_mass == ref.tail_mass
+    assert type(rho.tail_mass) is float and all(type(c) is int for c in rho.cutoffs)
+
+
+def test_entanglement_measures_pure_equal_the_separate_measures():
+    rng = np.random.default_rng(3)
+    for shape, bp in [((5, 6), Bipartition(1, 1)), ((3, 4, 5), Bipartition(1, 2)),
+                      ((3, 3, 2, 2), Bipartition(2, 2))]:
+        psi = _random_fock_state(rng, shape)
+        ef, en = entanglement_measures_pure(psi, bp)
+        assert ef == entanglement_entropy(psi, bp) and en == log_negativity_pure(psi, bp)
+    assert entanglement_measures_pure(make_fock_number((3, 0)), Bipartition(1, 1)) == (0.0, 0.0)
+    with pytest.raises(TruncationError):
+        entanglement_measures_pure(make_fock_tmsv(1.0, cutoff=4, tau=1.0), Bipartition(1, 1))
 
 
 def test_qcs2_fock_pure_states_reduce_to_mtn():
