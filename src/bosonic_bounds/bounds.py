@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 from .tolerances import TAU_CHECK, TAU_SAT
 
+# iteration cap of the bisection in solve_na_star
+_MAX_ITER = 200
+
 __all__ = [
     "g",
     "g_prime",
@@ -105,7 +108,7 @@ def _balance(t: float, N: float, n_a: int, n_b: int) -> float:
     return n_a * g(t / n_a) - n_b * g((N - t) / n_b)
 
 
-def solve_na_star(N: float, n_a: int, n_b: int, max_iter: int = 200) -> NAStarSolution:
+def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
     """Split N photons so both parties carry equal thermal entropy.
 
     The balance function is strictly increasing in t, so bisection on
@@ -124,7 +127,7 @@ def solve_na_star(N: float, n_a: int, n_b: int, max_iter: int = 200) -> NAStarSo
         )
     lo, hi = 0.0, float(N)
     it = 0
-    while it < max_iter:
+    while it < _MAX_ITER:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -244,7 +247,7 @@ class BoundCheck:
         }
 
 
-def _check(provenance: str, lhs: float, rhs: float, tau_check: float, tau_sat: float) -> BoundCheck:
+def _check(provenance: str, lhs: float, rhs: float, tau_check: float) -> BoundCheck:
     margin = rhs - lhs
     return BoundCheck(
         provenance=provenance,
@@ -252,7 +255,7 @@ def _check(provenance: str, lhs: float, rhs: float, tau_check: float, tau_sat: f
         rhs=rhs,
         margin=margin,
         holds=margin >= -tau_check,
-        saturated=abs(margin) <= tau_sat,
+        saturated=abs(margin) <= TAU_SAT,
     )
 
 
@@ -261,11 +264,10 @@ def even_split_check(
     mtn: float,
     n: int,
     tau_check: float = TAU_CHECK,
-    tau_sat: float = TAU_SAT,
 ) -> BoundCheck:
     """E_F <= (n/2) g((M_TN - 1)/2) for a pure state of n modes split evenly."""
     rhs = theorem_symmetric_bound(mtn, n)
-    return _check("entanglement vs total noise (even split)", ef, rhs, tau_check, tau_sat)
+    return _check("entanglement vs total noise (even split)", ef, rhs, tau_check)
 
 
 def uneven_split_check(
@@ -274,11 +276,10 @@ def uneven_split_check(
     n_a: int,
     n_b: int,
     tau_check: float = TAU_CHECK,
-    tau_sat: float = TAU_SAT,
 ) -> BoundCheck:
     """E_F <= n_A g(N_A*/n_A) for a pure state split into n_A | n_B modes."""
     rhs = theorem_split_bound(mtn, n_a, n_b)
-    return _check("entanglement vs total noise (uneven split)", ef, rhs, tau_check, tau_sat)
+    return _check("entanglement vs total noise (uneven split)", ef, rhs, tau_check)
 
 
 def log_negativity_qcs_bound(
@@ -287,7 +288,6 @@ def log_negativity_qcs_bound(
     n: int,
     n_minus: int,
     tau_check: float = TAU_CHECK,
-    tau_sat: float = TAU_SAT,
 ) -> BoundCheck:
     """E_N <= n_minus (ln C^2 + ln(n / n_minus)) for any n-mode state.
 
@@ -301,7 +301,7 @@ def log_negativity_qcs_bound(
     if qcs2 <= 0.0:
         raise ValueError("QCS^2 must be positive")
     rhs = n_minus * (math.log(qcs2) + math.log(n / n_minus))
-    return _check("log-negativity vs coherence-scale (mode-counting)", en, rhs, tau_check, tau_sat)
+    return _check("log-negativity vs coherence-scale (mode-counting)", en, rhs, tau_check)
 
 
 def log_negativity_qcs_refined(
@@ -309,7 +309,6 @@ def log_negativity_qcs_refined(
     en: float,
     det_v: float,
     tau_check: float = TAU_CHECK,
-    tau_sat: float = TAU_SAT,
 ) -> BoundCheck:
     """Two-mode refinement C^2 >= (e^{E_N} + e^{-E_N} / sqrt(det V)) / 2.
 
@@ -319,7 +318,7 @@ def log_negativity_qcs_refined(
     if det_v <= 0.0:
         raise ValueError("det V must be positive")
     rhs = 0.5 * (math.exp(en) + math.exp(-en) / math.sqrt(det_v))
-    return _check("two-mode coherence-scale refinement", rhs, qcs2, tau_check, tau_sat)
+    return _check("two-mode coherence-scale refinement", rhs, qcs2, tau_check)
 
 
 def qcs_implication_report(
@@ -327,7 +326,6 @@ def qcs_implication_report(
     en: float,
     n: int,
     tau_check: float = TAU_CHECK,
-    tau_sat: float = TAU_SAT,
 ) -> list[BoundCheck]:
     """Threshold implications between log-negativity and coherence scale.
 
@@ -343,7 +341,6 @@ def qcs_implication_report(
                 en / n - 1.0 / math.e,
                 math.log(qcs2),
                 tau_check,
-                tau_sat,
             )
         )
     if qcs2 < math.exp(-n / math.e):
@@ -353,7 +350,6 @@ def qcs_implication_report(
                 en,
                 0.0,
                 tau_check,
-                tau_sat,
             )
         )
     return out
@@ -366,7 +362,6 @@ def coherence_scale_checks(
     n_minus: int,
     det_v: float,
     tau_check: float = TAU_CHECK,
-    tau_sat: float = TAU_SAT,
 ) -> list[BoundCheck]:
     """Every coherence-scale inequality that applies to an n-mode state.
 
@@ -376,8 +371,8 @@ def coherence_scale_checks(
     """
     out = []
     if n_minus >= 1:
-        out.append(log_negativity_qcs_bound(en, qcs2, n, n_minus, tau_check, tau_sat))
+        out.append(log_negativity_qcs_bound(en, qcs2, n, n_minus, tau_check))
         if n == 2 and en > 0.0:
-            out.append(log_negativity_qcs_refined(qcs2, en, det_v, tau_check, tau_sat))
-    out.extend(qcs_implication_report(qcs2, en, n, tau_check, tau_sat))
+            out.append(log_negativity_qcs_refined(qcs2, en, det_v, tau_check))
+    out.extend(qcs_implication_report(qcs2, en, n, tau_check))
     return out

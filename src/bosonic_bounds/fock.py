@@ -580,23 +580,13 @@ def _basis_totals(n_modes: int, cutoff: int) -> np.ndarray:
     return idx.sum(axis=0)
 
 
-def number_preserving_phases(cutoff: int, n_modes: int = 1, phases=None, rng=None) -> np.ndarray:
+def number_preserving_phases(cutoff: int, n_modes: int, rng) -> np.ndarray:
     """Diagonal unitary e^{i phi_K} acting per total photon number K.
 
-    ``phases`` gives phi_K for K = 0, 1, ...; missing entries default to 0.
-    With ``rng`` instead, phases are drawn uniformly from [0, 2 pi).
+    The phases phi_K are drawn uniformly from [0, 2 pi).
     """
     totals = _basis_totals(n_modes, cutoff)
-    kmax = int(totals.max())
-    if phases is None:
-        if rng is None:
-            phi = np.zeros(kmax + 1)
-        else:
-            phi = np.asarray(rng.uniform(0.0, 2.0 * math.pi, size=kmax + 1))
-    else:
-        phi = np.zeros(kmax + 1)
-        given = np.asarray(list(phases), dtype=float)
-        phi[: min(given.size, kmax + 1)] = given[: kmax + 1]
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=int(totals.max()) + 1)
     return np.diag(np.exp(1j * phi[totals]))
 
 

@@ -215,7 +215,9 @@ def entanglement_entropy_gaussian(st: GaussianState, bp: Bipartition) -> float:
     ------
     MixedStateError
         If the largest symplectic eigenvalue of the full covariance exceeds
-        1 + TAU_PHYS; E_F is then not the entanglement of the state.
+        1 + TAU_PHYS; E_F is then not the entanglement of the state.  The
+        message quotes the condition number of V, since the spectrum's
+        rounding error grows with it.
     """
     if st.n != bp.n:
         raise ValueError(f"state has {st.n} modes, bipartition {bp.n}")
@@ -223,7 +225,8 @@ def entanglement_entropy_gaussian(st: GaussianState, bp: Bipartition) -> float:
     if nu_max > 1.0 + TAU_PHYS:
         raise MixedStateError(
             f"entanglement entropy needs a pure state; largest symplectic "
-            f"eigenvalue {nu_max:.12g} exceeds 1 + {TAU_PHYS:.1e}"
+            f"eigenvalue {nu_max:.12g} exceeds 1 + {TAU_PHYS:.1e} "
+            f"(condition number of V {np.linalg.cond(st.cov):.3e})"
         )
     idx = bp.quad_indices(bp.a_modes)
     nu_a = symplectic_eigenvalues(st.cov[np.ix_(idx, idx)])
@@ -264,7 +267,10 @@ def gaussian_measures(st: GaussianState, bp: Bipartition | None = None) -> Measu
     qcs2 = qcs2_gaussian(st)
     nu = symplectic_eigenvalues(st.cov)
     if not check_physicality(st.cov):
-        raise UnphysicalStateError(f"min symplectic eigenvalue {nu[0]:.6g} < 1")
+        raise UnphysicalStateError(
+            f"min symplectic eigenvalue {nu[0]:.6g} < 1 "
+            f"(condition number of V {np.linalg.cond(st.cov):.3e})"
+        )
     if bp is None:
         en, nm, nu_pt = 0.0, 0, nu
     else:
@@ -319,7 +325,6 @@ def random_gaussian_state(
     seed=None,
     purity_profile: str = "mixed",
     squeeze_max: float = 1.0,
-    thermal_rate: float = 1.0,
 ) -> GaussianState:
     """Sample a random physical Gaussian state.
 
@@ -332,17 +337,15 @@ def random_gaussian_state(
         bit for bit.
     purity_profile : {"mixed", "pure"}
         "pure" sets every symplectic eigenvalue to 1; "mixed" draws
-        nu_k = 1 + Exponential(thermal_rate).
+        nu_k = 1 + Exponential(1).
     squeeze_max : float
         Squeezing magnitudes are drawn uniformly from [0, squeeze_max].
-    thermal_rate : float
-        Scale of the exponential excess for the mixed profile.
     """
     rng = _as_rng(seed)
     if purity_profile == "pure":
         nu = np.ones(n)
     elif purity_profile == "mixed":
-        nu = 1.0 + rng.exponential(thermal_rate, size=n)
+        nu = 1.0 + rng.exponential(1.0, size=n)
     else:
         raise ValueError(f"unknown purity profile {purity_profile!r}")
     S = random_symplectic(n, rng, squeeze_max)
@@ -350,13 +353,13 @@ def random_gaussian_state(
     return GaussianState(np.zeros(2 * n), V)
 
 
-def random_classical_state(n: int, seed=None, noise_scale: float = 1.0) -> GaussianState:
+def random_classical_state(n: int, seed=None) -> GaussianState:
     """Random classical Gaussian state: V = identity + positive semidefinite noise.
 
     Such states have QCS^2 <= 1 and zero log-negativity across every split.
     """
     rng = _as_rng(seed)
-    A = rng.normal(scale=noise_scale, size=(2 * n, 2 * n))
+    A = rng.normal(size=(2 * n, 2 * n))
     V = np.eye(2 * n) + (A @ A.T) / (2.0 * n)
     return GaussianState(np.zeros(2 * n), V)
 

@@ -75,17 +75,16 @@ def omega(n: int) -> np.ndarray:
     return w
 
 
-def validate_covariance(V, tau_sym: float = TAU_SYM, tau_pd: float = TAU_PD) -> np.ndarray:
+def validate_covariance(V) -> np.ndarray:
     """Check shape, symmetry, and positive definiteness of a covariance matrix.
+
+    The asymmetry may reach TAU_SYM times the largest entry magnitude (at
+    least 1); every eigenvalue must exceed the positivity floor TAU_PD.
 
     Parameters
     ----------
     V : array_like
         Candidate 2n x 2n covariance matrix.
-    tau_sym : float
-        Relative symmetry tolerance, scaled by the largest entry magnitude.
-    tau_pd : float
-        Positivity floor; any eigenvalue <= tau_pd is rejected.
 
     Returns
     -------
@@ -104,15 +103,15 @@ def validate_covariance(V, tau_sym: float = TAU_SYM, tau_pd: float = TAU_PD) -> 
         raise ValueError(f"covariance matrix must be 2n x 2n, got shape {V.shape}")
     scale = max(1.0, float(np.max(np.abs(V))))
     asym = float(np.max(np.abs(V - V.T)))
-    if asym > tau_sym * scale:
+    if asym > TAU_SYM * scale:
         raise AsymmetricInputError(
-            f"covariance asymmetry {asym:.3e} exceeds {tau_sym:.1e} * {scale:.3e}"
+            f"covariance asymmetry {asym:.3e} exceeds {TAU_SYM:.1e} * {scale:.3e}"
         )
     V = 0.5 * (V + V.T)
     evals = np.linalg.eigvalsh(V)
-    if evals[0] <= tau_pd:
+    if evals[0] <= TAU_PD:
         raise NonPositiveDefiniteError(
-            f"covariance eigenvalue {evals[0]:.3e} at or below floor {tau_pd:.1e}"
+            f"covariance eigenvalue {evals[0]:.3e} at or below floor {TAU_PD:.1e}"
         )
     return V
 
@@ -160,7 +159,7 @@ def partial_transpose(V, bp: Bipartition) -> np.ndarray:
     return V * np.outer(signs, signs)
 
 
-def check_physicality(V, tau_phys: float = TAU_PHYS) -> bool:
-    """True iff every symplectic eigenvalue is >= 1 - tau_phys."""
+def check_physicality(V) -> bool:
+    """True iff every symplectic eigenvalue is >= 1 - TAU_PHYS."""
     nu = symplectic_eigenvalues(V)
-    return bool(nu[0] >= 1.0 - tau_phys)
+    return bool(nu[0] >= 1.0 - TAU_PHYS)

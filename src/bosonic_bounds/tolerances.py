@@ -1,7 +1,9 @@
-"""Default numerical tolerances, collected in one place.
+"""Numerical tolerances, collected in one place.
 
-Functions accept overrides where it makes sense; these values are the
-defaults used throughout the package and its test suite.
+Only two are set per call: the inequality slack ``tau_check`` (CLI
+``--tau-check``, default TAU_CHECK) and the Fock truncation budget ``tau``
+(CLI ``--tau-trunc``, default TAU_TRUNC).  Every other constant here is
+fixed; the package and its tests read it from this module.
 """
 
 # relative symmetry tolerance for covariance input validation

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonic_bounds import (
+    even_split_check,
     g,
     g_prime,
     gaussian_pure_bound,
@@ -21,6 +22,7 @@ from bosonic_bounds import (
     theorem_split_bound,
     theorem_symmetric_bound,
 )
+from bosonic_bounds.tolerances import TAU_ROOT, TAU_SAT
 
 
 def test_g_fixed_values():
@@ -121,7 +123,7 @@ def test_solve_na_star_residuals_small_across_budgets(n_a, n_b):
     for nu in np.geomspace(0.5, 2000.0, 40):
         N = nu * n_a
         sol = solve_na_star(N, n_a, n_b)
-        assert sol.residual <= 1e-10 * max(1.0, N)
+        assert sol.residual <= TAU_ROOT * max(1.0, N)
 
 
 def test_na_star_increases_with_budget():
@@ -237,6 +239,14 @@ def test_refined_bound_saturated_by_tmsv():
     assert chk.holds
     assert chk.saturated
     assert abs(chk.margin) <= 1e-9
+
+
+def test_saturation_flips_at_tau_sat():
+    # at M_TN = 1 the even-split bound is exactly 0, so the margin is -ef
+    for ef in (TAU_SAT, -TAU_SAT):
+        assert even_split_check(ef, 1.0, 2).saturated
+    for ef in (math.nextafter(TAU_SAT, 1.0), math.nextafter(-TAU_SAT, -1.0)):
+        assert not even_split_check(ef, 1.0, 2).saturated
 
 
 def test_implication_report_regimes():

@@ -89,7 +89,10 @@ def test_gaussian_entanglement_entropy_is_the_same_from_either_party():
 
 
 def test_gaussian_entanglement_entropy_rejects_mixed_and_mismatched_states():
-    with pytest.raises(MixedStateError, match="eigenvalue 2 "):
+    # thermal x vacuum has V = diag(2, 2, 1, 1), condition number 2
+    with pytest.raises(
+        MixedStateError, match=r"eigenvalue 2 .*\(condition number of V 2\.000e\+00\)"
+    ):
         entanglement_entropy_gaussian(
             tensor(make_thermal(0.5), make_vacuum(1)), Bipartition(1, 1)
         )
@@ -146,6 +149,10 @@ def test_gaussian_measures_rejects_unphysical():
     bad = GaussianState(np.zeros(2), 0.5 * np.eye(2))
     with pytest.raises(UnphysicalStateError):
         gaussian_measures(bad)
+    # the message quotes the condition number ||V|| ||V^-1|| = 2 / 0.25
+    squeezed_below_vacuum = GaussianState(np.zeros(2), np.diag([0.25, 2.0]))
+    with pytest.raises(UnphysicalStateError, match=r"< 1 \(condition number of V 8\.000e\+00\)"):
+        gaussian_measures(squeezed_below_vacuum)
 
 
 def test_random_gaussian_state_is_physical_and_seedable():

@@ -6,7 +6,8 @@ A stdlib ``ast`` pass standing in for a linter: a name bound by a top-level
 in its ``__all__``.  ``__init__.py`` is skipped there because its imports are
 the package's re-exports; those must instead be listed in the ``__all__`` of
 the module defining them, so ``import *`` and the module's own public list
-agree with the package.
+agree with the package.  Every constant in ``tolerances.py`` is also read
+somewhere in the package or the tests, so none is documented but dead.
 """
 
 import ast
@@ -92,3 +93,27 @@ def test_package_reexports_are_in_module_all():
             if alias.name in defined and alias.name not in exported
         ]
     assert missing == []
+
+
+def _loaded_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_tolerance_is_read():
+    tolerances = PACKAGE / "tolerances.py"
+    defined = {
+        target.id
+        for node in ast.parse(tolerances.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
+        if path != tolerances:
+            read.update(_loaded_names(ast.parse(path.read_text())))
+    assert defined and sorted(defined - read) == []

@@ -18,6 +18,7 @@ from bosonic_bounds import (
     symplectic_trace,
     validate_covariance,
 )
+from bosonic_bounds.tolerances import TAU_PD, TAU_PHYS, TAU_SYM
 
 
 def test_omega_is_antisymmetric_and_squares_to_minus_identity():
@@ -64,6 +65,22 @@ def test_validate_covariance_rejects_asymmetric():
     v[0, 1] = 1e-3
     with pytest.raises(AsymmetricInputError):
         validate_covariance(v)
+
+
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_validate_covariance_symmetry_tolerance_scales_with_largest_entry(scale):
+    v = scale * np.eye(2)
+    v[0, 1] = 0.9 * TAU_SYM * scale
+    validate_covariance(v)
+    v[0, 1] = 1.1 * TAU_SYM * scale
+    with pytest.raises(AsymmetricInputError):
+        validate_covariance(v)
+
+
+def test_validate_covariance_positivity_floor():
+    validate_covariance(np.diag([2.0 * TAU_PD, 1.0]))
+    with pytest.raises(NonPositiveDefiniteError):
+        validate_covariance(np.diag([TAU_PD, 1.0]))
 
 
 def test_validate_covariance_rejects_indefinite():
@@ -132,3 +149,5 @@ def test_check_physicality():
     assert check_physicality(np.eye(4))
     assert not check_physicality(0.5 * np.eye(2))
     assert check_physicality(make_tmsv(1.0).cov)
+    assert check_physicality((1.0 - TAU_PHYS / 2) * np.eye(2))
+    assert not check_physicality((1.0 - 2 * TAU_PHYS) * np.eye(2))
