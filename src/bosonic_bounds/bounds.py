@@ -117,6 +117,8 @@ def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
     """
     if n_a < 1 or n_b < 1:
         raise ValueError("mode counts must be >= 1")
+    if not math.isfinite(N):
+        raise ValueError(f"photon number must be finite, got {N}")
     if N < 0.0:
         raise ValueError(f"photon number must be >= 0, got {N}")
     if N == 0.0:
@@ -151,6 +153,8 @@ def na_star_asymptotic(N: float, n_a: int, n_b: int, variant: str = "leading") -
     """
     if n_a < 1 or n_b < 1:
         raise ValueError("mode counts must be >= 1")
+    if not math.isfinite(N):
+        raise ValueError(f"photon number must be finite, got {N}")
     if N <= 0.0:
         raise ValueError("asymptotic split needs N > 0")
     mu = n_a / n_b

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -112,13 +113,25 @@ def _tolerance(text: str) -> float:
 
 
 def _budget(text: str) -> float:
-    """argparse type of --tau-trunc: a finite number >= 0.
+    """argparse type of --tau-trunc and of nastar's --N: a finite number >= 0.
 
     A negative tail budget is one no state meets, and some commands never
     compare against it, so it is refused here rather than late or never.
+    A photon budget is a mean photon number, so it is finite and >= 0 too.
     """
     value = _tolerance(text)
     if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type of the audit's state counts: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
@@ -434,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nastar", help="equal-entropy photon split")
     common(p)
-    p.add_argument("--N", type=float, required=True, help="total photon budget")
+    p.add_argument("--N", type=_budget, required=True, help="total photon budget")
     p.add_argument("--nA", type=int, required=True, help="modes in group A")
     p.add_argument("--nB", type=int, required=True, help="modes in group B")
     p.add_argument(
@@ -461,10 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="randomized no-violation audit")
     common(p, checks=True)
-    p.add_argument("--states", type=int, default=1000, help="Gaussian draws")
+    p.add_argument("--states", type=_count, default=1000, help="Gaussian draws")
     p.add_argument("--modes", type=int, default=2)
-    p.add_argument("--fock-states", type=int, default=200, dest="fock_states")
-    p.add_argument("--classical-states", type=int, default=200, dest="classical_states")
+    p.add_argument("--fock-states", type=_count, default=200, dest="fock_states")
+    p.add_argument("--classical-states", type=_count, default=200, dest="classical_states")
     p.add_argument("--seed", type=int, help="falls back to BOSONIC_BOUNDS_SEED, then 0")
     p.set_defaults(func=_cmd_audit)
 
@@ -480,9 +493,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by the first main call, not at import.
+
+    Reusing it is safe: parse_args makes a fresh Namespace each call, no
+    action holds a mutable default, and the environment (the audit's seed)
+    is read when a command runs, not when the parser is built.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, CutoffOverflowError, ValueError, OSError) as exc:

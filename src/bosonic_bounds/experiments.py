@@ -482,13 +482,13 @@ def random_audit(
     """
     if modes < 2:
         raise ValueError(f"the audit splits states in two, so it needs modes >= 2, got {modes}")
+    counts = {"gaussian": n_states, "classical": classical_states, "fock": fock_states}
+    for kind, count in counts.items():
+        if count < 0:
+            raise ValueError(f"{kind} state count must be >= 0, got {count}")
     if seed is None:
         seed = 0
-    report = AuditReport(seed=seed, counts={
-        "gaussian": n_states,
-        "classical": classical_states,
-        "fock": fock_states,
-    })
+    report = AuditReport(seed=seed, counts=counts)
     gauss_rng, classical_rng, fock_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )

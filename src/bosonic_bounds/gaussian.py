@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import g
-from .errors import MixedStateError, SchemaError, UnphysicalStateError
+from .errors import (
+    MixedStateError,
+    NonPositiveDefiniteError,
+    SchemaError,
+    UnphysicalStateError,
+)
 from .symplectic import (
     Bipartition,
     check_physicality,
@@ -159,6 +164,21 @@ def apply_beam_splitter(st: GaussianState, modes: tuple[int, int] = (0, 1)) -> G
     return GaussianState(M @ st.mean, M @ st.cov @ M.T)
 
 
+def _inverse(V: np.ndarray) -> np.ndarray:
+    """V^{-1}; a V that is singular to working precision raises a library error.
+
+    Far past the squeezing envelope the positivity floor can pass while LU
+    still meets an exact zero pivot.
+    """
+    try:
+        return np.linalg.inv(V)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveDefiniteError(
+            f"covariance matrix is singular to working precision "
+            f"(condition number of V {np.linalg.cond(V):.3e})"
+        ) from exc
+
+
 def qcs2_gaussian(st: GaussianState) -> float:
     """Squared quadrature coherence scale of a Gaussian state: Tr V^{-1} / (2n).
 
@@ -167,7 +187,7 @@ def qcs2_gaussian(st: GaussianState) -> float:
     """
     V = st.cov
     n = st.n
-    return float(np.trace(np.linalg.inv(V)) / (2.0 * n))
+    return float(np.trace(_inverse(V)) / (2.0 * n))
 
 
 def qcs2_gaussian_char_oracle(st: GaussianState) -> float:
@@ -180,7 +200,7 @@ def qcs2_gaussian_char_oracle(st: GaussianState) -> float:
     """
     n = st.n
     w = omega(n)
-    sigma = 0.5 * w @ np.linalg.inv(st.cov) @ w.T
+    sigma = 0.5 * w @ _inverse(st.cov) @ w.T
     return float(np.trace(sigma) / n)
 
 

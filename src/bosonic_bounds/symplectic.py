@@ -8,6 +8,7 @@ describes a physical state iff all symplectic eigenvalues are >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,8 @@ def validate_covariance(V) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If V is not 2n x 2n or has a NaN or infinite entry.
     AsymmetricInputError
         If V deviates from its transpose by more than the tolerance.
     NonPositiveDefiniteError
@@ -101,7 +104,10 @@ def validate_covariance(V) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2 != 0 or V.shape[0] == 0:
         raise ValueError(f"covariance matrix must be 2n x 2n, got shape {V.shape}")
-    scale = max(1.0, float(np.max(np.abs(V))))
+    peak = float(np.max(np.abs(V)))
+    if not math.isfinite(peak):
+        raise ValueError("covariance matrix has a non-finite entry")
+    scale = max(1.0, peak)
     asym = float(np.max(np.abs(V - V.T)))
     if asym > TAU_SYM * scale:
         raise AsymmetricInputError(
@@ -111,7 +117,8 @@ def validate_covariance(V) -> np.ndarray:
     evals = np.linalg.eigvalsh(V)
     if evals[0] <= TAU_PD:
         raise NonPositiveDefiniteError(
-            f"covariance eigenvalue {evals[0]:.3e} at or below floor {TAU_PD:.1e}"
+            f"covariance eigenvalue {evals[0]:.3e} at or below floor {TAU_PD:.1e} "
+            f"(condition number of V {np.linalg.cond(V):.3e})"
         )
     return V
 
@@ -130,6 +137,14 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     V = validate_covariance(V)
     n = V.shape[0] // 2
     lam, Q = np.linalg.eigh(V)
+    if lam[0] <= TAU_PD:
+        # eigh can disagree in sign with the eigvalsh of validate_covariance
+        # once V is ill-conditioned enough; its root would then be NaN.
+        raise NonPositiveDefiniteError(
+            f"covariance eigenvalue {lam[0]:.3e} under the matrix square root "
+            f"at or below floor {TAU_PD:.1e} "
+            f"(condition number of V {np.linalg.cond(V):.3e})"
+        )
     root = (Q * np.sqrt(lam)) @ Q.T
     K = 1j * root @ omega(n) @ root
     ev = np.linalg.eigvalsh(K)

@@ -176,6 +176,15 @@ def test_asymptotic_out_of_range_root_reports_nan_residual():
     assert math.isnan(sol.residual)
 
 
+@pytest.mark.parametrize("N", [math.nan, math.inf, -math.inf])
+def test_na_star_solvers_reject_non_finite_budget(N):
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_na_star(N, 1, 2)
+    for variant in ("leading", "refined"):
+        with pytest.raises(ValueError, match="must be finite"):
+            na_star_asymptotic(N, 1, 2, variant)
+
+
 def test_asymptotic_rejects_bad_inputs():
     with pytest.raises(ValueError):
         na_star_asymptotic(10.0, 1, 2, "quadratic")

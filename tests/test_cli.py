@@ -362,14 +362,115 @@ def test_readme_cli_commands_run_without_scipy(tmp_path):
     assert result["numpy.ma"] == []
 
 
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for n in range(1, 6):
+        payload = run_json(["nastar", "--N", str(10 * n), "--nA", "1", "--nB", "2"], capsys)
+        assert payload["N"] == 10.0 * n
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "interrupt, code",
+    [(["nastar", "--method", "all", "--ebits", "--nA", "2", "--N", "nan"], 2),
+     (["beamsplitter", "--fock", "N=2,0", "--ebits", "--tau-trunc", "-1"], 2),
+     (["audit", "--states", "0", "--seed", "9", "--modes"], 2),
+     (["--version"], 0)],
+    ids=["nastar-bad-budget", "beamsplitter-bad-budget", "audit-missing-value", "version"],
+)
+@pytest.mark.parametrize(
+    "request_argv",
+    [["nastar", "--N", "100", "--nA", "1", "--nB", "3"],
+     ["beamsplitter", "--fock", "N=2,0"]],
+    ids=["nastar", "beamsplitter"],
+)
+def test_an_exit_leaves_the_next_request_intact(interrupt, code, request_argv, capsys):
+    """Options parsed before a usage error or --version do not reach the next call."""
+    expected = run_cli(request_argv, capsys)
+    assert expected[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(interrupt)
+    assert exc.value.code == code
+    capsys.readouterr()
+    assert run_cli(request_argv, capsys) == expected
+    payload = json.loads(expected[1])
+    assert payload["unit"] == "nats"
+    assert "seed" not in payload["config"]
+
+
+def test_seed_env_is_read_on_every_call(monkeypatch, capsys):
+    argv = ["audit", "--states", "10", "--modes", "2", "--fock-states", "2",
+            "--classical-states", "2"]
+    reports = []
+    for seed in ("5", "6"):
+        monkeypatch.setenv("BOSONIC_BOUNDS_SEED", seed)
+        reports.append(run_json(argv, capsys))
+    assert [r["seed"] for r in reports] == [5, 6]
+    assert [r["config"]["seed"] for r in reports] == [5, 6]
+    monkeypatch.delenv("BOSONIC_BOUNDS_SEED")
+    assert run_json([*argv, "--seed", "6"], capsys)["by_check"] == reports[1]["by_check"]
+
+
+def test_readme_cli_commands_print_the_same_bytes_twice(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the figure command writes sweeps/ here
+    save_gaussian(make_vacuum(2), tmp_path / "state.json")
+    for argv in _readme_cli_argvs():
+        if "--states" in argv:
+            argv[argv.index("--states") + 1] = "20"
+        first = run_cli(argv, capsys)
+        assert first[0] == 0, (argv, first[2])
+        assert run_cli(argv, capsys) == first, argv
+
+
+_IMPORT_THEN_MAIN = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+from bosonic_bounds import cli
+after_import = len(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["nastar", "--N", "1", "--nA", "1", "--nB", "1"])
+print(json.dumps([after_import, len(built)]))
+"""
+
+
+def test_import_builds_no_parser():
+    """The parser is built by the first main call, so import time does not grow."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_THEN_MAIN],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_main = json.loads(proc.stdout)
+    assert after_import == 0
+    assert after_main > 0
+
+
 @pytest.mark.parametrize("value", ["nan", "-inf", "1e400", "tight"])
 @pytest.mark.parametrize(
     "argv",
     [["audit", "--states", "20", "--tau-check"],
      ["bound-check", "--fock", "N=2,2", "--tau-check"],
      ["measure", "--fock", "N=2,0", "--tau-trunc"],
-     ["figure", "--name", "bound-profile", "--out", "unused", "--tau-trunc"]],
-    ids=["audit", "bound-check", "measure", "figure"],
+     ["figure", "--name", "bound-profile", "--out", "unused", "--tau-trunc"],
+     ["nastar", "--nA", "1", "--nB", "2", "--N"]],
+    ids=["audit", "bound-check", "measure", "figure", "nastar"],
 )
 def test_non_finite_tolerance_is_a_usage_error(argv, value, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a figure that got through would write here
@@ -395,6 +496,30 @@ def test_negative_tail_budget_is_a_usage_error(argv, flag, capsys, tmp_path, mon
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --tau-trunc: must be >= 0" in err
+
+
+def test_negative_photon_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nastar", "--N=-1", "--nA", "1", "--nB", "2"])
+    assert exc.value.code == 2
+    assert "argument --N: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--states", "--fock-states", "--classical-states"])
+def test_audit_negative_count_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["audit", "--states", "0", "--fock-states", "0",
+                  "--classical-states", "0", f"{flag}=-3"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 0, got '-3'" in capsys.readouterr().err
+
+
+def test_audit_zero_counts_are_accepted(capsys):
+    payload = run_json(
+        ["audit", "--states", "0", "--fock-states", "0", "--classical-states", "0"], capsys
+    )
+    assert payload["counts"] == {"gaussian": 0, "classical": 0, "fock": 0}
+    assert payload["checks"] == 0
 
 
 def test_zero_tail_budget_is_accepted(capsys):

@@ -214,6 +214,19 @@ def test_random_audit_needs_two_modes():
         random_audit(n_states=4, modes=1, seed=0, fock_states=0, classical_states=0)
 
 
+@pytest.mark.parametrize("kind", ["n_states", "fock_states", "classical_states"])
+def test_random_audit_rejects_negative_counts(kind):
+    counts = {"n_states": 0, "fock_states": 0, "classical_states": 0, kind: -1}
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        random_audit(modes=2, seed=0, **counts)
+
+
+def test_random_audit_accepts_zero_counts():
+    rep = random_audit(n_states=0, modes=2, seed=0, fock_states=0, classical_states=0)
+    assert rep.counts == {"gaussian": 0, "classical": 0, "fock": 0}
+    assert rep.checks == 0
+
+
 def test_random_audit_three_mode_states():
     rep = random_audit(n_states=60, modes=3, seed=11, fock_states=12,
                        classical_states=12)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bosonic_bounds import (
     Bipartition,
     GaussianState,
     MixedStateError,
+    NonPositiveDefiniteError,
     SchemaError,
     UnphysicalStateError,
     apply_beam_splitter,
@@ -153,6 +155,30 @@ def test_gaussian_measures_rejects_unphysical():
     squeezed_below_vacuum = GaussianState(np.zeros(2), np.diag([0.25, 2.0]))
     with pytest.raises(UnphysicalStateError, match=r"< 1 \(condition number of V 8\.000e\+00\)"):
         gaussian_measures(squeezed_below_vacuum)
+
+
+def test_high_squeezing_fails_only_with_library_errors():
+    """Far past the envelope, every failure is a typed error quoting cond(V).
+
+    At squeeze_max = 10 the condition number of V reaches 1e16 and more:
+    eigh inside the symplectic spectrum can return a negative eigenvalue
+    that validate_covariance's eigvalsh did not, and inv can meet an exact
+    zero pivot.  Neither may surface as a raw LinAlgError or a NaN warning.
+    """
+    failures = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for k in range(200):
+            try:
+                st = random_gaussian_state(
+                    3, np.random.default_rng(k), purity_profile="pure", squeeze_max=10
+                )
+                gaussian_measures(st)
+            except (NonPositiveDefiniteError, UnphysicalStateError) as exc:
+                assert "(condition number of V " in str(exc), exc
+                failures += 1
+    assert failures > 0
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_random_gaussian_state_is_physical_and_seedable():

@@ -83,8 +83,21 @@ def test_validate_covariance_positivity_floor():
         validate_covariance(np.diag([TAU_PD, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "V",
+    [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
+     [[np.inf, 0.0], [0.0, 1.0]], np.diag([np.nan] * 4)],
+    ids=["nan-diagonal", "nan-off-diagonal", "inf", "all-nan"],
+)
+def test_validate_covariance_rejects_non_finite_entries(V):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        validate_covariance(V)
+
+
 def test_validate_covariance_rejects_indefinite():
-    with pytest.raises(NonPositiveDefiniteError):
+    with pytest.raises(
+        NonPositiveDefiniteError, match=r"floor .*\(condition number of V 1\.000e\+00\)"
+    ):
         validate_covariance(np.diag([1.0, -1.0]))
 
 
