@@ -11,8 +11,9 @@ audit           randomized no-violation audit over seeded state families
 counterexample  three-mode noise-vs-entanglement counterexample
 
 Exit codes: 0 success, 2 validation or input errors, 3 audit found a
-bound violation.  Output is JSON (or single-row CSV with --format csv)
-to stdout or --output.  Entropies are reported in nats; --ebits divides
+bound violation.  Output is strict JSON (no NaN or Infinity), or one CSV
+row with --format csv, to stdout or --output.  Entropies are in nats;
+--ebits on measure, bound-check, beamsplitter and counterexample divides
 entanglement quantities by ln 2.  BOSONIC_BOUNDS_SEED provides the seed
 when --seed is absent.
 """
@@ -170,8 +171,7 @@ def _convert_units(payload, ebits: bool):
 def _emit(payload: dict, args) -> None:
     payload = _convert_units(payload, getattr(args, "ebits", False))
     payload["unit"] = "ebits" if getattr(args, "ebits", False) else "nats"
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
+    if args.format == "csv":
         flat = _flatten(payload)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -179,7 +179,7 @@ def _emit(payload: dict, args) -> None:
         writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in flat.values()])
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
     out = getattr(args, "output", None)
     if out:
         with open(out, "w") as fh:
@@ -195,7 +195,7 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
         if isinstance(value, dict):
             flat.update(_flatten(value, f"{name}."))
         elif isinstance(value, list):
-            flat[name] = json.dumps(value)
+            flat[name] = json.dumps(value, allow_nan=False)
         else:
             flat[name] = value
     return flat
@@ -305,7 +305,10 @@ def _cmd_nastar(args) -> int:
             sol = solve_na_star(args.N, args.nA, args.nB)
         else:
             sol = na_star_asymptotic(args.N, args.nA, args.nB, method)
-        payload["solutions"][method] = sol.to_dict()
+        entry = payload["solutions"][method] = sol.to_dict()
+        if not 0.0 <= sol.na_star <= sol.total:  # no split of N photons
+            entry.update(na_star=None, nb_star=None, residual=None,
+                         reason=f"closed form gives N_A* = {sol.na_star!r}, outside [0, N]")
     payload["config"] = _config_echo(args)
     _emit(payload, args)
     return 0
@@ -317,12 +320,11 @@ def _cmd_beamsplitter(args) -> int:
         raise SchemaError(
             f"the balanced beam splitter acts on 2 modes, state has {state.n}"
         )
-    bp = _bipartition(args, 2)
     tau = args.tau_trunc
     mtn_in = mtn_pure(state, tau=tau)
     out = apply_beam_splitter_fock(state, tau=tau)
     g_in = g((mtn_in - 1.0) / 2.0)
-    ef, log_negativity = entanglement_measures_pure(out, bp, tau=tau)
+    ef, log_negativity = entanglement_measures_pure(out, Bipartition(1, 1), tau=tau)
     payload = {
         "mtn_in": mtn_in,
         "g_in": g_in,
@@ -338,7 +340,6 @@ def _cmd_beamsplitter(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     written = []
     targets = (
         ["beamsplitter-sweep", "bound-profile", "split-accuracy"]
@@ -347,7 +348,7 @@ def _cmd_figure(args) -> int:
     )
     for name in targets:
         if name == "beamsplitter-sweep":
-            beam_splitter_sweep(out_dir=args.out, tau=args.tau_trunc)
+            beam_splitter_sweep(out_dir=args.out)
             written.append("beam_splitter_sweep.csv")
         elif name == "bound-profile":
             bound_profile_sweep(out_dir=args.out)
@@ -418,21 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, state=False, fock_only=False, checks=False):
+    def common(p, state=False, checks=False):
         p.add_argument("--output", help="write JSON/CSV here instead of stdout")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--ebits", action="store_true",
-                       help="report entanglement in ebits instead of nats")
         if state:
-            if not fock_only:
-                p.add_argument("--gaussian", help="Gaussian state JSON file")
-            p.add_argument(
-                "--fock",
-                help="Fock state JSON file or inline number state 'N=10,0'",
-            )
+            p.add_argument("--gaussian", help="Gaussian state JSON file")
             p.add_argument("--bipartition", help="mode split like '1:1'")
-            p.add_argument("--tau-trunc", type=_budget, default=TAU_TRUNC,
-                           dest="tau_trunc", help="truncation tail budget")
         if checks:
             p.add_argument("--tau-check", type=_tolerance, default=TAU_CHECK,
                            dest="tau_check", help="bound-violation tolerance")
@@ -458,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nastar)
 
     p = sub.add_parser("beamsplitter", help="balanced beam splitter on a Fock state")
-    common(p, state=True, fock_only=True)
+    common(p)
     p.set_defaults(func=_cmd_beamsplitter)
 
     p = sub.add_parser("figure", help="write sweep CSV + manifest")
@@ -469,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tau-trunc", type=_budget, default=TAU_TRUNC, dest="tau_trunc")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("audit", help="randomized no-violation audit")
@@ -489,6 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--k", type=int, default=2)
     p.set_defaults(func=_cmd_counterexample)
+
+    for name in ("measure", "bound-check", "beamsplitter"):
+        sub.choices[name].add_argument(
+            "--fock", help="Fock state JSON file or inline number state 'N=10,0'")
+        sub.choices[name].add_argument("--tau-trunc", type=_budget, default=TAU_TRUNC,
+                                       dest="tau_trunc", help="truncation tail budget")
+    # Only the outputs of these commands hold an _EBIT_KEYS value.
+    for name in ("measure", "bound-check", "beamsplitter", "counterexample"):
+        sub.choices[name].add_argument("--ebits", action="store_true",
+                                       help="report entanglement in ebits instead of nats")
 
     return parser
 

@@ -92,12 +92,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_sweep(
-    out_dir, name: str, columns, rows, params: dict, tau_trunc: float = TAU_TRUNC
-) -> tuple[str, str]:
+def write_sweep(out_dir, name: str, columns, rows, params: dict) -> tuple[str, str]:
     """Write rows to <out_dir>/<name>.csv plus <name>.manifest.json.
 
-    The manifest echoes ``params`` and the tolerances the sweep ran with;
+    The manifest echoes ``params`` and the tolerances every sweep runs with;
     its ``seed`` is null because no sweep draws random numbers.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -114,7 +112,7 @@ def write_sweep(
             "sweep": name,
             "params": params,
             "seed": None,
-            "tolerances": {"tau_check": TAU_CHECK, "tau_trunc": tau_trunc},
+            "tolerances": {"tau_check": TAU_CHECK, "tau_trunc": TAU_TRUNC},
             "columns": list(columns),
         }
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -146,7 +144,7 @@ _BS_COLUMNS = (
 )
 
 
-def _bs_row(family: str, param: float, tau: float) -> dict:
+def _bs_row(family: str, param: float) -> dict:
     # ref is the large-input asymptote of E_F; None means the ratio itself
     # tends to 1, so the gap is measured there.
     if family in ("number-split", "twin-number"):
@@ -159,9 +157,9 @@ def _bs_row(family: str, param: float, tau: float) -> dict:
             ref = math.log(math.pi * N / 4.0)
         else:
             ref = 0.5 * math.log(2.0 * math.pi * math.e * N)
-        psi_out = apply_beam_splitter_fock(psi_in, tau=tau)
-        mtn_in = mtn_pure(psi_in, tau=10.0 * tau)
-        ef = entanglement_entropy(psi_out, Bipartition(1, 1), tau=10.0 * tau)
+        psi_out = apply_beam_splitter_fock(psi_in)
+        mtn_in = mtn_pure(psi_in)
+        ef = entanglement_entropy(psi_out, Bipartition(1, 1))
         cutoff, tail_mass = int(psi_in.cutoffs[0]), psi_out.tail_mass
     else:
         s = float(param)
@@ -208,17 +206,17 @@ def beam_splitter_sweep(
     number_grid=None,
     squeeze_grid=None,
     out_dir=None,
-    tau: float = TAU_TRUNC,
 ) -> list[dict]:
     """Entanglement generated by a balanced beam splitter, family by family.
 
     Number families sweep the photon count through the Fock-space beam
-    splitter; ``tau`` is their truncation budget and their rows record the
-    per-mode cutoff and the output tail mass.  Squeezed families sweep the
-    squeezing parameter on covariance matrices: E_F comes from the
-    symplectic spectrum of the output's reduced covariance and M_TN =
-    Tr V / (2n) from the input's, with no truncation, so their rows have
-    cutoff 0 and tail_mass 0.  Every row re-checks E_F <= g((M_TN - 1)/2).
+    splitter; their rows record the per-mode cutoff and the output tail
+    mass, which is 0: |N,0> and |N,N> fill one block inside the cutoffs.
+    Squeezed families sweep the squeezing parameter on covariance
+    matrices: E_F comes from the symplectic spectrum of the output's
+    reduced covariance and M_TN = Tr V / (2n) from the input's, with no
+    truncation, so their rows have cutoff 0 and tail_mass 0.  Every row
+    re-checks E_F <= g((M_TN - 1)/2).
     """
     families = tuple(families) if families else BS_FAMILIES
     for f in families:
@@ -231,15 +229,14 @@ def beam_splitter_sweep(
     rows = []
     for family in families:
         grid = number_grid if family in ("number-split", "twin-number") else squeeze_grid
-        rows.extend(_bs_row(family, p, tau) for p in grid)
+        rows.extend(_bs_row(family, p) for p in grid)
     if out_dir is not None:
         params = {
             "families": list(families),
             "number_grid": number_grid,
             "squeeze_grid": squeeze_grid,
-            "tau": tau,
         }
-        write_sweep(out_dir, "beam_splitter_sweep", _BS_COLUMNS, rows, params, tau)
+        write_sweep(out_dir, "beam_splitter_sweep", _BS_COLUMNS, rows, params)
     return rows
 
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from bosonic_bounds import cli, fock, make_vacuum, save_gaussian
+from bosonic_bounds import cli, fock, make_tmsv, make_vacuum, save_gaussian, solve_na_star
 from bosonic_bounds.tolerances import TAU_ROOT
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -155,6 +155,89 @@ def test_nastar_all_methods(capsys):
     assert abs(sols["refined"]["na_star"] - sols["bisection"]["na_star"]) < abs(
         sols["leading"]["na_star"] - sols["bisection"]["na_star"]
     )
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+def test_nastar_out_of_range_closed_forms_print_null(capsys):
+    argv = ["nastar", "--N", "0.5", "--nA", "1", "--nB", "5", "--method", "all"]
+    with pytest.warns(UserWarning, match="asymptotic split"):
+        code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    sols = json.loads(out, parse_constant=_refuse_constant)["solutions"]
+    # leading gives N_A* = -0.597 and refined 0.805, both outside [0, 0.5]
+    for method in ("leading", "refined"):
+        entry = sols[method]
+        assert (entry["na_star"], entry["nb_star"], entry["residual"]) == (None, None, None)
+        assert "outside [0, N]" in entry["reason"]
+    assert sols["bisection"] == json.loads(json.dumps(solve_na_star(0.5, 1, 5).to_dict()))
+
+
+def test_json_output_refuses_non_finite_numbers(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "counterexample_demo", lambda q, k: {"ef_base": math.nan})
+    code, out, err = run_cli(["counterexample"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["measure", "--fock", "N=3,1"],
+     ["measure", "--gaussian", "tmsv.json"],
+     ["bound-check", "--fock", "N=2,2"],
+     ["beamsplitter", "--fock", "N=10,0"],
+     ["counterexample"]],
+    ids=["measure-fock", "measure-gaussian", "bound-check", "beamsplitter", "counterexample"],
+)
+def test_ebits_divides_exactly_the_entanglement_values(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_gaussian(make_tmsv(0.8), tmp_path / "tmsv.json")
+    nats = run_json(argv, capsys)
+    ebits = run_json([*argv, "--ebits"], capsys)
+    assert (nats.pop("unit"), ebits.pop("unit")) == ("nats", "ebits")
+    converted = []
+
+    def compare(a, b, key=None):
+        if isinstance(a, dict):
+            assert a.keys() == b.keys()
+            for k in a:
+                compare(a[k], b[k], k)
+        elif isinstance(a, list):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                compare(x, y)
+        elif key in cli._EBIT_KEYS and isinstance(a, float):
+            converted.append(key)
+            assert b == a / math.log(2.0), key
+        else:
+            assert b == a, key
+
+    compare(nats, ebits)
+    assert converted
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["figure", "--name", "bound-profile", "--out", "out", "--tau-trunc", "1e-10"],
+      "--tau-trunc"),
+     (["nastar", "--N", "10", "--nA", "1", "--nB", "2", "--ebits"], "--ebits"),
+     (["figure", "--name", "bound-profile", "--out", "out", "--ebits"], "--ebits"),
+     (["audit", "--states", "0", "--fock-states", "0", "--classical-states", "0",
+       "--ebits"], "--ebits"),
+     (["beamsplitter", "--fock", "N=2,0", "--bipartition", "1:1"], "--bipartition")],
+    ids=["figure-tau-trunc", "nastar-ebits", "figure-ebits", "audit-ebits",
+         "beamsplitter-bipartition"],
+)
+def test_removed_option_is_a_usage_error(argv, flag, capsys, tmp_path, monkeypatch):
+    """These options changed no number, so the commands no longer take them."""
+    monkeypatch.chdir(tmp_path)  # a figure that got through would write here
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_figure_writes_deterministic_csv(tmp_path, capsys):
@@ -380,7 +463,7 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "interrupt, code",
-    [(["nastar", "--method", "all", "--ebits", "--nA", "2", "--N", "nan"], 2),
+    [(["nastar", "--method", "all", "--nA", "2", "--N", "nan"], 2),
      (["beamsplitter", "--fock", "N=2,0", "--ebits", "--tau-trunc", "-1"], 2),
      (["audit", "--states", "0", "--seed", "9", "--modes"], 2),
      (["--version"], 0)],
@@ -468,12 +551,10 @@ def test_import_builds_no_parser():
     [["audit", "--states", "20", "--tau-check"],
      ["bound-check", "--fock", "N=2,2", "--tau-check"],
      ["measure", "--fock", "N=2,0", "--tau-trunc"],
-     ["figure", "--name", "bound-profile", "--out", "unused", "--tau-trunc"],
      ["nastar", "--nA", "1", "--nB", "2", "--N"]],
-    ids=["audit", "bound-check", "measure", "figure", "nastar"],
+    ids=["audit", "bound-check", "measure", "nastar"],
 )
-def test_non_finite_tolerance_is_a_usage_error(argv, value, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # a figure that got through would write here
+def test_non_finite_tolerance_is_a_usage_error(argv, value, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv[:-1], f"{argv[-1]}={value}"])
     assert exc.value.code == 2
@@ -484,13 +565,11 @@ def test_non_finite_tolerance_is_a_usage_error(argv, value, capsys, tmp_path, mo
     "argv",
     [["measure", "--fock", "N=2,0"],
      ["bound-check", "--fock", "N=2,2"],
-     ["beamsplitter", "--fock", "N=2,0"],
-     ["figure", "--name", "bound-profile", "--out", "unused"]],
-    ids=["measure", "bound-check", "beamsplitter", "figure"],
+     ["beamsplitter", "--fock", "N=2,0"]],
+    ids=["measure", "bound-check", "beamsplitter"],
 )
 @pytest.mark.parametrize("flag", [["--tau-trunc", "-1"], ["--tau-trunc=-1e-300"]])
-def test_negative_tail_budget_is_a_usage_error(argv, flag, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # a figure that got through would write here
+def test_negative_tail_budget_is_a_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, *flag])
     assert exc.value.code == 2

@@ -29,6 +29,7 @@ from bosonic_bounds import (
 )
 from bosonic_bounds.errors import AuditViolationError
 from bosonic_bounds.experiments import write_sweep
+from bosonic_bounds.tolerances import TAU_CHECK, TAU_TRUNC
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -71,14 +72,17 @@ def test_beam_splitter_sweep_small_grid(tmp_path):
     assert os.path.exists(os.path.join(tmp_path, "beam_splitter_sweep.csv"))
 
 
-def test_beam_splitter_manifest_records_the_sweep_tau(tmp_path):
-    beam_splitter_sweep(
-        families=("number-split",), number_grid=[1], tau=1e-8, out_dir=tmp_path
-    )
+def test_beam_splitter_manifest_records_the_constant_tolerances(tmp_path):
+    beam_splitter_sweep(families=("number-split",), number_grid=[1], out_dir=tmp_path)
     manifest = json.loads(_read(tmp_path / "beam_splitter_sweep.manifest.json"))
-    assert manifest["params"]["tau"] == 1e-8
-    assert manifest["tolerances"]["tau_trunc"] == 1e-8
+    assert manifest["tolerances"] == {"tau_check": TAU_CHECK, "tau_trunc": TAU_TRUNC}
+    assert "tau" not in manifest["params"]
     assert manifest["seed"] is None
+    # No row truncates anything, so the sweep takes no tail budget.
+    with pytest.raises(TypeError):
+        beam_splitter_sweep(families=("number-split",), number_grid=[1], tau=1e-8)
+    with pytest.raises(TypeError):
+        write_sweep(tmp_path, "demo", ["a"], [], {}, tau_trunc=1e-8)
 
 
 def test_beam_splitter_sweep_single_photon_exact(tmp_path):
@@ -146,6 +150,8 @@ def test_default_beam_splitter_sweep_reaches_high_squeezing_in_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+    # |N,0> and |N,N> each fill one photon-number block inside the cutoffs.
+    assert {r["tail_mass"] for r in rows} == {0.0}
     for family in ("antisqueezed-vacuum", "orthogonal-squeezed", "tmsv-direct"):
         params = {r["param"] for r in rows if r["family"] == family}
         assert {1.2, 1.5} <= params
