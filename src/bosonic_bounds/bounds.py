@@ -1,8 +1,11 @@
 """Bounds linking entanglement measures to total-noise and coherence measures.
 
-Everything here is scalar arithmetic built on the entropy-like function
+Everything here is built on the entropy-like function
 g(x) = (x + 1) ln(x + 1) - x ln x, the mean photon number of a thermal
-state of given entropy and vice versa.
+state of given entropy and vice versa.  It is scalar arithmetic except
+:func:`solve_na_star_grid`, which runs the equal-entropy bisection on numpy
+arrays for the figure sweeps; a single split is solved by the scalar loop of
+:func:`solve_na_star`, which is faster for one point.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .tolerances import TAU_CHECK, TAU_SAT
 
@@ -23,6 +28,7 @@ __all__ = [
     "mtn_floor_from_entanglement",
     "NAStarSolution",
     "solve_na_star",
+    "solve_na_star_grid",
     "na_star_asymptotic",
     "theorem_split_bound",
     "split_bound_asymptotic",
@@ -142,6 +148,73 @@ def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
     return NAStarSolution(root, abs(_balance(root, N, n_a, n_b)), it, "bisection", total=N)
 
 
+def _g_array(x: np.ndarray) -> np.ndarray:
+    """g elementwise on x > 0, by the same formula as :func:`g`."""
+    return np.log1p(x) + x * np.log1p(1.0 / x)
+
+
+def solve_na_star_grid(N, n_a, n_b) -> list[NAStarSolution]:
+    """:func:`solve_na_star` at every point of three equal-length 1-D arrays.
+
+    All points bisect together: the same [0, N] bracket, midpoints, stopping
+    rule and iteration cap as the scalar loop, and the same shortcuts for
+    N = 0 and n_a = n_b.  numpy's log1p can differ from math's in the last
+    bit, so a root can differ from the scalar one by a few ulp; each
+    residual is the scalar balance at that point's root.  This pays off
+    for a grid; one point is faster through solve_na_star.
+    """
+    N = np.asarray(N, dtype=float)
+    n_a = np.asarray(n_a)
+    n_b = np.asarray(n_b)
+    if N.ndim != 1 or n_a.shape != N.shape or n_b.shape != N.shape:
+        raise ValueError("N, n_a and n_b must be 1-D arrays of equal length")
+    if np.any(n_a < 1) or np.any(n_b < 1):
+        raise ValueError("mode counts must be >= 1")
+    for bad, rule in ((~np.isfinite(N), "finite"), (N < 0.0, ">= 0")):
+        if bad.any():
+            raise ValueError(f"photon number must be {rule}, got {N[bad][0]}")
+    lo, hi = np.zeros_like(N), N.copy()
+    iterations = np.zeros(N.shape, dtype=int)
+    # N = 0 and even splits never bisect, so their root stays the bracket
+    # midpoint N / 2, as in the scalar shortcuts.
+    active = np.flatnonzero((N > 0.0) & (n_a != n_b))
+    for _ in range(_MAX_ITER):
+        mid = 0.5 * (lo[active] + hi[active])
+        moving = (mid > lo[active]) & (mid < hi[active])
+        active, mid = active[moving], mid[moving]
+        if not active.size:
+            break
+        iterations[active] += 1
+        a, b = n_a[active], n_b[active]
+        balance = a * _g_array(mid / a) - b * _g_array((N[active] - mid) / b)
+        down = balance <= 0.0
+        lo[active[down]] = mid[down]
+        hi[active[~down]] = mid[~down]
+    root = 0.5 * (lo + hi)
+    return [
+        NAStarSolution(r, abs(_balance(r, n, a, b)), it, "bisection", total=n)
+        if n != 0.0
+        else NAStarSolution(0.0, 0.0, 0, "bisection", total=0.0)
+        for r, n, a, b, it in zip(
+            root.tolist(), N.tolist(), n_a.tolist(), n_b.tolist(), iterations.tolist()
+        )
+    ]
+
+
+def _closed_form_root(N: float, n_a: int, n_b: int, variant: str) -> float:
+    """N_A* of the named closed form, without validation or residual."""
+    mu = n_a / n_b
+    nu = N / n_a
+    base = 1.0 / (mu * ((math.e * nu) ** (1.0 - mu) + 1.0))
+    if variant == "leading":
+        delta = base
+    elif variant == "refined":
+        delta = base * (1.0 - math.exp(1.0 - mu) / (2.0 * nu**mu))
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return (1.0 - delta) * N
+
+
 def na_star_asymptotic(N: float, n_a: int, n_b: int, variant: str = "leading") -> NAStarSolution:
     """Closed-form large-N approximations to the equal-entropy split.
 
@@ -157,30 +230,20 @@ def na_star_asymptotic(N: float, n_a: int, n_b: int, variant: str = "leading") -
         raise ValueError(f"photon number must be finite, got {N}")
     if N <= 0.0:
         raise ValueError("asymptotic split needs N > 0")
-    mu = n_a / n_b
     nu = N / n_a
     if nu < 10.0:
         warnings.warn(
             f"asymptotic split used at nu = {nu:.3g} < 10; expect poor accuracy",
             stacklevel=2,
         )
-    base = 1.0 / (mu * ((math.e * nu) ** (1.0 - mu) + 1.0))
-    if variant == "leading":
-        delta = base
-        method = "asymptotic-leading"
-    elif variant == "refined":
-        delta = base * (1.0 - math.exp(1.0 - mu) / (2.0 * nu**mu))
-        method = "asymptotic-refined"
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    root = (1.0 - delta) * N
+    root = _closed_form_root(N, n_a, n_b, variant)
     if 0.0 <= root <= N:
         residual = abs(_balance(root, N, n_a, n_b))
     else:
         # Outside its validity region the closed form can leave [0, N];
         # report the raw value with an undefined residual instead of failing.
         residual = math.nan
-    return NAStarSolution(root, residual, 0, method, total=N)
+    return NAStarSolution(root, residual, 0, f"asymptotic-{variant}", total=N)
 
 
 def theorem_split_bound(mtn: float, n_a: int, n_b: int) -> float:

@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -215,12 +216,27 @@ def _seed_from(args) -> int:
     return 0
 
 
+def _load_fock(args):
+    """The --fock state, with --tau-trunc set to TAU_TRUNC when not given."""
+    if args.tau_trunc is None:
+        args.tau_trunc = TAU_TRUNC
+    return _parse_fock_arg(args.fock)
+
+
 def _load_state(args):
-    """Return ('gaussian', state) or ('fock', state) from --gaussian/--fock."""
+    """Return ('gaussian', state) or ('fock', state) from --gaussian/--fock.
+
+    --tau-trunc bounds a Fock truncation, so giving it with --gaussian is an
+    error rather than a value that is echoed and never read.
+    """
     if getattr(args, "gaussian", None):
+        if args.tau_trunc is not None:
+            raise SchemaError(
+                "--tau-trunc applies only to --fock input; a Gaussian state is not truncated"
+            )
         return "gaussian", load_gaussian(args.gaussian)
     if getattr(args, "fock", None):
-        return "fock", _parse_fock_arg(args.fock)
+        return "fock", _load_fock(args)
     raise SchemaError("one of --gaussian or --fock is required")
 
 
@@ -301,21 +317,28 @@ def _cmd_nastar(args) -> int:
     )
     payload = {"N": args.N, "n_a": args.nA, "n_b": args.nB, "solutions": {}}
     for method in methods:
+        reason = None
         if method == "bisection":
             sol = solve_na_star(args.N, args.nA, args.nB)
+        elif args.N == 0.0:
+            # The closed forms refuse N = 0, where the split (0, 0) still
+            # exists; solve_na_star checks the mode counts.
+            sol = replace(solve_na_star(0.0, args.nA, args.nB), method=f"asymptotic-{method}")
+            reason = "closed form is asymptotic in N and undefined at N = 0"
         else:
             sol = na_star_asymptotic(args.N, args.nA, args.nB, method)
+            if not 0.0 <= sol.na_star <= sol.total:  # no split of N photons
+                reason = f"closed form gives N_A* = {sol.na_star!r}, outside [0, N]"
         entry = payload["solutions"][method] = sol.to_dict()
-        if not 0.0 <= sol.na_star <= sol.total:  # no split of N photons
-            entry.update(na_star=None, nb_star=None, residual=None,
-                         reason=f"closed form gives N_A* = {sol.na_star!r}, outside [0, N]")
+        if reason is not None:
+            entry.update(na_star=None, nb_star=None, residual=None, reason=reason)
     payload["config"] = _config_echo(args)
     _emit(payload, args)
     return 0
 
 
 def _cmd_beamsplitter(args) -> int:
-    state = _parse_fock_arg(args.fock)
+    state = _load_fock(args)
     if state.n != 2:
         raise SchemaError(
             f"the balanced beam splitter acts on 2 modes, state has {state.n}"
@@ -484,8 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("measure", "bound-check", "beamsplitter"):
         sub.choices[name].add_argument(
             "--fock", help="Fock state JSON file or inline number state 'N=10,0'")
-        sub.choices[name].add_argument("--tau-trunc", type=_budget, default=TAU_TRUNC,
-                                       dest="tau_trunc", help="truncation tail budget")
+        # None until a Fock state is loaded, so --gaussian can refuse it.
+        sub.choices[name].add_argument("--tau-trunc", type=_budget, dest="tau_trunc",
+                                       help=f"Fock truncation tail budget (default {TAU_TRUNC:g})")
     # Only the outputs of these commands hold an _EBIT_KEYS value.
     for name in ("measure", "bound-check", "beamsplitter", "counterexample"):
         sub.choices[name].add_argument("--ebits", action="store_true",

@@ -27,7 +27,6 @@ import csv
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -35,12 +34,12 @@ import numpy as np
 
 from . import __version__ as _version
 from .bounds import (
+    _closed_form_root,
     coherence_scale_checks,
     even_split_check,
     g,
     gaussian_pure_bound,
-    na_star_asymptotic,
-    solve_na_star,
+    solve_na_star_grid,
     theorem_split_bound,
     uneven_split_check,
 )
@@ -250,17 +249,20 @@ def _split_points(pairs, nu_grid, variants):
     Yields ``(head, N, sol, closed)`` per pair and nu, pairs outermost:
     ``head`` holds the n_a, n_b, mu and nu columns, N = nu n_a is the photon
     budget, ``sol`` the bisection solution, and ``closed`` the closed-form
-    N_A* of each named variant.  The closed forms warn outside their
-    validity range; the sweeps report what they give there.
+    N_A* of each named variant.  One vectorized bisection solves the whole
+    grid.  The closed forms are used outside their validity range too, where
+    the sweeps report what they give.
     """
-    for n_a, n_b in pairs:
-        for nu in nu_grid:
-            N = nu * n_a
-            sol = solve_na_star(N, n_a, n_b)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                closed = [na_star_asymptotic(N, n_a, n_b, v).na_star for v in variants]
-            yield {"n_a": n_a, "n_b": n_b, "mu": n_a / n_b, "nu": float(nu)}, N, sol, closed
+    points = [(n_a, n_b, float(nu)) for n_a, n_b in pairs for nu in nu_grid]
+    budgets = [nu * n_a for n_a, _, nu in points]
+    sols = solve_na_star_grid(
+        budgets, [p[0] for p in points], [p[1] for p in points]
+    )
+    if min(budgets, default=1.0) <= 0.0:
+        raise ValueError("asymptotic split needs N > 0")
+    for (n_a, n_b, nu), N, sol in zip(points, budgets, sols):
+        closed = [_closed_form_root(N, n_a, n_b, v) for v in variants]
+        yield {"n_a": n_a, "n_b": n_b, "mu": n_a / n_b, "nu": nu}, N, sol, closed
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonic_bounds import (
+    bound_profile_sweep,
     even_split_check,
     g,
     g_prime,
@@ -18,6 +19,8 @@ from bosonic_bounds import (
     qcs2_gaussian,
     qcs_implication_report,
     solve_na_star,
+    solve_na_star_grid,
+    split_accuracy_sweep,
     split_bound_asymptotic,
     theorem_split_bound,
     theorem_symmetric_bound,
@@ -126,6 +129,32 @@ def test_solve_na_star_residuals_small_across_budgets(n_a, n_b):
         assert sol.residual <= TAU_ROOT * max(1.0, N)
 
 
+# Budgets at the edges of the solver's range, and even splits, beside the
+# default figure grids.
+_EDGE_POINTS = [
+    (0.0, 1, 2), (0.0, 3, 3), (1e-12, 1, 2), (1e-12, 3, 7),
+    (1e6, 1, 2), (1e6, 2, 5), (1e6, 3, 3), (7.5, 2, 2),
+]
+
+
+def test_grid_solver_agrees_with_scalar_solver():
+    rows = bound_profile_sweep() + split_accuracy_sweep()
+    points = [(row["nu"] * row["n_a"], row["n_a"], row["n_b"]) for row in rows]
+    points += _EDGE_POINTS
+    N, n_a, n_b = (list(col) for col in zip(*points))
+    grid = solve_na_star_grid(N, n_a, n_b)
+    assert len(grid) == len(points)
+    for (N, n_a, n_b), sol in zip(points, grid):
+        ref = solve_na_star(N, n_a, n_b)
+        if N == 0.0 or n_a == n_b:
+            assert sol == ref
+            continue
+        # numpy's and math's log1p can differ in the last bit
+        assert sol.na_star == pytest.approx(ref.na_star, rel=1e-15, abs=0.0)
+        assert sol.residual <= TAU_ROOT * max(1.0, N)
+        assert (sol.method, sol.total) == ("bisection", N)
+
+
 def test_na_star_increases_with_budget():
     sols = [solve_na_star(N, 2, 3) for N in np.linspace(1.0, 500.0, 60)]
     na = [s.na_star for s in sols]
@@ -180,6 +209,8 @@ def test_asymptotic_out_of_range_root_reports_nan_residual():
 def test_na_star_solvers_reject_non_finite_budget(N):
     with pytest.raises(ValueError, match="must be finite"):
         solve_na_star(N, 1, 2)
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_na_star_grid([10.0, N], [1, 1], [2, 2])
     for variant in ("leading", "refined"):
         with pytest.raises(ValueError, match="must be finite"):
             na_star_asymptotic(N, 1, 2, variant)

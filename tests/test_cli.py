@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from bosonic_bounds import cli, fock, make_tmsv, make_vacuum, save_gaussian, solve_na_star
-from bosonic_bounds.tolerances import TAU_ROOT
+from bosonic_bounds.tolerances import TAU_ROOT, TAU_TRUNC
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -173,6 +173,25 @@ def test_nastar_out_of_range_closed_forms_print_null(capsys):
         assert (entry["na_star"], entry["nb_star"], entry["residual"]) == (None, None, None)
         assert "outside [0, N]" in entry["reason"]
     assert sols["bisection"] == json.loads(json.dumps(solve_na_star(0.5, 1, 5).to_dict()))
+
+
+@pytest.mark.parametrize("method", ["all", "leading"])
+def test_nastar_zero_budget_gives_null_closed_forms(method, capsys):
+    code, out, err = run_cli(
+        ["nastar", "--N", "0", "--nA", "1", "--nB", "2", "--method", method], capsys
+    )
+    assert code == 0, err
+    sols = json.loads(out, parse_constant=_refuse_constant)["solutions"]
+    closed = ["leading", "refined"] if method == "all" else ["leading"]
+    assert set(sols) == set(closed) | ({"bisection"} if method == "all" else set())
+    for name in closed:
+        entry = sols[name]
+        assert (entry["na_star"], entry["nb_star"], entry["residual"]) == (None, None, None)
+        assert "N = 0" in entry["reason"]
+        assert entry["method"] == f"asymptotic-{name}"
+    if method == "all":
+        bisection = sols["bisection"]
+        assert (bisection["na_star"], bisection["nb_star"], bisection["residual"]) == (0, 0, 0)
 
 
 def test_json_output_refuses_non_finite_numbers(monkeypatch, capsys):
@@ -604,6 +623,22 @@ def test_audit_zero_counts_are_accepted(capsys):
 def test_zero_tail_budget_is_accepted(capsys):
     payload = run_json(["measure", "--fock", "N=2,0", "--tau-trunc", "0"], capsys)
     assert payload["config"]["tau_trunc"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["measure", "bound-check"])
+def test_tail_budget_is_refused_on_gaussian_input(command, tmp_path, capsys):
+    path = tmp_path / "tmsv.json"
+    save_gaussian(make_tmsv(0.5), path)
+    code, out, err = run_cli([command, "--gaussian", str(path), "--tau-trunc", "1e-6"], capsys)
+    assert code == 2 and out == ""
+    assert "--tau-trunc applies only to --fock" in err
+    payload = run_json([command, "--gaussian", str(path)], capsys)
+    assert "tau_trunc" not in payload["config"]
+
+
+def test_fock_input_echoes_the_default_tail_budget(capsys):
+    payload = run_json(["bound-check", "--fock", "N=2,2"], capsys)
+    assert payload["config"]["tau_trunc"] == TAU_TRUNC
 
 
 def test_bad_bipartition_is_reported(capsys):

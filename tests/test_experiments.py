@@ -172,6 +172,13 @@ def test_bound_profile_reports_nan_outside_asymptotic_validity():
     assert math.isfinite(rows[0]["ef_per_na"])
 
 
+@pytest.mark.parametrize("sweep", [bound_profile_sweep, split_accuracy_sweep])
+def test_split_sweeps_refuse_a_zero_budget(sweep):
+    # (2, 1) would raise ZeroDivisionError in the closed form at nu = 0.
+    with pytest.raises(ValueError, match="needs N > 0"):
+        sweep(pairs=[(1, 2), (2, 1)], nu_grid=[10.0, 0.0])
+
+
 def test_split_accuracy_refined_beats_leading_at_large_budget():
     rows = split_accuracy_sweep(pairs=[(1, 3)], nu_grid=[10.0, 100.0, 1000.0])
     for row in rows:
