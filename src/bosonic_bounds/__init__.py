@@ -24,7 +24,6 @@ from .bounds import (
     na_star_asymptotic,
     qcs_implication_report,
     solve_na_star,
-    solve_na_star_grid,
     split_bound_asymptotic,
     theorem_split_bound,
     theorem_symmetric_bound,

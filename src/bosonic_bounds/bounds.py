@@ -2,10 +2,9 @@
 
 Everything here is built on the entropy-like function
 g(x) = (x + 1) ln(x + 1) - x ln x, the mean photon number of a thermal
-state of given entropy and vice versa.  It is scalar arithmetic except
-:func:`solve_na_star_grid`, which runs the equal-entropy bisection on numpy
-arrays for the figure sweeps; a single split is solved by the scalar loop of
-:func:`solve_na_star`, which is faster for one point.
+state of given entropy and vice versa.  It is all scalar arithmetic: the
+equal-entropy split is one bracketed Newton solve, :func:`solve_na_star`,
+which serves single splits and the figure grids alike.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .tolerances import TAU_CHECK, TAU_SAT
 
-# iteration cap of the bisection in solve_na_star
+# cap on the balance evaluations of solve_na_star
 _MAX_ITER = 200
 
 __all__ = [
@@ -28,7 +25,6 @@ __all__ = [
     "mtn_floor_from_entanglement",
     "NAStarSolution",
     "solve_na_star",
-    "solve_na_star_grid",
     "na_star_asymptotic",
     "theorem_split_bound",
     "split_bound_asymptotic",
@@ -43,6 +39,12 @@ __all__ = [
 ]
 
 
+def _log1p_ratio(a: float, b: float) -> float:
+    """ln(1 + a/b) for a, b > 0, finite also where a/b overflows."""
+    r = a / b
+    return math.log1p(r) if r != math.inf else math.log(a) - math.log(b)
+
+
 def g(x: float) -> float:
     """(x + 1) ln(x + 1) - x ln x, the entropy of a thermal state with mean x.
 
@@ -52,14 +54,15 @@ def g(x: float) -> float:
         raise ValueError(f"g requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    return math.log1p(x) + x * math.log1p(1.0 / x)
+    inv = 1.0 / x  # overflows below about 5.6e-309, where ln(1 + 1/x) = -ln x
+    return math.log1p(x) + x * (math.log1p(inv) if inv != math.inf else -math.log(x))
 
 
 def g_prime(x: float) -> float:
     """Derivative ln(1 + 1/x); positive and decreasing."""
     if x <= 0.0:
         raise ValueError(f"g_prime requires x > 0, got {x}")
-    return math.log1p(1.0 / x)
+    return _log1p_ratio(1.0, x)
 
 
 def theorem_symmetric_bound(mtn: float, n: int) -> float:
@@ -117,9 +120,12 @@ def _balance(t: float, N: float, n_a: int, n_b: int) -> float:
 def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
     """Split N photons so both parties carry equal thermal entropy.
 
-    The balance function is strictly increasing in t, so bisection on
-    [0, N] converges unconditionally; the returned residual is the balance
-    value at the root, bounded by TAU_ROOT * max(1, N) in the tests.
+    The balance f(t) = n_A g(t / n_A) - n_B g((N - t) / n_B) increases
+    strictly on [0, N], so a bracketed Newton solve from N / 2 converges
+    unconditionally: a step that would leave the sign-change bracket
+    bisects it instead.  The method label "bisection" names this bracketed
+    solve.  The residual is |f| at the root, bounded by TAU_ROOT * max(1, N)
+    in the tests.
     """
     if n_a < 1 or n_b < 1:
         raise ValueError("mode counts must be >= 1")
@@ -133,72 +139,24 @@ def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
         return NAStarSolution(
             0.5 * N, abs(_balance(0.5 * N, N, n_a, n_b)), 0, "bisection", total=N
         )
-    lo, hi = 0.0, float(N)
-    it = 0
-    while it < _MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
+    lo, hi, t, it = 0.0, float(N), 0.5 * N, 0
+    while it < _MAX_ITER and lo < t < hi:
         it += 1
-        if _balance(mid, N, n_a, n_b) <= 0.0:
-            lo = mid
+        f = _balance(t, N, n_a, n_b)
+        if f <= 0.0:
+            lo = t
         else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    return NAStarSolution(root, abs(_balance(root, N, n_a, n_b)), it, "bisection", total=N)
-
-
-def _g_array(x: np.ndarray) -> np.ndarray:
-    """g elementwise on x > 0, by the same formula as :func:`g`."""
-    return np.log1p(x) + x * np.log1p(1.0 / x)
-
-
-def solve_na_star_grid(N, n_a, n_b) -> list[NAStarSolution]:
-    """:func:`solve_na_star` at every point of three equal-length 1-D arrays.
-
-    All points bisect together: the same [0, N] bracket, midpoints, stopping
-    rule and iteration cap as the scalar loop, and the same shortcuts for
-    N = 0 and n_a = n_b.  numpy's log1p can differ from math's in the last
-    bit, so a root can differ from the scalar one by a few ulp; each
-    residual is the scalar balance at that point's root.  This pays off
-    for a grid; one point is faster through solve_na_star.
-    """
-    N = np.asarray(N, dtype=float)
-    n_a = np.asarray(n_a)
-    n_b = np.asarray(n_b)
-    if N.ndim != 1 or n_a.shape != N.shape or n_b.shape != N.shape:
-        raise ValueError("N, n_a and n_b must be 1-D arrays of equal length")
-    if np.any(n_a < 1) or np.any(n_b < 1):
-        raise ValueError("mode counts must be >= 1")
-    for bad, rule in ((~np.isfinite(N), "finite"), (N < 0.0, ">= 0")):
-        if bad.any():
-            raise ValueError(f"photon number must be {rule}, got {N[bad][0]}")
-    lo, hi = np.zeros_like(N), N.copy()
-    iterations = np.zeros(N.shape, dtype=int)
-    # N = 0 and even splits never bisect, so their root stays the bracket
-    # midpoint N / 2, as in the scalar shortcuts.
-    active = np.flatnonzero((N > 0.0) & (n_a != n_b))
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo[active] + hi[active])
-        moving = (mid > lo[active]) & (mid < hi[active])
-        active, mid = active[moving], mid[moving]
-        if not active.size:
+            hi = t
+        # f'(t) = g'(t / n_A) + g'((N - t) / n_B), finite as 0 < t < N here
+        step = f / (_log1p_ratio(n_a, t) + _log1p_ratio(n_b, N - t))
+        if abs(step) <= 4.0 * math.ulp(N):  # also stops at f = 0
+            # Tested before the bracket fallback: a last sub-ulp step that
+            # crosses the root would else bisect from a stale bracket end.
+            if lo <= t - step <= hi:
+                t -= step
             break
-        iterations[active] += 1
-        a, b = n_a[active], n_b[active]
-        balance = a * _g_array(mid / a) - b * _g_array((N[active] - mid) / b)
-        down = balance <= 0.0
-        lo[active[down]] = mid[down]
-        hi[active[~down]] = mid[~down]
-    root = 0.5 * (lo + hi)
-    return [
-        NAStarSolution(r, abs(_balance(r, n, a, b)), it, "bisection", total=n)
-        if n != 0.0
-        else NAStarSolution(0.0, 0.0, 0, "bisection", total=0.0)
-        for r, n, a, b, it in zip(
-            root.tolist(), N.tolist(), n_a.tolist(), n_b.tolist(), iterations.tolist()
-        )
-    ]
+        t = t - step if lo < t - step < hi else lo + 0.5 * (hi - lo)
+    return NAStarSolution(t, abs(_balance(t, N, n_a, n_b)), it, "bisection", total=N)
 
 
 def _closed_form_root(N: float, n_a: int, n_b: int, variant: str) -> float:

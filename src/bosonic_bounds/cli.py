@@ -218,6 +218,8 @@ def _seed_from(args) -> int:
 
 def _load_fock(args):
     """The --fock state, with --tau-trunc set to TAU_TRUNC when not given."""
+    if not args.fock:
+        raise SchemaError("--fock is required")
     if args.tau_trunc is None:
         args.tau_trunc = TAU_TRUNC
     return _parse_fock_arg(args.fock)
@@ -226,16 +228,18 @@ def _load_fock(args):
 def _load_state(args):
     """Return ('gaussian', state) or ('fock', state) from --gaussian/--fock.
 
-    --tau-trunc bounds a Fock truncation, so giving it with --gaussian is an
-    error rather than a value that is echoed and never read.
+    Exactly one is allowed.  --tau-trunc bounds a Fock truncation, so with
+    --gaussian it is an error rather than a value echoed and never read.
     """
-    if getattr(args, "gaussian", None):
+    if args.gaussian and args.fock:
+        raise SchemaError("give one of --gaussian or --fock, not both")
+    if args.gaussian:
         if args.tau_trunc is not None:
             raise SchemaError(
                 "--tau-trunc applies only to --fock input; a Gaussian state is not truncated"
             )
         return "gaussian", load_gaussian(args.gaussian)
-    if getattr(args, "fock", None):
+    if args.fock:
         return "fock", _load_fock(args)
     raise SchemaError("one of --gaussian or --fock is required")
 

@@ -39,7 +39,7 @@ from .bounds import (
     even_split_check,
     g,
     gaussian_pure_bound,
-    solve_na_star_grid,
+    solve_na_star,
     theorem_split_bound,
     uneven_split_check,
 )
@@ -248,21 +248,19 @@ def _split_points(pairs, nu_grid, variants):
 
     Yields ``(head, N, sol, closed)`` per pair and nu, pairs outermost:
     ``head`` holds the n_a, n_b, mu and nu columns, N = nu n_a is the photon
-    budget, ``sol`` the bisection solution, and ``closed`` the closed-form
-    N_A* of each named variant.  One vectorized bisection solves the whole
-    grid.  The closed forms are used outside their validity range too, where
-    the sweeps report what they give.
+    budget, ``sol`` the exact solution of :func:`solve_na_star`, and
+    ``closed`` the closed-form N_A* of each named variant.  The closed forms
+    are used outside their validity range too, where the sweeps report what
+    they give.
     """
-    points = [(n_a, n_b, float(nu)) for n_a, n_b in pairs for nu in nu_grid]
-    budgets = [nu * n_a for n_a, _, nu in points]
-    sols = solve_na_star_grid(
-        budgets, [p[0] for p in points], [p[1] for p in points]
-    )
-    if min(budgets, default=1.0) <= 0.0:
-        raise ValueError("asymptotic split needs N > 0")
-    for (n_a, n_b, nu), N, sol in zip(points, budgets, sols):
-        closed = [_closed_form_root(N, n_a, n_b, v) for v in variants]
-        yield {"n_a": n_a, "n_b": n_b, "mu": n_a / n_b, "nu": nu}, N, sol, closed
+    for n_a, n_b in pairs:
+        for nu in map(float, nu_grid):
+            N = nu * n_a
+            if N <= 0.0:
+                raise ValueError("asymptotic split needs N > 0")
+            sol = solve_na_star(N, n_a, n_b)
+            closed = [_closed_form_root(N, n_a, n_b, v) for v in variants]
+            yield {"n_a": n_a, "n_b": n_b, "mu": n_a / n_b, "nu": nu}, N, sol, closed
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ _PROFILE_COLUMNS = (
 def bound_profile_sweep(pairs=None, nu_grid=None, out_dir=None) -> list[dict]:
     """Entanglement bound per A-mode against photons per A-mode.
 
-    ef_per_na is g(N_A*/n_A) from the bisection solve,
+    ef_per_na is g(N_A*/n_A) from the exact solve,
     ef_per_na_asymptotic uses the leading closed-form split, and
     gaussian_per_na = g(nu/2) is the pure-Gaussian version (equal to the
     exact column when n_A = n_B).
@@ -331,7 +329,7 @@ _ACCURACY_COLUMNS = (
 
 
 def split_accuracy_sweep(pairs=None, nu_grid=None, out_dir=None) -> list[dict]:
-    """Equal-entropy split: bisection against both closed-form approximations."""
+    """Equal-entropy split: the exact solve against both closed-form approximations."""
     pairs = (
         list(pairs)
         if pairs

@@ -19,7 +19,6 @@ from bosonic_bounds import (
     qcs2_gaussian,
     qcs_implication_report,
     solve_na_star,
-    solve_na_star_grid,
     split_accuracy_sweep,
     split_bound_asymptotic,
     theorem_split_bound,
@@ -34,6 +33,17 @@ def test_g_fixed_values():
     assert g(math.e - 1.0) == pytest.approx(
         1.0 + (math.e - 1.0) * math.log(math.e / (math.e - 1.0)), rel=1e-13
     )
+
+
+def test_g_is_finite_where_its_reciprocal_overflows():
+    # 1 / x overflows below about 5.6e-309; there x ln(1 + 1/x) = -x ln x.
+    x = 1e-310
+    assert g(x) == pytest.approx(x * (1.0 - math.log(x)), rel=1e-15)
+    assert g_prime(x) == -math.log(x)
+    assert 0.0 < g(5e-324) < g(x) < g(5.6e-309) < g(1e-300)
+    assert math.isfinite(g_prime(5e-324))
+    x = 1e-300
+    assert g(x) == math.log1p(x) + x * math.log1p(1.0 / x)
 
 
 def test_g_rejects_negative():
@@ -130,29 +140,35 @@ def test_solve_na_star_residuals_small_across_budgets(n_a, n_b):
 
 
 # Budgets at the edges of the solver's range, and even splits, beside the
-# default figure grids.
+# default figure grids.  1.7e308 is past the overflow of (lo + hi) / 2, and
+# below about 5.6e-309 the 1 / x inside g overflows.
 _EDGE_POINTS = [
     (0.0, 1, 2), (0.0, 3, 3), (1e-12, 1, 2), (1e-12, 3, 7),
     (1e6, 1, 2), (1e6, 2, 5), (1e6, 3, 3), (7.5, 2, 2),
+    (1.7e308, 1, 2), (1e-310, 1, 2),
 ]
 
 
-def test_grid_solver_agrees_with_scalar_solver():
+def test_solve_na_star_agrees_with_brentq():
+    from scipy.optimize import brentq
+
     rows = bound_profile_sweep() + split_accuracy_sweep()
-    points = [(row["nu"] * row["n_a"], row["n_a"], row["n_b"]) for row in rows]
-    points += _EDGE_POINTS
-    N, n_a, n_b = (list(col) for col in zip(*points))
-    grid = solve_na_star_grid(N, n_a, n_b)
-    assert len(grid) == len(points)
-    for (N, n_a, n_b), sol in zip(points, grid):
-        ref = solve_na_star(N, n_a, n_b)
-        if N == 0.0 or n_a == n_b:
-            assert sol == ref
-            continue
-        # numpy's and math's log1p can differ in the last bit
-        assert sol.na_star == pytest.approx(ref.na_star, rel=1e-15, abs=0.0)
-        assert sol.residual <= TAU_ROOT * max(1.0, N)
+    grid = [(row["nu"] * row["n_a"], row["n_a"], row["n_b"]) for row in rows]
+    for N, n_a, n_b in grid + _EDGE_POINTS:
+        sol = solve_na_star(N, n_a, n_b)
         assert (sol.method, sol.total) == ("bisection", N)
+        assert 0.0 <= sol.na_star <= N
+        assert sol.residual <= TAU_ROOT * max(1.0, N)
+        if N == 0.0:
+            assert sol.na_star == 0.0
+            continue
+        # brentq needs more than its default 100 steps among subnormals
+        ref = brentq(
+            lambda t: n_a * g(t / n_a) - n_b * g((N - t) / n_b), 0.0, N,
+            xtol=4.0 * math.ulp(N), rtol=4.0 * np.finfo(float).eps, maxiter=500,
+        )
+        assert sol.na_star == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert max(solve_na_star(*point).iterations for point in grid) <= 20
 
 
 def test_na_star_increases_with_budget():
@@ -209,8 +225,6 @@ def test_asymptotic_out_of_range_root_reports_nan_residual():
 def test_na_star_solvers_reject_non_finite_budget(N):
     with pytest.raises(ValueError, match="must be finite"):
         solve_na_star(N, 1, 2)
-    with pytest.raises(ValueError, match="must be finite"):
-        solve_na_star_grid([10.0, N], [1, 1], [2, 2])
     for variant in ("leading", "refined"):
         with pytest.raises(ValueError, match="must be finite"):
             na_star_asymptotic(N, 1, 2, variant)

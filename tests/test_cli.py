@@ -157,6 +157,17 @@ def test_nastar_all_methods(capsys):
     )
 
 
+@pytest.mark.parametrize("budget", ["1.7e308", "1e-310"])
+def test_nastar_solves_budgets_at_the_ends_of_the_float_range(budget, capsys):
+    # (lo + hi) / 2 overflows near the top; 1 / x inside g overflows near the bottom
+    code, out, err = run_cli(["nastar", "--N", budget, "--nA", "1", "--nB", "2"], capsys)
+    assert code == 0, err
+    sol = json.loads(out, parse_constant=_refuse_constant)["solutions"]["bisection"]
+    N = float(budget)
+    assert 0.0 <= sol["na_star"] <= N and sol["total"] == N
+    assert sol["residual"] <= TAU_ROOT * max(1.0, N)
+
+
 def _refuse_constant(name):
     raise AssertionError(f"stdout holds {name}, which is not JSON")
 
@@ -653,3 +664,18 @@ def test_measure_requires_some_state(capsys):
     code, _, err = run_cli(["measure"], capsys)
     assert code == 2
     assert "error:" in err
+
+
+def test_beamsplitter_requires_a_fock_state(capsys):
+    code, out, err = run_cli(["beamsplitter"], capsys)
+    assert code == 2 and out == ""
+    assert "error: --fock is required" in err
+
+
+@pytest.mark.parametrize("command", ["measure", "bound-check"])
+def test_gaussian_and_fock_input_together_are_refused(command, tmp_path, capsys):
+    path = tmp_path / "tmsv.json"
+    save_gaussian(make_tmsv(0.5), path)
+    code, out, err = run_cli([command, "--gaussian", str(path), "--fock", "N=3,0"], capsys)
+    assert code == 2 and out == ""
+    assert "error: give one of --gaussian or --fock, not both" in err
