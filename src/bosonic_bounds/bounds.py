@@ -3,8 +3,8 @@
 Everything here is built on the entropy-like function
 g(x) = (x + 1) ln(x + 1) - x ln x, the mean photon number of a thermal
 state of given entropy and vice versa.  It is all scalar arithmetic: the
-equal-entropy split is one bracketed Newton solve, :func:`solve_na_star`,
-which serves single splits and the figure grids alike.
+equal-entropy split is one Newton solve, :func:`solve_na_star`, which
+serves single splits and the figure grids alike.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ def g(x: float) -> float:
         raise ValueError(f"g requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    inv = 1.0 / x  # overflows below about 5.6e-309, where ln(1 + 1/x) = -ln x
-    return math.log1p(x) + x * (math.log1p(inv) if inv != math.inf else -math.log(x))
+    return math.log1p(x) + x * _log1p_ratio(1.0, x)
 
 
 def g_prime(x: float) -> float:
@@ -120,12 +119,14 @@ def _balance(t: float, N: float, n_a: int, n_b: int) -> float:
 def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
     """Split N photons so both parties carry equal thermal entropy.
 
-    The balance f(t) = n_A g(t / n_A) - n_B g((N - t) / n_B) increases
-    strictly on [0, N], so a bracketed Newton solve from N / 2 converges
-    unconditionally: a step that would leave the sign-change bracket
-    bisects it instead.  The method label "bisection" names this bracketed
-    solve.  The residual is |f| at the root, bounded by TAU_ROOT * max(1, N)
-    in the tests.
+    The party with more modes takes the smaller share s, at most N / 2.
+    In u = ln s its balance f = n_more g(s / n_more) - n_fewer g((N - s) / n_fewer)
+    is increasing and convex, so Newton's method in u started at s = N / 2,
+    where f > 0, lowers s monotonically onto the root without overshooting
+    it; the solve stops once f <= 0 or a step no longer lowers s.  Solving
+    for the smaller share keeps its relative precision when it lies far
+    below N.  The method label "bisection" names this solve.  The residual
+    is |f| at the returned N_A*, bounded by TAU_ROOT * max(1, N) in the tests.
     """
     if n_a < 1 or n_b < 1:
         raise ValueError("mode counts must be >= 1")
@@ -139,23 +140,19 @@ def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
         return NAStarSolution(
             0.5 * N, abs(_balance(0.5 * N, N, n_a, n_b)), 0, "bisection", total=N
         )
-    lo, hi, t, it = 0.0, float(N), 0.5 * N, 0
-    while it < _MAX_ITER and lo < t < hi:
+    more, fewer = max(n_a, n_b), min(n_a, n_b)
+    s, it = 0.5 * N, 0
+    while it < _MAX_ITER:
         it += 1
-        f = _balance(t, N, n_a, n_b)
+        f = _balance(s, N, more, fewer)
         if f <= 0.0:
-            lo = t
-        else:
-            hi = t
-        # f'(t) = g'(t / n_A) + g'((N - t) / n_B), finite as 0 < t < N here
-        step = f / (_log1p_ratio(n_a, t) + _log1p_ratio(n_b, N - t))
-        if abs(step) <= 4.0 * math.ulp(N):  # also stops at f = 0
-            # Tested before the bracket fallback: a last sub-ulp step that
-            # crosses the root would else bisect from a stale bracket end.
-            if lo <= t - step <= hi:
-                t -= step
             break
-        t = t - step if lo < t - step < hi else lo + 0.5 * (hi - lo)
+        slope = s * (_log1p_ratio(more, s) + _log1p_ratio(fewer, N - s))  # df/du > 0
+        nxt = s * math.exp(-f / slope)
+        if not 0.0 < nxt < s:
+            break
+        s = nxt
+    t = s if n_a > n_b else N - s
     return NAStarSolution(t, abs(_balance(t, N, n_a, n_b)), it, "bisection", total=N)
 
 

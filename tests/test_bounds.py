@@ -140,12 +140,13 @@ def test_solve_na_star_residuals_small_across_budgets(n_a, n_b):
 
 
 # Budgets at the edges of the solver's range, and even splits, beside the
-# default figure grids.  1.7e308 is past the overflow of (lo + hi) / 2, and
-# below about 5.6e-309 the 1 / x inside g overflows.
+# default figure grids.  1.7e308 is near the top of the float range; below
+# about 5.6e-309 the 1 / x inside g overflows; at large N with n_A > n_B the
+# root lies many orders of magnitude below N.
 _EDGE_POINTS = [
     (0.0, 1, 2), (0.0, 3, 3), (1e-12, 1, 2), (1e-12, 3, 7),
     (1e6, 1, 2), (1e6, 2, 5), (1e6, 3, 3), (7.5, 2, 2),
-    (1.7e308, 1, 2), (1e-310, 1, 2),
+    (1.7e308, 1, 2), (1e-310, 1, 2), (1e20, 9, 1), (1e30, 2, 1),
 ]
 
 
@@ -162,13 +163,30 @@ def test_solve_na_star_agrees_with_brentq():
         if N == 0.0:
             assert sol.na_star == 0.0
             continue
-        # brentq needs more than its default 100 steps among subnormals
+        # relative to the root, however far below N it lies; xtol is four
+        # subnormal steps, as brentq never stops within one
         ref = brentq(
             lambda t: n_a * g(t / n_a) - n_b * g((N - t) / n_b), 0.0, N,
-            xtol=4.0 * math.ulp(N), rtol=4.0 * np.finfo(float).eps, maxiter=500,
+            xtol=4.0 * math.ulp(0.0), rtol=4.0 * np.finfo(float).eps, maxiter=2000,
         )
         assert sol.na_star == pytest.approx(ref, rel=1e-14, abs=0.0)
     assert max(solve_na_star(*point).iterations for point in grid) <= 20
+
+
+@pytest.mark.parametrize(
+    "N,n_a,n_b", [(1e20, 9, 1), (1e30, 2, 1), (1e100, 5, 1), (1e300, 9, 2), (1.7e308, 2, 1)]
+)
+def test_solve_na_star_brackets_a_root_far_below_the_budget(N, n_a, n_b):
+    # The balance changes sign within 1e-13 of N_A* on either side.  Its
+    # rounding error limits the root to about 1e-14 relative here, too
+    # coarse for the 1e-14 match with brentq.
+    sol = solve_na_star(N, n_a, n_b)
+
+    def balance(t):
+        return n_a * g(t / n_a) - n_b * g((N - t) / n_b)
+
+    assert balance(sol.na_star * (1.0 - 1e-13)) < 0.0 < balance(sol.na_star * (1.0 + 1e-13))
+    assert sol.iterations <= 10
 
 
 def test_na_star_increases_with_budget():

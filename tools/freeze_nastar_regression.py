@@ -1,7 +1,7 @@
 """Regenerate src/bosonic_bounds/data/nastar_accuracy.json.
 
 Freezes the relative error of both closed-form equal-entropy splits against
-the bisection solver on a fixed (mode pair, photons-per-A-mode) grid.  The
+the exact solver on a fixed (mode pair, photons-per-A-mode) grid.  The
 rows come from ``experiments.split_accuracy_sweep``, the same loop behind
 ``figure --name split-accuracy``.  The test suite asserts that current
 errors stay within this envelope and that they decrease along nu for every
