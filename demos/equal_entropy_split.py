@@ -2,9 +2,10 @@
 
 For an uneven bipartition (n_A, n_B modes) the entanglement bound follows
 the equal-entropy split of the total photon number: N_A* solves
-n_A g(N_A*/n_A) = n_B g((N - N_A*)/n_B).  This script solves it by
-bisection, compares the two closed-form approximations, and prints the
-resulting bound profile.
+n_A g(N_A*/n_A) = n_B g((N - N_A*)/n_B).  This script solves it exactly
+(a Newton solve in the logarithm of the smaller share, which the library
+labels "bisection"), compares the two closed-form approximations, and
+prints the resulting bound profile.
 """
 
 from bosonic_bounds import bound_profile_sweep, solve_na_star, split_accuracy_sweep
@@ -22,8 +23,8 @@ def main():
     print("the smaller party takes the larger share (per-mode entropy is "
           "concave in the photon number)")
 
-    print("closed-form splits against bisection, pair (1,3)")
-    header = f"  {'nu':>8} {'bisection':>12} {'leading':>12} {'refined':>12}"
+    print("closed-form splits against the exact solve, pair (1,3)")
+    header = f"  {'nu':>8} {'exact':>12} {'leading':>12} {'refined':>12}"
     print(header)
     worst_ok = True
     # With n_A = 1 the per-mode splits in these rows are N_A* itself.

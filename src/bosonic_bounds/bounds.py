@@ -89,17 +89,14 @@ def mtn_floor_from_entanglement(ef: float, n: int) -> float | None:
 
 @dataclass(frozen=True)
 class NAStarSolution:
-    """Root of n_A g(t / n_A) = n_B g((N - t) / n_B) on [0, N]."""
+    """Split (N_A*, N_B*) of N photons; N_A* solves n_A g(t / n_A) = n_B g((N - t) / n_B)."""
 
     na_star: float
+    nb_star: float
     residual: float
     iterations: int
     method: str
     total: float
-
-    @property
-    def nb_star(self) -> float:
-        return self.total - self.na_star
 
     def to_dict(self) -> dict:
         return {
@@ -125,8 +122,10 @@ def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
     where f > 0, lowers s monotonically onto the root without overshooting
     it; the solve stops once f <= 0 or a step no longer lowers s.  Solving
     for the smaller share keeps its relative precision when it lies far
-    below N.  The method label "bisection" names this solve.  The residual
-    is |f| at the returned N_A*, bounded by TAU_ROOT * max(1, N) in the tests.
+    below N, so s itself is stored as N_A* or N_B*, never N minus the other.
+    The method label "bisection" names this solve.  The residual is |f| at
+    s, so mirrored calls (n_a, n_b) and (n_b, n_a) report the same one; it
+    is bounded by TAU_ROOT * max(1, N) in the tests.
     """
     if n_a < 1 or n_b < 1:
         raise ValueError("mode counts must be >= 1")
@@ -135,10 +134,11 @@ def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
     if N < 0.0:
         raise ValueError(f"photon number must be >= 0, got {N}")
     if N == 0.0:
-        return NAStarSolution(0.0, 0.0, 0, "bisection", total=0.0)
+        return NAStarSolution(0.0, 0.0, 0.0, 0, "bisection", total=0.0)
     if n_a == n_b:
+        half = 0.5 * N
         return NAStarSolution(
-            0.5 * N, abs(_balance(0.5 * N, N, n_a, n_b)), 0, "bisection", total=N
+            half, half, abs(_balance(half, N, n_a, n_b)), 0, "bisection", total=N
         )
     more, fewer = max(n_a, n_b), min(n_a, n_b)
     s, it = 0.5 * N, 0
@@ -152,8 +152,9 @@ def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
         if not 0.0 < nxt < s:
             break
         s = nxt
-    t = s if n_a > n_b else N - s
-    return NAStarSolution(t, abs(_balance(t, N, n_a, n_b)), it, "bisection", total=N)
+    na, nb = (s, N - s) if n_a > n_b else (N - s, s)
+    residual = abs(_balance(s, N, more, fewer))
+    return NAStarSolution(na, nb, residual, it, "bisection", total=N)
 
 
 def _closed_form_root(N: float, n_a: int, n_b: int, variant: str) -> float:
@@ -198,7 +199,7 @@ def na_star_asymptotic(N: float, n_a: int, n_b: int, variant: str = "leading") -
         # Outside its validity region the closed form can leave [0, N];
         # report the raw value with an undefined residual instead of failing.
         residual = math.nan
-    return NAStarSolution(root, residual, 0, f"asymptotic-{variant}", total=N)
+    return NAStarSolution(root, N - root, residual, 0, f"asymptotic-{variant}", total=N)
 
 
 def theorem_split_bound(mtn: float, n_a: int, n_b: int) -> float:

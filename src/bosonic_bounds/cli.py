@@ -51,14 +51,12 @@ from .experiments import (
     split_accuracy_sweep,
 )
 from .fock import (
-    FockDensityOperator,
     apply_beam_splitter_fock,
     entanglement_entropy,
     entanglement_measures_pure,
     load_fock,
     make_fock_number,
     mtn_pure,
-    pad_fock,
     qcs2_fock,
     total_noise,
 )
@@ -257,21 +255,13 @@ def _cmd_measure(args) -> int:
     else:
         tau = args.tau_trunc
         noise = total_noise(state, tau=tau)
-        mtn = noise / state.n
-        dim = int(np.prod([c + 2 for c in state.cutoffs]))
-        if dim <= 256:
-            # Independent commutator route through the density operator.
-            qcs2 = qcs2_fock(FockDensityOperator.from_pure(pad_fock(state)))
-        else:
-            # On pure states the coherence scale reduces to M_TN exactly.
-            qcs2 = mtn
         payload = {
             "modes": state.n,
             "cutoffs": list(state.cutoffs),
             "tail_mass": state.tail_mass,
-            "qcs2": qcs2,
+            "qcs2": qcs2_fock(state),
             "total_noise": noise,
-            "mtn": mtn,
+            "mtn": noise / state.n,
         }
         if bp is not None:
             payload["ef"], payload["log_negativity"] = entanglement_measures_pure(

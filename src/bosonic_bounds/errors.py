@@ -22,7 +22,11 @@ class TruncationError(ValueError):
 
 
 class CutoffOverflowError(ValueError):
-    """An operation would scatter amplitude beyond the stored Fock cutoffs."""
+    """An operation would scatter amplitude beyond the stored Fock cutoffs.
+
+    Also raised for cutoffs whose dense amplitude tensor would exceed the
+    byte budget ``fock.AMPLITUDE_BUDGET_BYTES``.
+    """
 
 
 class SchemaError(ValueError):

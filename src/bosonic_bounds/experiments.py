@@ -40,7 +40,6 @@ from .bounds import (
     g,
     gaussian_pure_bound,
     solve_na_star,
-    theorem_split_bound,
     uneven_split_check,
 )
 from .errors import AuditViolationError
@@ -180,9 +179,10 @@ def _bs_row(family: str, param: float) -> dict:
         ef = entanglement_entropy_gaussian(st_out, Bipartition(1, 1))
         # Gaussian rows are exact: no Fock truncation, so no cutoff or tail.
         cutoff, tail_mass = 0, 0.0
-    g_in = g((mtn_in - 1.0) / 2.0)
+    chk = even_split_check(ef, mtn_in, 2)
+    g_in = chk.rhs
     ratio = ef / g_in if g_in > 0.0 else 1.0
-    if ef > g_in + TAU_CHECK:
+    if not chk.holds:
         raise AssertionError(
             f"sweep row violates the symmetric bound: family {family} param {param} "
             f"E_F {ef!r} > g_in {g_in!r}"
@@ -520,7 +520,7 @@ def counterexample_demo(q: float = 0.5, k: int = 2) -> dict:
     ef_base = entanglement_entropy(psi, bp)
     ef_perm = entanglement_entropy(psi_perm, bp)
     gauss = gaussian_pure_bound(mtn_perm, 1, 2)
-    split = theorem_split_bound(mtn_perm, 1, 2)
+    split = uneven_split_check(ef_perm, mtn_perm, 1, 2)
     return {
         "q": q,
         "k": k,
@@ -533,7 +533,7 @@ def counterexample_demo(q: float = 0.5, k: int = 2) -> dict:
         "gaussian_pure_bound": gauss,
         "exceeds_gaussian_pure_bound": ef_perm > gauss,
         "gaussian_violation_margin": ef_perm - gauss,
-        "split_bound": split,
-        "split_bound_margin": split - ef_perm,
-        "satisfies_split_bound": ef_perm <= split + TAU_CHECK,
+        "split_bound": split.rhs,
+        "split_bound_margin": split.margin,
+        "satisfies_split_bound": split.holds,
     }

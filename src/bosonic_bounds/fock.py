@@ -53,6 +53,24 @@ __all__ = [
 ]
 
 
+# Largest dense amplitude tensor that the constructors taking their shape from
+# user input (make_fock_number, fock_from_dict, make_counterexample_states)
+# allocate: 256 MiB of complex128, about 4096^2 amplitudes.  A larger request
+# raises CutoffOverflowError before it allocates, instead of a MemoryError or
+# the OOM killer.
+AMPLITUDE_BUDGET_BYTES = 2**28
+
+
+def _check_budget(shape: tuple[int, ...], what: str):
+    need = math.prod(shape) * np.dtype(complex).itemsize
+    if need > AMPLITUDE_BUDGET_BYTES:
+        est = f"{need:.3g}" if need < 1e300 else "over 1e300"
+        raise CutoffOverflowError(
+            f"{what}: amplitude tensor of shape {shape} needs {est} bytes, "
+            f"over the budget of {AMPLITUDE_BUDGET_BYTES} bytes"
+        )
+
+
 def _check_tail_mass(tail_mass: float):
     if not math.isfinite(tail_mass):
         raise ValueError(f"tail_mass {tail_mass} is not finite")
@@ -223,6 +241,7 @@ def make_fock_number(occupations, cutoffs=None) -> FockPureState:
     cutoffs = tuple(int(c) for c in cutoffs)
     if any(k >= c for k, c in zip(occ, cutoffs)):
         raise ValueError(f"occupation {occ} outside cutoffs {cutoffs}")
+    _check_budget(cutoffs, "number state")
     amps = np.zeros(cutoffs, dtype=complex)
     amps[occ] = 1.0
     return FockPureState(amps)
@@ -410,14 +429,19 @@ def quadrature_moments(psi: FockPureState) -> tuple[np.ndarray, np.ndarray]:
     return mean, V
 
 
+def _total_noise(psi: FockPureState) -> float:
+    """Tr V / 2 from the quadrature moments, with no tail check."""
+    _, V = quadrature_moments(psi)
+    return float(0.5 * np.trace(V))
+
+
 def total_noise(psi: FockPureState, tau: float = TAU_TRUNC) -> float:
     """Sum of the variances of all 2n quadratures.
 
     For states with zero mean this equals 2 <N> + n.
     """
     _check_tail(psi, tau)
-    _, V = quadrature_moments(psi)
-    return float(0.5 * np.trace(V))
+    return _total_noise(psi)
 
 
 def mtn_pure(psi: FockPureState, tau: float = TAU_TRUNC) -> float:
@@ -540,34 +564,38 @@ def apply_beam_splitter_fock(
 
 
 # ---------------------------------------------------------------------------
-# density-operator coherence scale
+# coherence scale: moments of pure states, commutators of density operators
 
 
-def qcs2_fock(rho: FockDensityOperator) -> float:
-    """Squared quadrature coherence scale of a density operator.
+def qcs2_fock(state: FockPureState | FockDensityOperator) -> float:
+    """Squared quadrature coherence scale C^2 of a pure state or density operator.
 
-    C^2 = sum_j Tr([rho, R_j][R_j, rho]) / (2 n Tr rho^2) over the 2n
-    quadratures; equals Tr V^{-1} / (2n) on Gaussian states up to truncation
-    error.  With X and P built from the truncated ladder operator a_j, the
-    two terms of mode j sum to 2 ||[rho, a_j]||_F^2, so exactly
+    On a pure state C^2 is the mean total noise M_TN = Tr V / (2n) (De
+    Bievre et al., Phys. Rev. Lett. 122, 080402 (2019)), read from the
+    quadrature moments: exact for the truncated state without padding, and
+    equal to mtn_pure bit for bit.  A density operator takes the commutator
+    route, C^2 = sum_j Tr([rho, R_j][R_j, rho]) / (2 n Tr rho^2) over the 2n
+    quadratures.  With X and P built from the truncated ladder operator a_j,
+    the two terms of mode j sum to 2 ||[rho, a_j]||_F^2, so exactly
 
         C^2 = sum_j ||rho a_j - a_j rho||_F^2 / (n Tr rho^2).
 
     On ``rho.mat`` reshaped to ``cutoffs + cutoffs``, a_j rho lowers row axis
     j and rho a_j raises column axis n + j (a_j^T = a_j^dag), so the cost is
-    O(n D^2) in the dimension D, with no D x D operator.  The truncated
-    a_j^dag drops the level above each cutoff, so the value is the
-    untruncated one once every mode's top level is empty; states
-    populated up to their boundary should be padded first (see pad_fock).
+    O(n D^2) in the dimension D.  The truncated a_j^dag drops the level above
+    each cutoff, so pad an operator populated up to its boundary first (see
+    pad_fock).  Neither route checks the tail mass.
     """
-    n = rho.n
-    t = rho.mat.reshape(rho.cutoffs + rho.cutoffs)
+    if isinstance(state, FockPureState):
+        return _total_noise(state) / state.n
+    n = state.n
+    t = state.mat.reshape(state.cutoffs + state.cutoffs)
     acc = 0.0
     for j in range(n):
         comm = _ladder(t, n + j, create=True)
         comm -= _ladder(t, j)
         acc += float(np.vdot(comm, comm).real)
-    return acc / (n * rho.purity())
+    return acc / (n * state.purity())
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +704,7 @@ def make_counterexample_states(
         cutoff = max(k + 2, math.ceil(math.log(tau) / math.log(q)))
     if k >= cutoff:
         raise ValueError(f"k = {k} outside cutoff {cutoff}")
+    _check_budget((cutoff, cutoff, 2), "counterexample")
     m = np.arange(cutoff)
     coeff = np.sqrt((1.0 - q) * q**m.astype(float))
     base = np.zeros((cutoff, cutoff, 2), dtype=complex)
@@ -724,6 +753,7 @@ def fock_from_dict(data: dict) -> FockPureState:
         or not all(isinstance(c, int) and c >= 1 for c in cutoffs)
     ):
         raise SchemaError(f"field 'cutoffs' must list {n} positive integers")
+    _check_budget(tuple(cutoffs), "fock state file")
     amps = np.zeros(tuple(cutoffs), dtype=complex)
     rows = data["amps"]
     if not isinstance(rows, list):

@@ -173,6 +173,18 @@ def test_solve_na_star_agrees_with_brentq():
     assert max(solve_na_star(*point).iterations for point in grid) <= 20
 
 
+def test_mirrored_solves_store_the_same_share_and_residual():
+    # N_B* is the share the solver found, not N - N_A*, which reads 0 once
+    # N_B* falls below ulp(N).
+    rows = bound_profile_sweep() + split_accuracy_sweep()
+    grid = [(row["nu"] * row["n_a"], row["n_a"], row["n_b"]) for row in rows]
+    for N, n_a, n_b in grid + _EDGE_POINTS:
+        sol, mirror = solve_na_star(N, n_a, n_b), solve_na_star(N, n_b, n_a)
+        assert sol.nb_star == mirror.na_star and sol.na_star == mirror.nb_star
+        assert sol.residual == mirror.residual
+    assert solve_na_star(1e20, 1, 9).nb_star == pytest.approx(612.7044376474738, rel=1e-14)
+
+
 @pytest.mark.parametrize(
     "N,n_a,n_b", [(1e20, 9, 1), (1e30, 2, 1), (1e100, 5, 1), (1e300, 9, 2), (1.7e308, 2, 1)]
 )

@@ -679,3 +679,30 @@ def test_gaussian_and_fock_input_together_are_refused(command, tmp_path, capsys)
     code, out, err = run_cli([command, "--gaussian", str(path), "--fock", "N=3,0"], capsys)
     assert code == 2 and out == ""
     assert "error: give one of --gaussian or --fock, not both" in err
+
+
+def test_measure_fock_reports_qcs2_as_mtn_without_a_density_operator(
+    tmp_path, monkeypatch, capsys
+):
+    def refuse(psi):
+        raise AssertionError("measure built a density operator")
+
+    monkeypatch.setattr(fock.FockDensityOperator, "from_pure", refuse)
+    path = tmp_path / "tmsv.json"
+    fock.save_fock(fock.make_fock_tmsv(0.3), path)
+    # padded dimensions 169, 169, 512, 1849 and 144: both sides of 256
+    for spec in ["N=9,1", "N=2,8", "N=0,2,3", "N=40,0", str(path)]:
+        payload = run_json(["measure", "--fock", spec], capsys)
+        assert payload["qcs2"] == payload["mtn"], spec
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["measure", "--fock", "N=100000,0"], ["measure", "--fock", "N=20000,0"],
+     ["counterexample", "--q", "0.999999"]],
+    ids=["measure-149GiB", "measure-6GB", "counterexample"],
+)
+def test_fock_tensors_past_the_byte_budget_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "over the budget of" in err

@@ -412,10 +412,37 @@ def test_entanglement_measures_pure_equal_the_separate_measures():
         entanglement_measures_pure(make_fock_tmsv(1.0, cutoff=4, tau=1.0), Bipartition(1, 1))
 
 
-def test_qcs2_fock_pure_states_reduce_to_mtn():
-    psi = pad_fock(make_fock_number((4,)))
-    rho = FockDensityOperator.from_pure(psi)
-    assert qcs2_fock(rho) == pytest.approx(mtn_pure(psi), rel=1e-12)
+def _phased_tmsv(r, phase, cutoff):
+    t = math.tanh(r)
+    k = np.arange(cutoff)
+    amps = np.zeros((cutoff, cutoff), dtype=complex)
+    amps[k, k] = t**k / math.cosh(r) * np.exp(1j * phase * k)
+    return FockPureState(amps, t ** (2 * cutoff))
+
+
+_PURE_STATES = {
+    "number-9-1": lambda: make_fock_number((9, 1)),
+    "number-0-2-3": lambda: make_fock_number((0, 2, 3)),
+    "phased-tmsv": lambda: _phased_tmsv(0.3, 1.1, 10),
+    "random-4x4x4": lambda: _random_fock_state(np.random.default_rng(4), (4, 4, 4)),
+    # a nonzero mean, so the moments route must center
+    "coherent": lambda: make_fock_coherent(1.3 * np.exp(0.4j)),
+    "squeezed": lambda: make_fock_squeezed(0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_PURE_STATES))
+def test_qcs2_fock_pure_states_reduce_to_mtn(name):
+    # The moments route against the commutator route on the padded
+    # density operator; they part by the truncated tail, if any.
+    psi = _PURE_STATES[name]()
+    value = qcs2_fock(psi)
+    ref = qcs2_fock(FockDensityOperator.from_pure(pad_fock(psi)))
+    if psi.tail_mass == 0.0:
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+    else:
+        assert value == pytest.approx(ref, rel=0.0, abs=10.0 * psi.tail_mass)
+    assert value == mtn_pure(psi, tau=1.0)
 
 
 def test_qcs2_fock_two_mode_thermal_product():
@@ -537,6 +564,24 @@ def test_counterexample_rejects_bad_parameters():
         make_counterexample_states(0.5, 1)
     with pytest.raises(ValueError):
         make_counterexample_states(1.0, 2)
+
+
+@pytest.mark.parametrize(
+    "build,fits,over",
+    [
+        (lambda c: make_fock_number((1,), cutoffs=(c,)), 32, 33),
+        (lambda c: fock_from_dict({"n": 2, "cutoffs": [4, c], "amps": [[0, 0, 1.0, 0.0]]}),
+         8, 9),
+        (lambda c: make_counterexample_states(0.5, 2, cutoff=c, tau=1.0), 4, 5),
+    ],
+    ids=["number", "from-dict", "counterexample"],
+)
+def test_amplitude_tensors_past_the_byte_budget_are_refused(build, fits, over, monkeypatch):
+    # 512 bytes hold exactly 32 complex amplitudes
+    monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 512)
+    build(fits)
+    with pytest.raises(CutoffOverflowError, match=r"needs \d+ bytes, over the budget of 512"):
+        build(over)
 
 
 def test_fock_serialization_round_trip(tmp_path):
