@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .tolerances import TAU_CHECK, TAU_SAT
+from .tolerances import TAU_CHECK, TAU_PHYS, TAU_SAT
 
 # cap on the balance evaluations of solve_na_star
 _MAX_ITER = 200
@@ -64,6 +64,17 @@ def g_prime(x: float) -> float:
     return _log1p_ratio(1.0, x)
 
 
+def _mtn_at_least_one(mtn: float) -> float:
+    """M_TN, with values up to TAU_PHYS below 1 taken as 1.
+
+    Every physical state has M_TN >= 1, but a classical pure state's M_TN
+    read from truncated Fock amplitudes can round a few ulps below it.
+    """
+    if mtn < 1.0 - TAU_PHYS:
+        raise ValueError(f"M_TN must be >= 1, got {mtn}")
+    return max(mtn, 1.0)
+
+
 def theorem_symmetric_bound(mtn: float, n: int) -> float:
     """Upper bound (n/2) g((M_TN - 1)/2) on entanglement entropy, even n.
 
@@ -72,8 +83,7 @@ def theorem_symmetric_bound(mtn: float, n: int) -> float:
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    if mtn < 1.0:
-        raise ValueError(f"M_TN must be >= 1, got {mtn}")
+    mtn = _mtn_at_least_one(mtn)
     return (n / 2.0) * g((mtn - 1.0) / 2.0)
 
 
@@ -209,8 +219,7 @@ def theorem_split_bound(mtn: float, n_a: int, n_b: int) -> float:
     thermal entropies of the two parties.  Coincides with the symmetric
     bound when n_A = n_B.
     """
-    if mtn < 1.0:
-        raise ValueError(f"M_TN must be >= 1, got {mtn}")
+    mtn = _mtn_at_least_one(mtn)
     n = n_a + n_b
     N = 0.5 * n * (mtn - 1.0)
     if N == 0.0:
@@ -242,8 +251,7 @@ def gaussian_pure_bound(mtn: float, n_a: int, n_b: int) -> float:
     split is even.  Saturated by n_A two-mode squeezed vacua padded with
     vacuum modes on the larger party.
     """
-    if mtn < 1.0:
-        raise ValueError(f"M_TN must be >= 1, got {mtn}")
+    mtn = _mtn_at_least_one(mtn)
     n = n_a + n_b
     return n_a * g((n / (4.0 * n_a)) * (mtn - 1.0))
 

@@ -36,7 +36,6 @@ from . import __version__
 from .bounds import (
     coherence_scale_checks,
     even_split_check,
-    g,
     mtn_floor_from_entanglement,
     na_star_asymptotic,
     solve_na_star,
@@ -340,8 +339,8 @@ def _cmd_beamsplitter(args) -> int:
     tau = args.tau_trunc
     mtn_in = mtn_pure(state, tau=tau)
     out = apply_beam_splitter_fock(state, tau=tau)
-    g_in = g((mtn_in - 1.0) / 2.0)
     ef, log_negativity = entanglement_measures_pure(out, Bipartition(1, 1), tau=tau)
+    g_in = even_split_check(ef, mtn_in, 2).rhs
     payload = {
         "mtn_in": mtn_in,
         "g_in": g_in,

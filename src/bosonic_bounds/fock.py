@@ -2,9 +2,11 @@
 
 Pure states live on a dense tensor of amplitudes indexed by per-mode photon
 numbers; density operators are dense matrices over the flattened product
-basis.  Constructors for analytic families track the probability mass lost
+basis.  Constructors for analytic families record the probability mass lost
 to truncation (``tail_mass``) and refuse cutoffs that leave more than the
-requested tolerance in the tail.
+requested tolerance in the tail: the closed-form tail of the family's law
+(Poisson or geometric) that also picks the default cutoff.  Only the
+squeezed vacuum, whose tail has no closed form, records 1 - sum |c_k|^2.
 """
 
 from __future__ import annotations
@@ -53,11 +55,10 @@ __all__ = [
 ]
 
 
-# Largest dense amplitude tensor that the constructors taking their shape from
-# user input (make_fock_number, fock_from_dict, make_counterexample_states)
-# allocate: 256 MiB of complex128, about 4096^2 amplitudes.  A larger request
-# raises CutoffOverflowError before it allocates, instead of a MemoryError or
-# the OOM killer.
+# Largest dense complex tensor a constructor allocates: 256 MiB of complex128,
+# about 4096^2 amplitudes.  Every constructor (the analytic families, number
+# states, fock_from_dict) checks its shape and raises CutoffOverflowError
+# before it allocates more, instead of a MemoryError or the OOM killer.
 AMPLITUDE_BUDGET_BYTES = 2**28
 
 
@@ -188,22 +189,29 @@ class FockDensityOperator:
 # analytic families and their cutoffs
 
 
-def _require_tail(tail: float, cutoff, tau: float, family: str):
+def _check_tail(tail: float, cutoff, tau: float, what: str):
     if tail > tau:
         raise TruncationError(
-            f"{family}: tail mass {tail:.3e} at cutoff {cutoff} exceeds {tau:.1e}"
+            f"{what}: tail mass {tail:.3e} at cutoff {cutoff} exceeds {tau:.1e}; increase cutoffs"
         )
 
 
-def tmsv_cutoff(r: float, tau: float = TAU_TRUNC) -> int:
-    """Smallest per-mode cutoff with two-mode squeezed tail mass <= tau.
+def _geometric_cutoff(q: float, tau: float) -> int:
+    """Smallest K >= 1 with q^K <= tau, for 0 <= q < 1.
 
-    The tail after keeping levels 0..K-1 is exactly tanh(r)^{2K}.
+    q^K is the tail the family records; where the float ceil(log tau / log q)
+    lands one short of it, K steps up.
     """
-    t = abs(math.tanh(r))
-    if t == 0.0:
+    if q == 0.0:
         return 1
-    return max(1, math.ceil(0.5 * math.log(tau) / math.log(t)))
+    K = max(1, math.ceil(math.log(tau) / math.log(q)))
+    return K if q**K <= tau else K + 1
+
+
+def tmsv_cutoff(r: float, tau: float = TAU_TRUNC) -> int:
+    """Smallest per-mode cutoff whose two-mode squeezed tail tanh(r)^{2K} is <= tau."""
+    t = math.tanh(r)
+    return _geometric_cutoff(t * t, tau)
 
 
 def squeezed_cutoff(s: float, tau: float = TAU_TRUNC) -> int:
@@ -223,8 +231,7 @@ def thermal_cutoff(nbar: float, tau: float = TAU_TRUNC) -> int:
     """Smallest cutoff with thermal tail mass <= tau: tail = (nbar/(1+nbar))^K."""
     if nbar <= 0.0:
         return 1
-    q = nbar / (1.0 + nbar)
-    return max(1, math.ceil(math.log(tau) / math.log(q)))
+    return _geometric_cutoff(nbar / (1.0 + nbar), tau)
 
 
 def make_fock_number(occupations, cutoffs=None) -> FockPureState:
@@ -304,6 +311,7 @@ def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUN
         cutoff = 8
         while _poisson_tail(cutoff, x) > tau:
             cutoff *= 2
+    _check_budget((cutoff,), "coherent")
     k = np.arange(cutoff)
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(cutoff)])
     logs = -0.5 * x + k * np.log(np.abs(alpha)) - 0.5 * log_fact \
@@ -311,7 +319,7 @@ def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUN
     phase = np.exp(1j * np.angle(alpha) * k) if alpha != 0 else np.ones(cutoff)
     amps = np.exp(logs) * phase
     tail = _poisson_tail(cutoff, x)
-    _require_tail(tail, cutoff, tau, "coherent")
+    _check_tail(tail, cutoff, tau, "coherent")
     return FockPureState(amps, tail)
 
 
@@ -325,6 +333,7 @@ def make_fock_squeezed(
     """
     if cutoff is None:
         cutoff = squeezed_cutoff(s, tau)
+    _check_budget((cutoff,), "squeezed")
     t = math.tanh(s)
     amps = np.zeros(cutoff, dtype=complex)
     base = 1.0 / math.sqrt(math.cosh(s))
@@ -332,8 +341,10 @@ def make_fock_squeezed(
     for m in range(0, (cutoff - 1) // 2 + 1):
         ln = 0.5 * math.lgamma(2 * m + 1) - math.lgamma(m + 1) - m * math.log(2.0)
         amps[2 * m] = base * math.exp(ln) * factor**m
+    # No closed form, so the summed tail is recorded; squeezed_cutoff's
+    # factor-2 margin (a bound <= tau / 2) absorbs the rounding of the sum.
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    _require_tail(tail, cutoff, tau, "squeezed")
+    _check_tail(tail, cutoff, tau, "squeezed")
     return FockPureState(amps, tail)
 
 
@@ -342,25 +353,29 @@ def make_fock_tmsv(r: float, cutoff: int = None, tau: float = TAU_TRUNC) -> Fock
     if cutoff is None:
         cutoff = tmsv_cutoff(r, tau)
     t, ch = math.tanh(r), math.cosh(r)
+    tail = (t * t) ** cutoff
+    _check_tail(tail, cutoff, tau, "tmsv")
+    _check_budget((cutoff, cutoff), "tmsv")
     amps = np.zeros((cutoff, cutoff), dtype=complex)
     amps[np.arange(cutoff), np.arange(cutoff)] = t ** np.arange(cutoff) / ch
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    _require_tail(tail, cutoff, tau, "tmsv")
     return FockPureState(amps, tail)
 
 
 def make_fock_thermal(nbar: float, cutoff: int = None, tau: float = TAU_TRUNC) -> FockDensityOperator:
     """Single-mode thermal density operator with mean occupation nbar."""
+    if nbar < 0.0:
+        raise ValueError("thermal occupation must be >= 0")
     if cutoff is None:
         cutoff = thermal_cutoff(nbar, tau)
+    tail = (nbar / (1.0 + nbar)) ** cutoff
+    _check_tail(tail, cutoff, tau, "thermal")
+    _check_budget((cutoff, cutoff), "thermal")
     if nbar == 0.0:
         p = np.zeros(cutoff)
         p[0] = 1.0
     else:
         k = np.arange(cutoff)
         p = np.exp(k * math.log(nbar) - (k + 1) * math.log(1.0 + nbar))
-    tail = max(0.0, 1.0 - float(p.sum()))
-    _require_tail(tail, cutoff, tau, "thermal")
     return FockDensityOperator(np.diag(p.astype(complex)), (cutoff,), tail)
 
 
@@ -386,13 +401,6 @@ def _ladder(t: np.ndarray, axis: int, create: bool = False) -> np.ndarray:
     else:
         np.multiply(w, t[high], out=out[low])
     return out
-
-
-def _check_tail(psi: FockPureState, tau: float):
-    if psi.tail_mass > tau:
-        raise TruncationError(
-            f"state tail mass {psi.tail_mass:.3e} exceeds {tau:.1e}; increase cutoffs"
-        )
 
 
 def quadrature_moments(psi: FockPureState) -> tuple[np.ndarray, np.ndarray]:
@@ -440,7 +448,7 @@ def total_noise(psi: FockPureState, tau: float = TAU_TRUNC) -> float:
 
     For states with zero mean this equals 2 <N> + n.
     """
-    _check_tail(psi, tau)
+    _check_tail(psi.tail_mass, psi.cutoffs, tau, "state")
     return _total_noise(psi)
 
 
@@ -475,13 +483,13 @@ def _log_negativity_of(s: np.ndarray) -> float:
 
 def entanglement_entropy(psi: FockPureState, bp: Bipartition, tau: float = TAU_TRUNC) -> float:
     """Entropy of entanglement: -sum sigma^2 ln sigma^2 over Schmidt values."""
-    _check_tail(psi, tau)
+    _check_tail(psi.tail_mass, psi.cutoffs, tau, "state")
     return _entropy_of(schmidt_coefficients(psi, bp))
 
 
 def log_negativity_pure(psi: FockPureState, bp: Bipartition, tau: float = TAU_TRUNC) -> float:
     """Logarithmic negativity of a pure state: 2 ln(sum of Schmidt values)."""
-    _check_tail(psi, tau)
+    _check_tail(psi.tail_mass, psi.cutoffs, tau, "state")
     return _log_negativity_of(schmidt_coefficients(psi, bp))
 
 
@@ -492,7 +500,7 @@ def entanglement_measures_pure(
 
     Equal to (entanglement_entropy, log_negativity_pure) bit for bit.
     """
-    _check_tail(psi, tau)
+    _check_tail(psi.tail_mass, psi.cutoffs, tau, "state")
     s = schmidt_coefficients(psi, bp)
     return _entropy_of(s), _log_negativity_of(s)
 
@@ -665,10 +673,10 @@ def saturating_family(
     n_a = n // 2
     t = math.tanh(r)
     if cutoff is None:
-        if t == 0.0:
-            cutoff = 1
-        else:
-            cutoff = max(1, math.ceil(0.5 * math.log(tau / n_a) / math.log(t)))
+        cutoff = _geometric_cutoff(t * t, tau / n_a)
+    tail = -math.expm1(n_a * math.log1p(-((t * t) ** cutoff)))  # 1 - (1 - t^{2K})^{n_A}
+    _check_tail(tail, cutoff, tau, "saturating family")
+    _check_budget((cutoff,) * n, "saturating family")
     totals = _basis_totals(n_a, cutoff)
     weights = (1.0 - t * t) ** n_a * t ** (2.0 * totals.astype(float))
     C = np.diag(np.sqrt(weights)).astype(complex)
@@ -680,8 +688,6 @@ def saturating_family(
         u_b = np.asarray(u_b, dtype=complex)
         _check_number_preserving(u_b, totals, "u_b")
         C = C @ u_b
-    tail = max(0.0, 1.0 - float(weights.sum()))
-    _require_tail(tail, cutoff, tau, "saturating family")
     amps = C.reshape((cutoff,) * n_a + (cutoff,) * n_a)
     return FockPureState(amps, tail)
 
@@ -701,16 +707,16 @@ def make_counterexample_states(
     if k < 2:
         raise ValueError("k must be >= 2 so the permutation lowers the photon number")
     if cutoff is None:
-        cutoff = max(k + 2, math.ceil(math.log(tau) / math.log(q)))
+        cutoff = max(k + 2, _geometric_cutoff(q, tau))
     if k >= cutoff:
         raise ValueError(f"k = {k} outside cutoff {cutoff}")
+    tail = q**cutoff
+    _check_tail(tail, cutoff, tau, "counterexample")
     _check_budget((cutoff, cutoff, 2), "counterexample")
     m = np.arange(cutoff)
     coeff = np.sqrt((1.0 - q) * q**m.astype(float))
     base = np.zeros((cutoff, cutoff, 2), dtype=complex)
     base[m, m, 0] = coeff
-    tail = max(0.0, 1.0 - float(np.sum(coeff**2)))
-    _require_tail(tail, cutoff, tau, "counterexample")
     permuted = base.copy()
     permuted[k, k, 0] = 0.0
     permuted[k, 0, 1] = coeff[k]

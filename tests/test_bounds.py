@@ -24,7 +24,7 @@ from bosonic_bounds import (
     theorem_split_bound,
     theorem_symmetric_bound,
 )
-from bosonic_bounds.tolerances import TAU_ROOT, TAU_SAT
+from bosonic_bounds.tolerances import TAU_PHYS, TAU_ROOT, TAU_SAT
 
 
 def test_g_fixed_values():
@@ -83,6 +83,24 @@ def test_symmetric_bound_values_and_validation():
         theorem_symmetric_bound(3.0, 3)
     with pytest.raises(ValueError):
         theorem_symmetric_bound(0.9, 2)
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda mtn: theorem_symmetric_bound(mtn, 2),
+        lambda mtn: theorem_split_bound(mtn, 1, 2),
+        lambda mtn: gaussian_pure_bound(mtn, 1, 2),
+    ],
+    ids=["symmetric", "split", "gaussian-pure"],
+)
+def test_bounds_take_mtn_within_tau_phys_below_one_as_one(bound):
+    # A classical pure state's M_TN read from Fock amplitudes can round a
+    # few ulps below 1; up to TAU_PHYS below, the bound is its value at 1.
+    assert bound(1.0 - 0.5 * TAU_PHYS) == bound(1.0) == 0.0
+    assert bound(1.0 - 1.2e-14) == 0.0
+    with pytest.raises(ValueError, match="M_TN must be >= 1"):
+        bound(1.0 - 2.0 * TAU_PHYS)
 
 
 def test_mtn_floor_inverts_symmetric_bound():

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bosonic_bounds import cli, fock, make_tmsv, make_vacuum, save_gaussian, solve_na_star
@@ -111,6 +112,21 @@ def test_bound_check_fock_keeps_both_routes(capsys):
     names = [c["provenance"] for c in payload["checks"]]
     assert any(n.endswith("(even split)") for n in names)
     assert any(n.endswith("(uneven split)") for n in names)
+
+
+def test_coherent_product_rounding_below_unit_noise_is_accepted(tmp_path, capsys):
+    # A product of coherent states has M_TN = 1; read from its truncated
+    # amplitudes it rounds about 1e-14 below, inside the TAU_PHYS slack.
+    a = fock.make_fock_coherent(-0.1928019944160514 + 2.049695205824529j, tau=1e-14)
+    b = fock.make_fock_coherent(-0.9977920102299203 + 0.5272651051395296j, tau=1e-14)
+    path = tmp_path / "coherent.json"
+    amps = np.tensordot(a.amps, b.amps, axes=0)
+    fock.save_fock(fock.FockPureState(amps, a.tail_mass + b.tail_mass), path)
+    payload = run_json(["bound-check", "--fock", str(path)], capsys)
+    assert payload["mtn"] < 1.0 and payload["all_hold"]
+    assert [c["rhs"] for c in payload["checks"]] == [0.0, 0.0]
+    payload = run_json(["beamsplitter", "--fock", str(path)], capsys)
+    assert payload["mtn_in"] < 1.0 and payload["g_in"] == 0.0
 
 
 _MODE_COUNTING = "log-negativity vs coherence-scale (mode-counting)"

@@ -42,6 +42,8 @@ from bosonic_bounds import (
     saturating_family,
     save_fock,
     schmidt_coefficients,
+    thermal_cutoff,
+    tmsv_cutoff,
     total_noise,
 )
 
@@ -185,8 +187,93 @@ def test_displacement_does_not_change_mtn():
 def test_tail_guard_raises():
     psi = make_fock_tmsv(1.0, cutoff=4, tau=1.0)
     assert psi.tail_mass > 1e-2
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"state: .* at cutoff \(4, 4\) .*increase cutoffs"):
         total_noise(psi, tau=1e-12)
+    with pytest.raises(TruncationError, match=r"tmsv: .* at cutoff 4 .*increase cutoffs"):
+        make_fock_tmsv(1.0, cutoff=4, tau=1e-12)
+
+
+# Each geometric family's recorded tail: its closed form at per-mode cutoff K.
+def _tmsv_tail(r, K):
+    t = math.tanh(r)
+    return (t * t) ** K
+
+
+def _build_tmsv(r, tau):
+    psi = make_fock_tmsv(r, tau=tau)
+    return psi.cutoffs[0], psi.tail_mass, 1.0 - psi.norm2()
+
+
+def _build_thermal(nbar, tau):
+    rho = make_fock_thermal(nbar, tau=tau)
+    return rho.cutoffs[0], rho.tail_mass, 1.0 - rho.trace()
+
+
+def _build_saturating(r, tau):
+    psi = saturating_family(2, r, tau=tau)
+    return psi.cutoffs[0], psi.tail_mass, 1.0 - psi.norm2()
+
+
+def _build_counterexample(q, tau):
+    psi, partner = make_counterexample_states(q, 2, tau=tau)
+    assert partner.tail_mass == psi.tail_mass
+    return psi.cutoffs[0], psi.tail_mass, 1.0 - psi.norm2()
+
+
+_GEOMETRIC_FAMILIES = {
+    "tmsv": (_build_tmsv, (0.05, 2.3), _tmsv_tail),
+    "thermal": (_build_thermal, (0.01, 5.0), lambda nbar, K: (nbar / (1.0 + nbar)) ** K),
+    "saturating": (_build_saturating, (0.05, 2.0),
+                   lambda r, K: -math.expm1(math.log1p(-_tmsv_tail(r, K)))),
+    "counterexample": (_build_counterexample, (0.01, 0.95), lambda q, K: q**K),
+}
+
+
+@pytest.mark.parametrize("tau", [1e-13, 1e-14, 1e-15])
+@pytest.mark.parametrize("family", list(_GEOMETRIC_FAMILIES))
+def test_geometric_families_record_the_tail_law_that_picks_their_cutoff(family, tau):
+    build, (lo, hi), law = _GEOMETRIC_FAMILIES[family]
+    for x in np.random.default_rng(0).uniform(lo, hi, 200):
+        K, tail, resummed = build(float(x), tau)
+        assert tail == law(float(x), K) <= tau, (x, K)
+        # the re-summed 1 - sum |c_k|^2 differs from the law by rounding only
+        assert abs(tail - resummed) <= K * np.finfo(float).eps, (x, K)
+
+
+def test_tmsv_builds_the_cutoff_its_tail_law_picks():
+    # 1 - sum |c_k|^2 rounds to 1.010e-13 here, above the law's 9.91e-14.
+    r = 2.2859237374201697
+    psi = make_fock_tmsv(r, tau=1e-13)
+    assert psi.cutoffs == (724, 724)
+    assert psi.tail_mass == _tmsv_tail(r, 724) < 1e-13
+
+
+def test_geometric_cutoffs_equal_their_closed_forms():
+    taus = [1e-3, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-14, 1e-15]
+    for tau in taus:
+        for x in np.random.default_rng(7).uniform(0.01, 5.0, 400).tolist():
+            t = abs(math.tanh(x))
+            assert tmsv_cutoff(x, tau) == max(1, math.ceil(0.5 * math.log(tau) / math.log(t)))
+            q = x / (1.0 + x)
+            assert thermal_cutoff(x, tau) == max(1, math.ceil(math.log(tau) / math.log(q)))
+            for n_a in (1, 2, 3):
+                K = fock._geometric_cutoff(t * t, tau / n_a)
+                assert K == max(1, math.ceil(0.5 * math.log(tau / n_a) / math.log(t)))
+            q = x / 5.01
+            assert fock._geometric_cutoff(q, tau) == max(1, math.ceil(math.log(tau) / math.log(q)))
+    assert tmsv_cutoff(0.0) == thermal_cutoff(0.0) == 1
+
+
+def test_geometric_cutoff_steps_up_where_the_log_ratio_lands_short():
+    # log(1e-10) / log(1e-5) is 2.0, but (1e-5)^2 rounds above 1e-10
+    q, tau = 1e-5, 1e-10
+    assert math.ceil(math.log(tau) / math.log(q)) == 2 and q**2 > tau
+    assert fock._geometric_cutoff(q, tau) == 3
+
+
+def test_thermal_refuses_negative_occupation():
+    with pytest.raises(ValueError, match="thermal occupation must be >= 0"):
+        make_fock_thermal(-0.5)
 
 
 def test_schmidt_product_state_is_rank_one():
@@ -573,8 +660,14 @@ def test_counterexample_rejects_bad_parameters():
         (lambda c: fock_from_dict({"n": 2, "cutoffs": [4, c], "amps": [[0, 0, 1.0, 0.0]]}),
          8, 9),
         (lambda c: make_counterexample_states(0.5, 2, cutoff=c, tau=1.0), 4, 5),
+        (lambda c: make_fock_coherent(1.0, cutoff=c, tau=1.0), 32, 33),
+        (lambda c: make_fock_squeezed(0.5, cutoff=c, tau=1.0), 32, 33),
+        (lambda c: make_fock_tmsv(0.5, cutoff=c, tau=1.0), 5, 6),
+        (lambda c: make_fock_thermal(0.5, cutoff=c, tau=1.0), 5, 6),
+        (lambda c: saturating_family(2, 0.5, cutoff=c, tau=1.0), 5, 6),
     ],
-    ids=["number", "from-dict", "counterexample"],
+    ids=["number", "from-dict", "counterexample", "coherent", "squeezed", "tmsv",
+         "thermal", "saturating"],
 )
 def test_amplitude_tensors_past_the_byte_budget_are_refused(build, fits, over, monkeypatch):
     # 512 bytes hold exactly 32 complex amplitudes
@@ -582,6 +675,25 @@ def test_amplitude_tensors_past_the_byte_budget_are_refused(build, fits, over, m
     build(fits)
     with pytest.raises(CutoffOverflowError, match=r"needs \d+ bytes, over the budget of 512"):
         build(over)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_fock_coherent(3.0),
+        lambda: make_fock_squeezed(1.0),
+        lambda: make_fock_tmsv(0.3),
+        lambda: make_fock_thermal(1.0),
+        lambda: saturating_family(2, 0.3),
+        lambda: saturating_family(4, 0.3),
+    ],
+    ids=["coherent", "squeezed", "tmsv", "thermal", "saturating-2", "saturating-4"],
+)
+def test_default_cutoffs_are_checked_against_the_byte_budget(build, monkeypatch):
+    # each default cutoff here needs more than 32 amplitudes
+    monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 512)
+    with pytest.raises(CutoffOverflowError, match="over the budget of 512"):
+        build()
 
 
 def test_fock_serialization_round_trip(tmp_path):
