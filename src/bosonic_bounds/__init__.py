@@ -58,7 +58,6 @@ from .fock import (
     fock_from_dict,
     fock_to_dict,
     load_fock,
-    log_negativity_pure,
     make_counterexample_states,
     make_fock_coherent,
     make_fock_number,
@@ -68,7 +67,6 @@ from .fock import (
     mtn_pure,
     number_preserving_permutation,
     number_preserving_phases,
-    pad_fock,
     qcs2_fock,
     quadrature_moments,
     saturating_family,

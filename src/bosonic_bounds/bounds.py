@@ -10,6 +10,7 @@ serves single splits and the figure grids alike.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -119,6 +120,14 @@ class NAStarSolution:
         }
 
 
+def _check_mode_counts(n_a: int, n_b: int):
+    if n_a < 1 or n_b < 1:
+        raise ValueError("mode counts must be >= 1")
+    # _balance divides by them as floats
+    if not max(n_a, n_b) <= sys.float_info.max:
+        raise ValueError(f"mode counts must be at most {sys.float_info.max:.6g}")
+
+
 def _balance(t: float, N: float, n_a: int, n_b: int) -> float:
     return n_a * g(t / n_a) - n_b * g((N - t) / n_b)
 
@@ -137,8 +146,7 @@ def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
     s, so mirrored calls (n_a, n_b) and (n_b, n_a) report the same one; it
     is bounded by TAU_ROOT * max(1, N) in the tests.
     """
-    if n_a < 1 or n_b < 1:
-        raise ValueError("mode counts must be >= 1")
+    _check_mode_counts(n_a, n_b)
     if not math.isfinite(N):
         raise ValueError(f"photon number must be finite, got {N}")
     if N < 0.0:
@@ -190,8 +198,7 @@ def na_star_asymptotic(N: float, n_a: int, n_b: int, variant: str = "leading") -
     1 - e^{1 - mu} / (2 nu^mu).  Both are asymptotic in nu; a warning is
     issued for nu < 10.
     """
-    if n_a < 1 or n_b < 1:
-        raise ValueError("mode counts must be >= 1")
+    _check_mode_counts(n_a, n_b)
     if not math.isfinite(N):
         raise ValueError(f"photon number must be finite, got {N}")
     if N <= 0.0:

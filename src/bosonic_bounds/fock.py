@@ -7,10 +7,19 @@ to truncation (``tail_mass``) and refuse cutoffs that leave more than the
 requested tolerance in the tail: the closed-form tail of the family's law
 (Poisson or geometric) that also picks the default cutoff.  Only the
 squeezed vacuum, whose tail has no closed form, records 1 - sum |c_k|^2.
+A parameter that is not finite raises ValueError; a cutoff search that
+cannot end inside the byte budget, or a tail ratio that rounds to 1,
+raises CutoffOverflowError.
+
+Every measure is exact for the state as stored, with no padding.  The
+quadrature moments pair a raised vector only with stored levels, C^2 of
+a density operator adds back what the truncated ladder drops at the top
+level, and the Schmidt measures never leave the stored tensor.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +39,6 @@ __all__ = [
     "make_fock_squeezed",
     "make_fock_tmsv",
     "make_fock_thermal",
-    "pad_fock",
     "squeezed_cutoff",
     "tmsv_cutoff",
     "thermal_cutoff",
@@ -39,7 +47,6 @@ __all__ = [
     "mtn_pure",
     "schmidt_coefficients",
     "entanglement_entropy",
-    "log_negativity_pure",
     "entanglement_measures_pure",
     "beam_splitter_block",
     "apply_beam_splitter_fock",
@@ -189,8 +196,13 @@ class FockDensityOperator:
 # analytic families and their cutoffs
 
 
+def _check_finite(value, name: str, what: str):
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what}: {name} = {value!r} is not finite")
+
+
 def _check_tail(tail: float, cutoff, tau: float, what: str):
-    if tail > tau:
+    if not tail <= tau:  # a NaN tail is refused too
         raise TruncationError(
             f"{what}: tail mass {tail:.3e} at cutoff {cutoff} exceeds {tau:.1e}; increase cutoffs"
         )
@@ -200,8 +212,11 @@ def _geometric_cutoff(q: float, tau: float) -> int:
     """Smallest K >= 1 with q^K <= tau, for 0 <= q < 1.
 
     q^K is the tail the family records; where the float ceil(log tau / log q)
-    lands one short of it, K steps up.
+    lands one short of it, K steps up.  A q that is not below 1 in floats
+    (tanh r rounds to 1 from r ~ 19.1) has no finite cutoff.
     """
+    if not q < 1.0:
+        raise CutoffOverflowError(f"no finite cutoff: tail ratio {q!r} is not below 1 in floats")
     if q == 0.0:
         return 1
     K = max(1, math.ceil(math.log(tau) / math.log(q)))
@@ -210,18 +225,40 @@ def _geometric_cutoff(q: float, tau: float) -> int:
 
 def tmsv_cutoff(r: float, tau: float = TAU_TRUNC) -> int:
     """Smallest per-mode cutoff whose two-mode squeezed tail tanh(r)^{2K} is <= tau."""
+    _check_finite(r, "r", "tmsv")
     t = math.tanh(r)
     return _geometric_cutoff(t * t, tau)
 
 
 def squeezed_cutoff(s: float, tau: float = TAU_TRUNC) -> int:
-    """Smallest cutoff with single-mode squeezed-vacuum tail mass <= tau."""
+    """Smallest cutoff with single-mode squeezed-vacuum tail mass <= tau.
+
+    The tail past level 2m + 1 is at most |c_{2m}|^2 t^2 / (1 - t^2) with
+    t = tanh s, a bound that falls with m; the search stops once it is
+    <= tau / 2.  CutoffOverflowError when t^2 rounds to 1 or the cutoff
+    would pass the byte budget.
+    """
+    _check_finite(s, "s", "squeezed")
     t2 = math.tanh(abs(s)) ** 2
     if t2 == 0.0:
         return 1
+    if t2 == 1.0:
+        raise CutoffOverflowError(f"squeezed: no finite cutoff, tanh(s)^2 rounds to 1 at s = {s!r}")
+    # The bound at the last m whose cutoff fits the budget, from lgamma,
+    # says up front whether the search ends inside it.
+    last = (AMPLITUDE_BUDGET_BYTES // np.dtype(complex).itemsize - 2) // 2
+    log_bound = (
+        math.lgamma(2 * last + 1) - 2.0 * math.lgamma(last + 1) - 2 * last * math.log(2.0)
+        + (last + 1) * math.log(t2) - math.log1p(-t2) - math.log(math.cosh(s))
+    )
+    if log_bound > math.log(0.5 * tau):
+        raise CutoffOverflowError(
+            f"squeezed: s = {s!r} needs a cutoff above {2 * last + 2}, "
+            f"over the budget of {AMPLITUDE_BUDGET_BYTES} bytes"
+        )
     term = 1.0 / math.cosh(s)  # |c_0|^2
     m = 0
-    while term * t2 / (1.0 - t2) > 0.5 * tau and m < 100000:
+    while term * t2 / (1.0 - t2) > 0.5 * tau:
         m += 1
         term *= t2 * (2 * m - 1) / (2 * m)
     return 2 * m + 2
@@ -229,6 +266,7 @@ def squeezed_cutoff(s: float, tau: float = TAU_TRUNC) -> int:
 
 def thermal_cutoff(nbar: float, tau: float = TAU_TRUNC) -> int:
     """Smallest cutoff with thermal tail mass <= tau: tail = (nbar/(1+nbar))^K."""
+    _check_finite(nbar, "nbar", "thermal")
     if nbar <= 0.0:
         return 1
     return _geometric_cutoff(nbar / (1.0 + nbar), tau)
@@ -240,7 +278,10 @@ def make_fock_number(occupations, cutoffs=None) -> FockPureState:
     Default cutoffs accommodate a balanced beam splitter on any mode pair:
     every cutoff is total photons + 1.
     """
-    occ = tuple(int(k) for k in occupations)
+    try:
+        occ = tuple(int(k) for k in occupations)
+    except OverflowError as exc:
+        raise ValueError(f"occupations {tuple(occupations)} must be finite") from exc
     if any(k < 0 for k in occ):
         raise ValueError("occupations must be >= 0")
     if cutoffs is None:
@@ -252,21 +293,6 @@ def make_fock_number(occupations, cutoffs=None) -> FockPureState:
     amps = np.zeros(cutoffs, dtype=complex)
     amps[occ] = 1.0
     return FockPureState(amps)
-
-
-def pad_fock(psi: FockPureState, extra: int = 2) -> FockPureState:
-    """Grow every mode cutoff by ``extra`` empty levels.
-
-    Operators built from creation and annihilation act exactly on occupations
-    at least two levels below the cutoff; padding restores that headroom for
-    states populated right up to their boundary (number states in particular).
-    """
-    if extra < 0:
-        raise ValueError("extra must be >= 0")
-    if extra == 0:
-        return psi
-    amps = np.pad(psi.amps, [(0, extra)] * psi.n)
-    return FockPureState(amps, psi.tail_mass)
 
 
 def _poisson_tail(cutoff: int, x: float) -> float:
@@ -306,11 +332,17 @@ def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUN
     # The Poisson tail at the cutoff is the recorded tail: 1 - sum |c_k|^2
     # carries rounding of order 1e-12 at |alpha|^2 ~ 400, enough to reject
     # a cutoff that meets tau = 1e-12.  Cutoff 0 keeps the whole mass.
-    x = abs(alpha) ** 2
+    _check_finite(alpha, "alpha", "coherent")
+    try:
+        x = abs(alpha) ** 2
+    except OverflowError:  # |alpha| past ~1e154
+        x = math.inf
     if cutoff is None:
         cutoff = 8
-        while _poisson_tail(cutoff, x) > tau:
+        # At x = inf the tail is NaN, and the search doubles up to the budget.
+        while not _poisson_tail(cutoff, x) <= tau:
             cutoff *= 2
+            _check_budget((cutoff,), "coherent")
     _check_budget((cutoff,), "coherent")
     k = np.arange(cutoff)
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(cutoff)])
@@ -331,6 +363,8 @@ def make_fock_squeezed(
     Amplitudes c_{2m} = (-e^{2 i phi} tanh s)^m sqrt((2m)!) / (2^m m!) /
     sqrt(cosh s); odd levels vanish.
     """
+    _check_finite(s, "s", "squeezed")
+    _check_finite(phi, "phi", "squeezed")
     if cutoff is None:
         cutoff = squeezed_cutoff(s, tau)
     _check_budget((cutoff,), "squeezed")
@@ -350,19 +384,21 @@ def make_fock_squeezed(
 
 def make_fock_tmsv(r: float, cutoff: int = None, tau: float = TAU_TRUNC) -> FockPureState:
     """Two-mode squeezed vacuum: amplitudes tanh(r)^k / cosh(r) on |k, k>."""
+    _check_finite(r, "r", "tmsv")
     if cutoff is None:
         cutoff = tmsv_cutoff(r, tau)
-    t, ch = math.tanh(r), math.cosh(r)
+    t = math.tanh(r)
     tail = (t * t) ** cutoff
     _check_tail(tail, cutoff, tau, "tmsv")
     _check_budget((cutoff, cutoff), "tmsv")
     amps = np.zeros((cutoff, cutoff), dtype=complex)
-    amps[np.arange(cutoff), np.arange(cutoff)] = t ** np.arange(cutoff) / ch
+    amps[np.arange(cutoff), np.arange(cutoff)] = t ** np.arange(cutoff) / math.cosh(r)
     return FockPureState(amps, tail)
 
 
 def make_fock_thermal(nbar: float, cutoff: int = None, tau: float = TAU_TRUNC) -> FockDensityOperator:
     """Single-mode thermal density operator with mean occupation nbar."""
+    _check_finite(nbar, "nbar", "thermal")
     if nbar < 0.0:
         raise ValueError("thermal occupation must be >= 0")
     if cutoff is None:
@@ -471,38 +507,27 @@ def schmidt_coefficients(psi: FockPureState, bp: Bipartition) -> np.ndarray:
     return np.linalg.svd(psi.amps.reshape(da, db), compute_uv=False)
 
 
-def _entropy_of(s: np.ndarray) -> float:
-    s2 = s**2
-    s2 = s2[s2 > 1e-30]
-    return float(max(-np.sum(s2 * np.log(s2)), 0.0) + 0.0)
-
-
-def _log_negativity_of(s: np.ndarray) -> float:
-    return float(max(2.0 * np.log(np.sum(s)), 0.0) + 0.0)
-
-
-def entanglement_entropy(psi: FockPureState, bp: Bipartition, tau: float = TAU_TRUNC) -> float:
-    """Entropy of entanglement: -sum sigma^2 ln sigma^2 over Schmidt values."""
-    _check_tail(psi.tail_mass, psi.cutoffs, tau, "state")
-    return _entropy_of(schmidt_coefficients(psi, bp))
-
-
-def log_negativity_pure(psi: FockPureState, bp: Bipartition, tau: float = TAU_TRUNC) -> float:
-    """Logarithmic negativity of a pure state: 2 ln(sum of Schmidt values)."""
-    _check_tail(psi.tail_mass, psi.cutoffs, tau, "state")
-    return _log_negativity_of(schmidt_coefficients(psi, bp))
-
-
 def entanglement_measures_pure(
     psi: FockPureState, bp: Bipartition, tau: float = TAU_TRUNC
 ) -> tuple[float, float]:
     """(E_F, E_N) of a pure state from one Schmidt decomposition.
 
-    Equal to (entanglement_entropy, log_negativity_pure) bit for bit.
+    Over the Schmidt values sigma, E_F = -sum sigma^2 ln sigma^2 is the
+    entropy of entanglement and E_N = 2 ln(sum sigma) the logarithmic
+    negativity.
     """
     _check_tail(psi.tail_mass, psi.cutoffs, tau, "state")
     s = schmidt_coefficients(psi, bp)
-    return _entropy_of(s), _log_negativity_of(s)
+    s2 = s**2
+    s2 = s2[s2 > 1e-30]
+    ef = float(max(-np.sum(s2 * np.log(s2)), 0.0) + 0.0)
+    en = float(max(2.0 * np.log(np.sum(s)), 0.0) + 0.0)
+    return ef, en
+
+
+def entanglement_entropy(psi: FockPureState, bp: Bipartition, tau: float = TAU_TRUNC) -> float:
+    """Entropy of entanglement E_F, the first of entanglement_measures_pure."""
+    return entanglement_measures_pure(psi, bp, tau)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -590,19 +615,23 @@ def qcs2_fock(state: FockPureState | FockDensityOperator) -> float:
 
     On ``rho.mat`` reshaped to ``cutoffs + cutoffs``, a_j rho lowers row axis
     j and rho a_j raises column axis n + j (a_j^T = a_j^dag), so the cost is
-    O(n D^2) in the dimension D.  The truncated a_j^dag drops the level above
-    each cutoff, so pad an operator populated up to its boundary first (see
-    pad_fock).  Neither route checks the tail mass.
+    O(n D^2) in the dimension D.  The raise takes column level d_j - 1 of
+    mode j to level d_j, past the cutoff, where a_j rho has no entry; the
+    truncated ladder drops it, so its norm d_j ||rho at column level
+    d_j - 1||_F^2 is added back.  C^2 is thus exact for the stored operator,
+    with no padding, as on the pure route.  Neither route checks the tail
+    mass.
     """
     if isinstance(state, FockPureState):
         return _total_noise(state) / state.n
     n = state.n
     t = state.mat.reshape(state.cutoffs + state.cutoffs)
     acc = 0.0
-    for j in range(n):
+    for j, d in enumerate(state.cutoffs):
         comm = _ladder(t, n + j, create=True)
         comm -= _ladder(t, j)
-        acc += float(np.vdot(comm, comm).real)
+        edge = t[(slice(None),) * (n + j) + (d - 1,)]
+        acc += float(np.vdot(comm, comm).real) + d * float(np.vdot(edge, edge).real)
     return acc / (n * state.purity())
 
 
@@ -671,6 +700,7 @@ def saturating_family(
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
     n_a = n // 2
+    _check_finite(r, "r", "saturating family")
     t = math.tanh(r)
     if cutoff is None:
         cutoff = _geometric_cutoff(t * t, tau / n_a)

@@ -34,7 +34,6 @@ from bosonic_bounds import (
     make_vacuum,
     mtn_pure,
     na_star_asymptotic,
-    pad_fock,
     qcs2_fock,
     qcs2_gaussian,
     qcs2_gaussian_char_oracle,
@@ -239,12 +238,12 @@ def test_criterion5_coherence_scale_identity():
     cases.append(("thermal", qcs2_fock(rho), 1.0 / (2.0 * 0.4 + 1.0)))
     psi = make_fock_squeezed(0.7, 0.0, tau=tau)
     cases.append(
-        ("squeezed", qcs2_fock(FockDensityOperator.from_pure(pad_fock(psi))),
+        ("squeezed", qcs2_fock(FockDensityOperator.from_pure(psi)),
          math.cosh(2.0 * 0.7))
     )
     tmsv = make_fock_tmsv(0.5, tau=tau)
     cases.append(
-        ("tmsv", qcs2_fock(FockDensityOperator.from_pure(pad_fock(tmsv))),
+        ("tmsv", qcs2_fock(FockDensityOperator.from_pure(tmsv)),
          math.cosh(2.0 * 0.5))
     )
     fock_ok = all(abs(got - want) <= tol for _, got, want in cases)

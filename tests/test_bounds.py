@@ -278,6 +278,17 @@ def test_na_star_solvers_reject_non_finite_budget(N):
             na_star_asymptotic(N, 1, 2, variant)
 
 
+@pytest.mark.parametrize(
+    "n_a, n_b", [(10**400, 1), (1, 10**400), (2, 10**309)], ids=["n_a", "n_b", "n_b-1e309"]
+)
+def test_na_star_solvers_reject_mode_counts_past_the_float_range(n_a, n_b):
+    with pytest.raises(ValueError, match="mode counts must be at most"):
+        solve_na_star(10.0, n_a, n_b)
+    for variant in ("leading", "refined"):
+        with pytest.raises(ValueError, match="mode counts must be at most"):
+            na_star_asymptotic(10.0, n_a, n_b, variant)
+
+
 def test_asymptotic_rejects_bad_inputs():
     with pytest.raises(ValueError):
         na_star_asymptotic(10.0, 1, 2, "quadratic")

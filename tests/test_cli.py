@@ -184,6 +184,18 @@ def test_nastar_solves_budgets_at_the_ends_of_the_float_range(budget, capsys):
     assert sol["residual"] <= TAU_ROOT * max(1.0, N)
 
 
+@pytest.mark.parametrize("flag", ["--nA", "--nB"])
+def test_nastar_refuses_a_mode_count_past_the_float_range(flag, capsys):
+    counts = {"--nA": "1", "--nB": "1"}
+    counts[flag] = "1" + "0" * 400
+    argv = ["nastar", "--N", "10", "--method", "all"]
+    for name, value in counts.items():
+        argv += [name, value]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: mode counts must be at most")
+
+
 def _refuse_constant(name):
     raise AssertionError(f"stdout holds {name}, which is not JSON")
 

@@ -25,7 +25,6 @@ from bosonic_bounds import (
     fock_to_dict,
     g,
     load_fock,
-    log_negativity_pure,
     make_counterexample_states,
     make_fock_coherent,
     make_fock_number,
@@ -36,16 +35,17 @@ from bosonic_bounds import (
     mtn_pure,
     number_preserving_permutation,
     number_preserving_phases,
-    pad_fock,
     qcs2_fock,
     quadrature_moments,
     saturating_family,
     save_fock,
     schmidt_coefficients,
+    squeezed_cutoff,
     thermal_cutoff,
     tmsv_cutoff,
     total_noise,
 )
+from bosonic_bounds.tolerances import TAU_TRUNC
 
 
 def test_number_state_moments():
@@ -288,9 +288,8 @@ def test_schmidt_product_state_is_rank_one():
 def test_tmsv_entropy_matches_thermal_entropy(r):
     # the Schmidt-value sum converges slowly, so give it extra headroom
     psi = make_fock_tmsv(r, cutoff=110, tau=1e-12)
-    ef = entanglement_entropy(psi, Bipartition(1, 1), tau=1e-9)
+    ef, en = entanglement_measures_pure(psi, Bipartition(1, 1), tau=1e-9)
     assert ef == pytest.approx(g(math.sinh(r) ** 2), abs=1e-9)
-    en = log_negativity_pure(psi, Bipartition(1, 1), tau=1e-9)
     assert en == pytest.approx(2 * r, abs=1e-9)
 
 
@@ -493,7 +492,10 @@ def test_entanglement_measures_pure_equal_the_separate_measures():
                       ((3, 3, 2, 2), Bipartition(2, 2))]:
         psi = _random_fock_state(rng, shape)
         ef, en = entanglement_measures_pure(psi, bp)
-        assert ef == entanglement_entropy(psi, bp) and en == log_negativity_pure(psi, bp)
+        s = schmidt_coefficients(psi, bp)
+        assert ef == entanglement_entropy(psi, bp)
+        assert ef == pytest.approx(-np.sum(s**2 * np.log(s**2)), rel=1e-12)
+        assert en == 2.0 * np.log(np.sum(s))
     assert entanglement_measures_pure(make_fock_number((3, 0)), Bipartition(1, 1)) == (0.0, 0.0)
     with pytest.raises(TruncationError):
         entanglement_measures_pure(make_fock_tmsv(1.0, cutoff=4, tau=1.0), Bipartition(1, 1))
@@ -508,6 +510,8 @@ def _phased_tmsv(r, phase, cutoff):
 
 
 _PURE_STATES = {
+    # populated at its top level, where truncated quadratures halve C^2
+    "number-4-0": lambda: make_fock_number((4, 0)),
     "number-9-1": lambda: make_fock_number((9, 1)),
     "number-0-2-3": lambda: make_fock_number((0, 2, 3)),
     "phased-tmsv": lambda: _phased_tmsv(0.3, 1.1, 10),
@@ -520,11 +524,11 @@ _PURE_STATES = {
 
 @pytest.mark.parametrize("name", list(_PURE_STATES))
 def test_qcs2_fock_pure_states_reduce_to_mtn(name):
-    # The moments route against the commutator route on the padded
+    # The moments route against the commutator route on the unpadded
     # density operator; they part by the truncated tail, if any.
     psi = _PURE_STATES[name]()
     value = qcs2_fock(psi)
-    ref = qcs2_fock(FockDensityOperator.from_pure(pad_fock(psi)))
+    ref = qcs2_fock(FockDensityOperator.from_pure(psi))
     if psi.tail_mass == 0.0:
         assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
     else:
@@ -541,8 +545,21 @@ def test_qcs2_fock_two_mode_thermal_product():
     assert qcs2_fock(rho) == pytest.approx(expected, abs=1e-9)
 
 
+def _pad_one_level(rho):
+    """rho with one empty level added above every mode's cutoff."""
+    n = rho.n
+    t = rho.mat.reshape(rho.cutoffs + rho.cutoffs)
+    cutoffs = tuple(c + 1 for c in rho.cutoffs)
+    dim = int(np.prod(cutoffs))
+    mat = np.pad(t, [(0, 1)] * (2 * n)).reshape(dim, dim)
+    return FockDensityOperator(mat, cutoffs, rho.tail_mass)
+
+
 def _qcs2_dense_reference(rho):
-    """sum_R Tr(rho^2 R^2) - Tr(rho R rho R) over Kronecker-lifted truncated X and P."""
+    """sum_R Tr(rho^2 R^2) - Tr(rho R rho R) over Kronecker-lifted truncated X and P.
+
+    Exact only when every mode's top level is empty, as after _pad_one_level.
+    """
     mat = rho.mat
     rho2 = mat @ mat
     acc = 0.0
@@ -565,7 +582,8 @@ def test_qcs2_fock_matches_dense_quadrature_formula(cutoffs, rank):
     z = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     mat = (z * rng.uniform(0.1, 1.0, size=rank)) @ z.conj().T
     rho = FockDensityOperator(mat / mat.trace().real, cutoffs)
-    assert qcs2_fock(rho) == pytest.approx(_qcs2_dense_reference(rho), rel=1e-12, abs=0.0)
+    ref = _qcs2_dense_reference(_pad_one_level(rho))
+    assert qcs2_fock(rho) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("cutoffs", [(4, 6), (3, 4, 5)])
@@ -573,7 +591,7 @@ def test_quadrature_moments_match_dense_quadratures(cutoffs):
     rng = np.random.default_rng(len(cutoffs))
     z = rng.normal(size=cutoffs) + 1j * rng.normal(size=cutoffs)
     # an empty top level per mode makes the truncated quadratures exact
-    psi = pad_fock(FockPureState(z / np.linalg.norm(z)), 1)
+    psi = FockPureState(np.pad(z / np.linalg.norm(z), [(0, 1)] * len(cutoffs)))
     vec = psi.amps.ravel()
     quads = []
     for mode, d in enumerate(psi.cutoffs):
@@ -590,16 +608,6 @@ def test_quadrature_moments_match_dense_quadratures(cutoffs):
     mean, cov = quadrature_moments(psi)
     assert_allclose(mean, ref_mean, rtol=0.0, atol=1e-13)
     assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-13)
-
-
-def test_pad_fock_keeps_measures():
-    psi = make_fock_tmsv(0.5, tau=1e-12)
-    padded = pad_fock(psi, 3)
-    assert padded.cutoffs == tuple(c + 3 for c in psi.cutoffs)
-    assert mtn_pure(padded, tau=1e-9) == pytest.approx(mtn_pure(psi, tau=1e-9), rel=1e-13)
-    assert entanglement_entropy(padded, Bipartition(1, 1), tau=1e-9) == pytest.approx(
-        entanglement_entropy(psi, Bipartition(1, 1), tau=1e-9), rel=1e-12
-    )
 
 
 def test_number_preserving_phases_and_permutation_are_block_unitaries():
@@ -694,6 +702,91 @@ def test_default_cutoffs_are_checked_against_the_byte_budget(build, monkeypatch)
     monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 512)
     with pytest.raises(CutoffOverflowError, match="over the budget of 512"):
         build()
+
+
+_EDGE_VALUES = [0.0, 1e-300, 0.5, 19.1, 1e17, 1e154, 1e300, math.inf, math.nan]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: make_fock_number((x,)),
+        make_fock_coherent,
+        make_fock_squeezed,
+        lambda x: make_fock_squeezed(0.5, phi=x),
+        make_fock_tmsv,
+        make_fock_thermal,
+        lambda x: saturating_family(2, x),
+        lambda x: make_counterexample_states(x, 2),
+        tmsv_cutoff,
+        squeezed_cutoff,
+        thermal_cutoff,
+    ],
+    ids=["number", "coherent", "squeezed", "squeezed-phi", "tmsv", "thermal",
+         "saturating-2", "counterexample", "tmsv-cutoff", "squeezed-cutoff",
+         "thermal-cutoff"],
+)
+def test_fock_constructors_build_or_raise_a_value_error_at_every_edge(build, monkeypatch):
+    # 2^16 bytes hold 4096 amplitudes.  Anything but a ValueError subclass
+    # (ZeroDivisionError, OverflowError, MemoryError) escapes and fails here.
+    monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 2**16)
+    for x in _EDGE_VALUES:
+        try:
+            build(x)
+        except ValueError:
+            continue
+        assert math.isfinite(x), f"built at parameter {x}"
+
+
+@pytest.mark.parametrize(
+    "build", [make_fock_coherent, make_fock_squeezed, make_fock_tmsv, make_fock_thermal],
+    ids=["coherent", "squeezed", "tmsv", "thermal"],
+)
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_are_named(build, x):
+    with pytest.raises(ValueError, match=r"(alpha|s|r|nbar) = -?(inf|nan) is not finite"):
+        build(x)
+
+
+def test_geometric_cutoffs_past_a_unit_ratio_are_typed():
+    # tanh r and nbar / (1 + nbar) round to 1 in floats
+    for call in (lambda: tmsv_cutoff(20.0), lambda: saturating_family(2, 20.0),
+                 lambda: thermal_cutoff(1e17), lambda: make_fock_thermal(1e300)):
+        with pytest.raises(CutoffOverflowError, match="no finite cutoff"):
+            call()
+
+
+def _squeezed_cutoff_search(s, tau=TAU_TRUNC):
+    """squeezed_cutoff's loop, with no bound on its length."""
+    t2 = math.tanh(abs(s)) ** 2
+    if t2 == 0.0:
+        return 1
+    term, m = 1.0 / math.cosh(s), 0
+    while term * t2 / (1.0 - t2) > 0.5 * tau:
+        m += 1
+        term *= t2 * (2 * m - 1) / (2 * m)
+    return 2 * m + 2
+
+
+def test_squeezed_cutoff_search_ends_at_the_byte_budget(monkeypatch):
+    monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 2**16)
+    for s in np.linspace(0.05, 4.0, 80):
+        want = _squeezed_cutoff_search(s)
+        if want <= 4096:
+            assert squeezed_cutoff(s) == want, s
+        else:
+            with pytest.raises(CutoffOverflowError, match="over the budget of 65536"):
+                squeezed_cutoff(s)
+    for s in (19.1, 1e17):  # tanh(s)^2 rounds to 1
+        with pytest.raises(CutoffOverflowError, match="no finite cutoff"):
+            squeezed_cutoff(s)
+
+
+def test_squeezed_vacuum_builds_past_the_old_search_cap():
+    # a search capped at 100000 steps returned 200002 here and refused it
+    psi = make_fock_squeezed(5.0)
+    assert psi.cutoffs == (_squeezed_cutoff_search(5.0),) == (237998,)
+    assert psi.tail_mass <= TAU_TRUNC
 
 
 def test_fock_serialization_round_trip(tmp_path):
