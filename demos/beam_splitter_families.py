@@ -7,8 +7,9 @@ input budget g((M_TN - 1)/2).  The ratio is 1 exactly when the input is a
 pair of orthogonally squeezed vacua (the output is then a two-mode squeezed
 vacuum), drifts toward 1 for twin number states |N,N>, and toward 1/2 for
 single-arm number states |N,0>.  Every row comes from the library's
-beam-splitter sweep: the number-state rows from truncated Fock amplitudes,
-the squeezed rows from covariance matrices, which need no truncation.
+beam-splitter sweep: the number-state rows from the closed-form photon
+laws of the output (binomial and twin-Fock), the squeezed rows from
+covariance matrices.  Neither needs a truncation.
 """
 
 import math

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .experiments import (
     AuditReport,
+    beam_splitter_fock,
     beam_splitter_sweep,
     bound_profile_sweep,
     counterexample_demo,

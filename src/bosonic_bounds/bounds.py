@@ -176,16 +176,22 @@ def solve_na_star(N: float, n_a: int, n_b: int) -> NAStarSolution:
 
 
 def _closed_form_root(N: float, n_a: int, n_b: int, variant: str) -> float:
-    """N_A* of the named closed form, without validation or residual."""
+    """N_A* of the named closed form, without validation or residual.
+
+    NaN where a power in it leaves the float range: (e nu)^{1 - mu} or
+    nu^mu overflows, or nu^mu underflows to 0.  That happens only far from
+    the closed form's large-nu, moderate-mu regime.
+    """
+    if variant not in ("leading", "refined"):
+        raise ValueError(f"unknown variant {variant!r}")
     mu = n_a / n_b
     nu = N / n_a
-    base = 1.0 / (mu * ((math.e * nu) ** (1.0 - mu) + 1.0))
-    if variant == "leading":
-        delta = base
-    elif variant == "refined":
-        delta = base * (1.0 - math.exp(1.0 - mu) / (2.0 * nu**mu))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    try:
+        delta = 1.0 / (mu * ((math.e * nu) ** (1.0 - mu) + 1.0))
+        if variant == "refined":
+            delta *= 1.0 - math.exp(1.0 - mu) / (2.0 * nu**mu)
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
     return (1.0 - delta) * N
 
 
@@ -213,8 +219,9 @@ def na_star_asymptotic(N: float, n_a: int, n_b: int, variant: str = "leading") -
     if 0.0 <= root <= N:
         residual = abs(_balance(root, N, n_a, n_b))
     else:
-        # Outside its validity region the closed form can leave [0, N];
-        # report the raw value with an undefined residual instead of failing.
+        # Outside its validity region the closed form can leave [0, N] or
+        # the float range (a NaN root); report the raw value with an
+        # undefined residual instead of failing.
         residual = math.nan
     return NAStarSolution(root, N - root, residual, 0, f"asymptotic-{variant}", total=N)
 
@@ -246,8 +253,10 @@ def split_bound_asymptotic(mtn: float, n_a: int, n_b: int) -> float:
     N = 0.5 * n * (mtn - 1.0)
     sol = na_star_asymptotic(N, n_a, n_b, variant="leading")
     x = sol.na_star / n_a
-    if x <= 0.0:
-        raise ValueError("asymptotic split collapsed to zero photons")
+    if not x > 0.0:
+        raise ValueError(
+            f"asymptotic split gives no positive photon number: N_A* = {sol.na_star!r}"
+        )
     return n_a * math.log(x) + n_a
 
 

@@ -43,6 +43,7 @@ from .bounds import (
 )
 from .errors import AuditViolationError, CutoffOverflowError, SchemaError
 from .experiments import (
+    beam_splitter_fock,
     beam_splitter_sweep,
     bound_profile_sweep,
     counterexample_demo,
@@ -50,7 +51,6 @@ from .experiments import (
     split_accuracy_sweep,
 )
 from .fock import (
-    apply_beam_splitter_fock,
     entanglement_entropy,
     entanglement_measures_pure,
     load_fock,
@@ -320,7 +320,10 @@ def _cmd_nastar(args) -> int:
             reason = "closed form is asymptotic in N and undefined at N = 0"
         else:
             sol = na_star_asymptotic(args.N, args.nA, args.nB, method)
-            if not 0.0 <= sol.na_star <= sol.total:  # no split of N photons
+            if math.isnan(sol.na_star):
+                reason = ("closed form leaves the float range: "
+                          "(e nu)^(1 - mu) or nu^mu over- or underflows")
+            elif not 0.0 <= sol.na_star <= sol.total:  # no split of N photons
                 reason = f"closed form gives N_A* = {sol.na_star!r}, outside [0, N]"
         entry = payload["solutions"][method] = sol.to_dict()
         if reason is not None:
@@ -332,25 +335,8 @@ def _cmd_nastar(args) -> int:
 
 def _cmd_beamsplitter(args) -> int:
     state = _load_fock(args)
-    if state.n != 2:
-        raise SchemaError(
-            f"the balanced beam splitter acts on 2 modes, state has {state.n}"
-        )
-    tau = args.tau_trunc
-    mtn_in = mtn_pure(state, tau=tau)
-    out = apply_beam_splitter_fock(state, tau=tau)
-    ef, log_negativity = entanglement_measures_pure(out, Bipartition(1, 1), tau=tau)
-    g_in = even_split_check(ef, mtn_in, 2).rhs
-    payload = {
-        "mtn_in": mtn_in,
-        "g_in": g_in,
-        "ef": ef,
-        "ratio": ef / g_in if g_in > 0.0 else 1.0,
-        "log_negativity": log_negativity,
-        "tail_mass": out.tail_mass,
-        "cutoffs": list(out.cutoffs),
-        "config": _config_echo(args),
-    }
+    payload = beam_splitter_fock(state, tau=args.tau_trunc)
+    payload["config"] = _config_echo(args)
     _emit(payload, args)
     return 0
 

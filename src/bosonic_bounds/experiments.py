@@ -9,11 +9,11 @@ CSV column orders
 -----------------
 beam_splitter_sweep.csv:
     family, param, mtn_in, g_in, ef, ratio, cutoff, tail_mass, asymptote_gap
-    The number families (number-split, twin-number) run in truncated Fock
-    space.  The squeezed families (antisqueezed-vacuum, orthogonal-squeezed,
-    tmsv-direct) have Gaussian inputs and pure Gaussian outputs, so they run
-    on covariance matrices; their rows have cutoff 0 and tail_mass 0, meaning
-    no truncation.
+    No row is truncated, so every row has cutoff 0 and tail_mass 0.  The
+    number families (number-split, twin-number) come from the closed-form
+    photon laws of the beam splitter's output.  The squeezed families
+    (antisqueezed-vacuum, orthogonal-squeezed, tmsv-direct) have Gaussian
+    inputs and pure Gaussian outputs, so they run on covariance matrices.
 bound_profile.csv:
     n_a, n_b, mu, nu, ef_per_na, ef_per_na_asymptotic, gaussian_per_na, residual
 split_accuracy.csv:
@@ -48,8 +48,8 @@ from .fock import (
     fock_to_dict,
     apply_beam_splitter_fock,
     entanglement_entropy,
+    entanglement_measures_pure,
     make_counterexample_states,
-    make_fock_number,
     mtn_pure,
 )
 from .gaussian import (
@@ -71,6 +71,7 @@ from .tolerances import TAU_CHECK, TAU_TRUNC
 
 __all__ = [
     "AuditReport",
+    "beam_splitter_fock",
     "beam_splitter_sweep",
     "bound_profile_sweep",
     "split_accuracy_sweep",
@@ -142,23 +143,52 @@ _BS_COLUMNS = (
 )
 
 
+_NUMBER_FAMILIES = ("number-split", "twin-number")
+
+# Largest photon number of a closed-form number row; a twin row's working
+# arrays then stay under about 300 MB.
+_NUMBER_ROW_MAX_N = 2**22
+
+
+def _number_law_entropy(N: int, twin: bool) -> float:
+    """Entropy of the photon law a balanced beam splitter makes from |N,0> or |N,N>.
+
+    The beam splitter acts on number inputs as an SU(2) rotation, so the
+    output is a Schmidt sum whose squared coefficients follow a known law:
+    Binomial(N, 1/2) on |m, N - m> for |N,0>, and the twin-Fock law
+    p_m = C(2m, m) C(2N - 2m, N - m) / 4^N on |2m, 2N - 2m> for |N,N>.
+    log p_m comes from cumulative sums of log k, so a row costs O(N).
+    """
+    K = 2 * N if twin else N
+    log_fact = np.zeros(K + 1)
+    np.cumsum(np.log(np.arange(1.0, K + 1)), out=log_fact[1:])
+    if twin:
+        log_central = log_fact[::2] - 2.0 * log_fact[: N + 1]  # ln C(2m, m)
+        log_p = log_central + log_central[::-1] - 2 * N * math.log(2.0)
+    else:
+        log_p = log_fact[N] - log_fact - log_fact[::-1] - N * math.log(2.0)
+    return float(-np.sum(np.exp(log_p) * log_p) + 0.0)
+
+
 def _bs_row(family: str, param: float) -> dict:
     # ref is the large-input asymptote of E_F; None means the ratio itself
     # tends to 1, so the gap is measured there.
-    if family in ("number-split", "twin-number"):
+    if family in _NUMBER_FAMILIES:
+        if not (0 <= param <= _NUMBER_ROW_MAX_N and param == int(param)):
+            raise ValueError(
+                f"photon number must be an integer in [0, {_NUMBER_ROW_MAX_N}], got {param!r}"
+            )
         N = int(param)
         twin = family == "twin-number"
-        psi_in = make_fock_number((N, N) if twin else (N, 0))
+        ef = _number_law_entropy(N, twin)
+        # Var x + Var p of |k> is 2k + 1; M_TN is its mean over the modes.
+        mtn_in = float(2 * N + 1 if twin else N + 1)
         if N == 0:
             ref = 0.0
         elif twin:
-            ref = math.log(math.pi * N / 4.0)
+            ref = math.log(math.pi * N / 4.0)  # the arcsine law's entropy
         else:
-            ref = 0.5 * math.log(2.0 * math.pi * math.e * N)
-        psi_out = apply_beam_splitter_fock(psi_in)
-        mtn_in = mtn_pure(psi_in)
-        ef = entanglement_entropy(psi_out, Bipartition(1, 1))
-        cutoff, tail_mass = int(psi_in.cutoffs[0]), psi_out.tail_mass
+            ref = 0.5 * math.log(0.5 * math.pi * math.e * N)  # variance N / 4
     else:
         s = float(param)
         if family == "antisqueezed-vacuum":
@@ -177,8 +207,6 @@ def _bs_row(family: str, param: float) -> dict:
         st_out = st_in if family == "tmsv-direct" else apply_beam_splitter(st_in)
         mtn_in = float(np.trace(st_in.cov)) / (2 * st_in.n)
         ef = entanglement_entropy_gaussian(st_out, Bipartition(1, 1))
-        # Gaussian rows are exact: no Fock truncation, so no cutoff or tail.
-        cutoff, tail_mass = 0, 0.0
     chk = even_split_check(ef, mtn_in, 2)
     g_in = chk.rhs
     ratio = ef / g_in if g_in > 0.0 else 1.0
@@ -194,9 +222,35 @@ def _bs_row(family: str, param: float) -> dict:
         "g_in": g_in,
         "ef": ef,
         "ratio": ratio,
-        "cutoff": cutoff,
-        "tail_mass": tail_mass,
+        # Neither route truncates anything: no cutoff, no tail.
+        "cutoff": 0,
+        "tail_mass": 0.0,
         "asymptote_gap": abs(ratio - 1.0) if ref is None else abs(ef - ref),
+    }
+
+
+def beam_splitter_fock(state: FockPureState, tau: float = TAU_TRUNC) -> dict:
+    """Balanced beam splitter on a two-mode Fock state, in truncated Fock space.
+
+    Returns the input's M_TN, its budget g_in = g((M_TN - 1)/2), the
+    output's E_F and E_N, ratio = E_F / g_in (1 when g_in is 0), and the
+    output's tail mass and cutoffs.  This is the route for arbitrary input;
+    the sweep's number families take their closed forms instead.
+    """
+    if state.n != 2:
+        raise ValueError(f"the balanced beam splitter acts on 2 modes, state has {state.n}")
+    mtn_in = mtn_pure(state, tau=tau)
+    out = apply_beam_splitter_fock(state, tau=tau)
+    ef, log_negativity = entanglement_measures_pure(out, Bipartition(1, 1), tau=tau)
+    g_in = even_split_check(ef, mtn_in, 2).rhs
+    return {
+        "mtn_in": mtn_in,
+        "g_in": g_in,
+        "ef": ef,
+        "ratio": ef / g_in if g_in > 0.0 else 1.0,
+        "log_negativity": log_negativity,
+        "tail_mass": out.tail_mass,
+        "cutoffs": list(out.cutoffs),
     }
 
 
@@ -208,13 +262,13 @@ def beam_splitter_sweep(
 ) -> list[dict]:
     """Entanglement generated by a balanced beam splitter, family by family.
 
-    Number families sweep the photon count through the Fock-space beam
-    splitter; their rows record the per-mode cutoff and the output tail
-    mass, which is 0: |N,0> and |N,N> fill one block inside the cutoffs.
-    Squeezed families sweep the squeezing parameter on covariance
+    Number families sweep the photon count N: E_F is the entropy of the
+    output's closed-form photon law (binomial for |N,0>, twin-Fock for
+    |N,N>) and M_TN is N + 1 or 2N + 1, in O(N) per row with no Fock
+    tensor.  Squeezed families sweep the squeezing parameter on covariance
     matrices: E_F comes from the symplectic spectrum of the output's
-    reduced covariance and M_TN = Tr V / (2n) from the input's, with no
-    truncation, so their rows have cutoff 0 and tail_mass 0.  Every row
+    reduced covariance and M_TN = Tr V / (2n) from the input's.  Nothing
+    is truncated, so every row has cutoff 0 and tail_mass 0.  Every row
     re-checks E_F <= g((M_TN - 1)/2).
     """
     families = tuple(families) if families else BS_FAMILIES
@@ -227,7 +281,7 @@ def beam_splitter_sweep(
     )
     rows = []
     for family in families:
-        grid = number_grid if family in ("number-split", "twin-number") else squeeze_grid
+        grid = number_grid if family in _NUMBER_FAMILIES else squeeze_grid
         rows.extend(_bs_row(family, p) for p in grid)
     if out_dir is not None:
         params = {

@@ -208,6 +208,13 @@ def _check_tail(tail: float, cutoff, tau: float, what: str):
         )
 
 
+def _sech(x: float) -> float:
+    """1 / cosh x without overflow: math.cosh overflows past |x| ~ 710.5,
+    and from |x| = 700 on sech x is 2 e^{-|x|} to the last bit."""
+    x = abs(x)
+    return 1.0 / math.cosh(x) if x < 700.0 else 2.0 * math.exp(-x)
+
+
 def _geometric_cutoff(q: float, tau: float) -> int:
     """Smallest K >= 1 with q^K <= tau, for 0 <= q < 1.
 
@@ -370,7 +377,7 @@ def make_fock_squeezed(
     _check_budget((cutoff,), "squeezed")
     t = math.tanh(s)
     amps = np.zeros(cutoff, dtype=complex)
-    base = 1.0 / math.sqrt(math.cosh(s))
+    base = math.sqrt(_sech(s))
     factor = -np.exp(2j * phi) * t
     for m in range(0, (cutoff - 1) // 2 + 1):
         ln = 0.5 * math.lgamma(2 * m + 1) - math.lgamma(m + 1) - m * math.log(2.0)
@@ -392,7 +399,7 @@ def make_fock_tmsv(r: float, cutoff: int = None, tau: float = TAU_TRUNC) -> Fock
     _check_tail(tail, cutoff, tau, "tmsv")
     _check_budget((cutoff, cutoff), "tmsv")
     amps = np.zeros((cutoff, cutoff), dtype=complex)
-    amps[np.arange(cutoff), np.arange(cutoff)] = t ** np.arange(cutoff) / math.cosh(r)
+    amps[np.arange(cutoff), np.arange(cutoff)] = t ** np.arange(cutoff) * _sech(r)
     return FockPureState(amps, tail)
 
 
@@ -704,7 +711,8 @@ def saturating_family(
     t = math.tanh(r)
     if cutoff is None:
         cutoff = _geometric_cutoff(t * t, tau / n_a)
-    tail = -math.expm1(n_a * math.log1p(-((t * t) ** cutoff)))  # 1 - (1 - t^{2K})^{n_A}
+    q = (t * t) ** cutoff  # 1 when tanh r rounds to 1
+    tail = 1.0 if q == 1.0 else -math.expm1(n_a * math.log1p(-q))  # 1 - (1 - q)^{n_A}
     _check_tail(tail, cutoff, tau, "saturating family")
     _check_budget((cutoff,) * n, "saturating family")
     totals = _basis_totals(n_a, cutoff)

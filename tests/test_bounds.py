@@ -269,6 +269,32 @@ def test_asymptotic_out_of_range_root_reports_nan_residual():
     assert math.isnan(sol.residual)
 
 
+@pytest.mark.parametrize(
+    "N, n_a, n_b, variant",
+    [(1.0, 1000, 1, "leading"),  # (e nu)^(1 - mu) overflows
+     (1e300, 3, 1, "refined"),  # nu^mu overflows
+     (5e-324, 2, 2, "refined"),  # nu rounds to 0, so nu^mu does too
+     (5e-324, 3, 2, "leading")],  # 0 to a negative power
+)
+def test_asymptotic_root_past_the_float_range_is_nan(N, n_a, n_b, variant):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = na_star_asymptotic(N, n_a, n_b, variant)
+    assert math.isnan(sol.na_star) and math.isnan(sol.residual)
+
+
+def test_split_bound_asymptotic_refuses_a_root_past_the_float_range():
+    import warnings
+
+    # N = 0.5 photons over 1000 A-modes: (e nu)^(1 - mu) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="no positive photon number"):
+            split_bound_asymptotic(1.0 + 1.0 / 1001.0, 1000, 1)
+
+
 @pytest.mark.parametrize("N", [math.nan, math.inf, -math.inf])
 def test_na_star_solvers_reject_non_finite_budget(N):
     with pytest.raises(ValueError, match="must be finite"):

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ def test_fock_request_takes_one_schmidt_decomposition(argv, capsys, monkeypatch)
     payload = run_json(argv, capsys)
     assert len(calls) == 1
     assert {"ef", "log_negativity"} <= set(payload)
+
+
+def test_beamsplitter_reports_the_shared_fock_route(capsys):
+    from bosonic_bounds import beam_splitter_fock, make_fock_number
+
+    payload = run_json(["beamsplitter", "--fock", "N=3,7"], capsys)
+    want = beam_splitter_fock(make_fock_number((3, 7)), tau=TAU_TRUNC)
+    assert {k: payload[k] for k in want} == want
+    assert set(payload) == set(want) | {"config", "unit"}
 
 
 def test_beamsplitter_ebits_unit(capsys):
@@ -212,6 +222,23 @@ def test_nastar_out_of_range_closed_forms_print_null(capsys):
         assert (entry["na_star"], entry["nb_star"], entry["residual"]) == (None, None, None)
         assert "outside [0, N]" in entry["reason"]
     assert sols["bisection"] == json.loads(json.dumps(solve_na_star(0.5, 1, 5).to_dict()))
+
+
+@pytest.mark.parametrize(
+    "argv, method",
+    [(["--N", "1", "--nA", "1000", "--nB", "1", "--method", "leading"], "leading"),
+     (["--N", "1e300", "--nA", "3", "--nB", "1", "--method", "all"], "refined")],
+    ids=["e-nu-power-overflows", "nu-power-overflows"],
+)
+def test_nastar_closed_forms_past_the_float_range_print_null(argv, method, capsys):
+    # (e nu)^(1 - mu) = (e / 1000)^-999 and nu^mu = (1e300 / 3)^3 overflow a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # nu = 1e-3 warns that nu < 10
+        code, out, err = run_cli(["nastar", *argv], capsys)
+    assert code == 0, err
+    entry = json.loads(out, parse_constant=_refuse_constant)["solutions"][method]
+    assert (entry["na_star"], entry["nb_star"], entry["residual"]) == (None, None, None)
+    assert "leaves the float range" in entry["reason"]
 
 
 @pytest.mark.parametrize("method", ["all", "leading"])

@@ -13,12 +13,14 @@ from bosonic_bounds import (
     Bipartition,
     FockPureState,
     apply_beam_splitter_fock,
+    beam_splitter_fock,
     beam_splitter_sweep,
     bound_profile_sweep,
     counterexample_demo,
     entanglement_entropy,
     g,
     load_nastar_envelope,
+    make_fock_number,
     make_fock_squeezed,
     make_fock_tmsv,
     mtn_pure,
@@ -27,6 +29,7 @@ from bosonic_bounds import (
     squeezed_cutoff,
     tmsv_cutoff,
 )
+from bosonic_bounds import fock
 from bosonic_bounds.errors import AuditViolationError
 from bosonic_bounds.experiments import write_sweep
 from bosonic_bounds.tolerances import TAU_CHECK, TAU_TRUNC
@@ -142,6 +145,53 @@ def test_gaussian_sweep_rows_agree_with_the_fock_route(family, tol, s):
     assert (row["cutoff"], row["tail_mass"]) == (0, 0.0)
 
 
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 8, 16, 40])
+@pytest.mark.parametrize("family, occupations", [("number-split", lambda N: (N, 0)),
+                                                 ("twin-number", lambda N: (N, N))])
+def test_number_sweep_rows_agree_with_the_fock_route(family, occupations, N):
+    (row,) = beam_splitter_sweep(families=(family,), number_grid=[N])
+    ref = beam_splitter_fock(make_fock_number(occupations(N)))
+    for key in ("ef", "g_in", "ratio"):
+        assert row[key] == pytest.approx(ref[key], abs=1e-12), key
+    # M_TN of the input is exact; the Fock route's moment sums round it.
+    assert row["mtn_in"] == (2 * N + 1 if family == "twin-number" else N + 1)
+    assert row["mtn_in"] == pytest.approx(ref["mtn_in"], rel=1e-14)
+    assert (row["cutoff"], row["tail_mass"]) == (0, 0.0)
+
+
+def test_number_split_gap_to_the_binomial_entropy_asymptote_closes():
+    grid = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40]
+    rows = beam_splitter_sweep(families=("number-split",), number_grid=grid)
+    gaps = [r["asymptote_gap"] for r in rows]
+    # H(Binomial(N, 1/2)) -> (1/2) ln(pi e N / 2); from N = 1 to 2 the entropy
+    # and the asymptote both grow by exactly (1/2) ln 2, so the gap ties there.
+    assert gaps[0] == pytest.approx(gaps[1], rel=1e-12)
+    assert all(a > b for a, b in zip(gaps[1:], gaps[2:]))
+    assert gaps[-1] < 1e-4
+
+
+def test_single_arm_ratio_enters_the_half_window_at_1e5_photons():
+    # The ratio E_F / g_in of |N,0> tends to 1/2 like a ratio of logarithms
+    # and is within 0.05 of it from N ~ 7e4 on; the strict xfail of
+    # criterion 2 records that N = 40 is far outside.
+    (row,) = beam_splitter_sweep(families=("number-split",), number_grid=[100000])
+    assert abs(row["ratio"] - 0.5) <= 0.05
+    assert row["ef"] == pytest.approx(0.5 * math.log(0.5 * math.pi * math.e * 1e5), abs=1e-5)
+
+
+def test_default_beam_splitter_sweep_leaves_the_block_cache_alone():
+    before = fock.beam_splitter_block.cache_info()
+    beam_splitter_sweep()
+    after = fock.beam_splitter_block.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_number_rows_refuse_photon_numbers_outside_their_range():
+    for N in (-1, 2**22 + 1, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="photon number must be an integer in"):
+            beam_splitter_sweep(families=("twin-number",), number_grid=[N])
+
+
 def test_default_beam_splitter_sweep_reaches_high_squeezing_in_little_memory():
     tracemalloc.start()
     try:
@@ -150,8 +200,8 @@ def test_default_beam_splitter_sweep_reaches_high_squeezing_in_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    # |N,0> and |N,N> each fill one photon-number block inside the cutoffs.
-    assert {r["tail_mass"] for r in rows} == {0.0}
+    # No row truncates anything.
+    assert {(r["cutoff"], r["tail_mass"]) for r in rows} == {(0, 0.0)}
     for family in ("antisqueezed-vacuum", "orthogonal-squeezed", "tmsv-direct"):
         params = {r["param"] for r in rows if r["family"] == family}
         assert {1.2, 1.5} <= params

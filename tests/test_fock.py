@@ -738,6 +738,43 @@ def test_fock_constructors_build_or_raise_a_value_error_at_every_edge(build, mon
         assert math.isfinite(x), f"built at parameter {x}"
 
 
+@pytest.mark.parametrize("tau", [TAU_TRUNC, 1.0])
+@pytest.mark.parametrize(
+    "build",
+    [
+        make_fock_coherent,
+        make_fock_squeezed,
+        lambda x, **kw: make_fock_squeezed(0.5, phi=x, **kw),
+        make_fock_tmsv,
+        make_fock_thermal,
+        lambda x, **kw: saturating_family(2, x, **kw),
+    ],
+    ids=["coherent", "squeezed", "squeezed-phi", "tmsv", "thermal", "saturating-2"],
+)
+def test_explicit_cutoff_constructors_build_or_raise_a_typed_error_at_every_edge(
+    build, tau, monkeypatch
+):
+    # Past s ~ 710 cosh overflows, and tanh r rounds to 1 from r ~ 19.1.  A
+    # tail above tau is a TruncationError; tau = 1 admits any tail, and the
+    # state then built keeps its mass and its tail adding to 1.  A bare
+    # ValueError must name a non-finite parameter: "math domain error" or
+    # an OverflowError fails here.
+    monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 2**16)
+    for x in _EDGE_VALUES:
+        for cutoff in (1, 5, 10):
+            try:
+                state = build(x, cutoff=cutoff, tau=tau)
+            except (TruncationError, CutoffOverflowError):
+                continue
+            except ValueError as exc:
+                assert "is not finite" in str(exc), (x, cutoff, exc)
+                continue
+            assert math.isfinite(x), f"built at parameter {x}"
+            mass = (state.norm2() if isinstance(state, FockPureState)
+                    else float(np.trace(state.mat).real))
+            assert mass + state.tail_mass == pytest.approx(1.0, abs=1e-9), (x, cutoff)
+
+
 @pytest.mark.parametrize(
     "build", [make_fock_coherent, make_fock_squeezed, make_fock_tmsv, make_fock_thermal],
     ids=["coherent", "squeezed", "tmsv", "thermal"],
