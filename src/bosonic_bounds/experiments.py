@@ -12,8 +12,8 @@ beam_splitter_sweep.csv:
     No row is truncated, so every row has cutoff 0 and tail_mass 0.  The
     number families (number-split, twin-number) come from the closed-form
     photon laws of the beam splitter's output.  The squeezed families
-    (antisqueezed-vacuum, orthogonal-squeezed, tmsv-direct) have Gaussian
-    inputs and pure Gaussian outputs, so they run on covariance matrices.
+    (antisqueezed-vacuum, orthogonal-squeezed, tmsv-direct) come from the
+    closed form of the two-mode squeezed vacuum.
 bound_profile.csv:
     n_a, n_b, mu, nu, ef_per_na, ef_per_na_asymptotic, gaussian_per_na, residual
 split_accuracy.csv:
@@ -53,18 +53,12 @@ from .fock import (
     mtn_pure,
 )
 from .gaussian import (
-    apply_beam_splitter,
-    entanglement_entropy_gaussian,
     gaussian_measures,
     gaussian_to_dict,
     log_negativity_gaussian,
-    make_squeezed,
-    make_tmsv,
-    make_vacuum,
     qcs2_gaussian,
     random_classical_state,
     random_gaussian_state,
-    tensor,
 )
 from .symplectic import Bipartition, default_bipartition
 from .tolerances import TAU_CHECK, TAU_TRUNC
@@ -190,23 +184,23 @@ def _bs_row(family: str, param: float) -> dict:
         else:
             ref = 0.5 * math.log(0.5 * math.pi * math.e * N)  # variance N / 4
     else:
+        # The output is locally a two-mode squeezed vacuum of parameter s, whose
+        # reduced symplectic eigenvalue is cosh 2s; M_TN is Tr V / 4 of the input.
         s = float(param)
+        try:
+            c = math.cosh(2.0 * s)
+        except OverflowError:
+            c = math.inf
         if family == "antisqueezed-vacuum":
-            st_in = tensor(make_squeezed(2.0 * s), make_vacuum(1))
-            ref = g(math.sinh(s) ** 2)
-        elif family == "orthogonal-squeezed":
-            st_in = tensor(make_squeezed(s), make_squeezed(s, math.pi / 2.0))
-            ref = None
-        elif family == "tmsv-direct":
-            st_in = make_tmsv(s)
-            ref = None
+            mtn_in = c * c
+            ref = 2.0 * abs(s) + 1.0 - math.log(4.0)  # g(x) ~ ln x + 1, x ~ e^{2|s|}/4
         else:
-            raise ValueError(f"unknown family {family!r}")
-        # tmsv-direct is already the state a balanced beam splitter makes
-        # from an orthogonally squeezed pair.
-        st_out = st_in if family == "tmsv-direct" else apply_beam_splitter(st_in)
-        mtn_in = float(np.trace(st_in.cov)) / (2 * st_in.n)
-        ef = entanglement_entropy_gaussian(st_out, Bipartition(1, 1))
+            mtn_in, ref = c, None
+        if not math.isfinite(mtn_in):
+            raise ValueError(
+                f"{family}: squeezing s = {param!r} must be finite, with M_TN in float range"
+            )
+        ef = g(math.sinh(s) ** 2)
     chk = even_split_check(ef, mtn_in, 2)
     g_in = chk.rhs
     ratio = ef / g_in if g_in > 0.0 else 1.0
@@ -222,7 +216,7 @@ def _bs_row(family: str, param: float) -> dict:
         "g_in": g_in,
         "ef": ef,
         "ratio": ratio,
-        # Neither route truncates anything: no cutoff, no tail.
+        # No row truncates anything: no cutoff, no tail.
         "cutoff": 0,
         "tail_mass": 0.0,
         "asymptote_gap": abs(ratio - 1.0) if ref is None else abs(ef - ref),
@@ -265,11 +259,12 @@ def beam_splitter_sweep(
     Number families sweep the photon count N: E_F is the entropy of the
     output's closed-form photon law (binomial for |N,0>, twin-Fock for
     |N,N>) and M_TN is N + 1 or 2N + 1, in O(N) per row with no Fock
-    tensor.  Squeezed families sweep the squeezing parameter on covariance
-    matrices: E_F comes from the symplectic spectrum of the output's
-    reduced covariance and M_TN = Tr V / (2n) from the input's.  Nothing
-    is truncated, so every row has cutoff 0 and tail_mass 0.  Every row
-    re-checks E_F <= g((M_TN - 1)/2).
+    tensor.  Squeezed families sweep the squeezing parameter s: the output
+    is locally a two-mode squeezed vacuum of parameter s, so E_F =
+    g(sinh^2 s), and M_TN is cosh 2s (cosh^2 2s for antisqueezed-vacuum,
+    whose input is squeezed(2s) x vacuum); a NaN, infinite or overflowing
+    s raises ValueError.  Nothing is truncated, so every row has cutoff 0
+    and tail_mass 0.  Every row re-checks E_F <= g((M_TN - 1)/2).
     """
     families = tuple(families) if families else BS_FAMILIES
     for f in families:

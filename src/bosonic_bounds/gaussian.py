@@ -312,32 +312,36 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_orthogonal_symplectic(n: int, rng=None) -> np.ndarray:
-    """Random orthogonal symplectic matrix (a passive Gaussian unitary).
+def _orthogonal_symplectic(w: np.ndarray) -> np.ndarray:
+    """Orthogonal symplectic matrices from Gaussian draws w, shape (..., 2, n, n).
 
-    Drawn by embedding a Haar unitary U = A + iB blockwise: the 2x2 block
-    for modes (i, j) is [[A_ij, -B_ij], [B_ij, A_ij]].
+    One stacked QR of w[..., 0, :, :] + i w[..., 1, :, :] gives Haar unitaries
+    U = A + iB; the 2x2 block for modes (i, j) is [[A_ij, -B_ij], [B_ij, A_ij]].
     """
-    rng = _as_rng(rng)
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    O = np.zeros((2 * n, 2 * n))
-    O[0::2, 0::2] = u.real
-    O[0::2, 1::2] = -u.imag
-    O[1::2, 0::2] = u.imag
-    O[1::2, 1::2] = u.real
+    q, r = np.linalg.qr(w[..., 0, :, :] + 1j * w[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[..., None, :]
+    n = u.shape[-1]
+    O = np.zeros(u.shape[:-2] + (2 * n, 2 * n))
+    O[..., 0::2, 0::2] = u.real
+    O[..., 0::2, 1::2] = -u.imag
+    O[..., 1::2, 0::2] = u.imag
+    O[..., 1::2, 1::2] = u.real
     return O
+
+
+def random_orthogonal_symplectic(n: int, rng=None) -> np.ndarray:
+    """Random orthogonal symplectic matrix (a passive Gaussian unitary)."""
+    return _orthogonal_symplectic(_as_rng(rng).normal(size=(2, n, n)))
 
 
 def random_symplectic(n: int, rng=None, squeeze_max: float = 1.0) -> np.ndarray:
     """Random symplectic S = O1 diag(e^{-s_k}, e^{s_k}) O2, Euler form."""
     rng = _as_rng(rng)
-    o1 = random_orthogonal_symplectic(n, rng)
-    o2 = random_orthogonal_symplectic(n, rng)
+    o1, o2 = _orthogonal_symplectic(rng.normal(size=(2, 2, n, n)))
     s = rng.uniform(0.0, squeeze_max, size=n)
     d = np.stack([np.exp(-s), np.exp(s)], axis=1).reshape(-1)
-    return o1 @ np.diag(d) @ o2
+    return (o1 * d) @ o2
 
 
 def random_gaussian_state(
@@ -369,7 +373,7 @@ def random_gaussian_state(
     else:
         raise ValueError(f"unknown purity profile {purity_profile!r}")
     S = random_symplectic(n, rng, squeeze_max)
-    V = S @ np.diag(np.repeat(nu, 2)) @ S.T
+    V = (S * np.repeat(nu, 2)) @ S.T
     return GaussianState(np.zeros(2 * n), V)
 
 

@@ -115,7 +115,7 @@ def test_criterion2_number_state_ratio_trends():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="E_F/g_in for |N,0> converges to 1/2 like ln(2 pi e N)/(2 N ln(N/2)); "
+    reason="E_F/g_in for |N,0> converges to 1/2 like (1/2) ln(pi e N/2)/(ln(N/2) + 1); "
     "entering the 0.05 window takes N ~ 7e4, so at N = 40 the ratio is 0.639",
 )
 def test_criterion2_window_single_arm_at_40():

@@ -12,24 +12,31 @@ from bosonic_bounds import (
     AuditReport,
     Bipartition,
     FockPureState,
+    apply_beam_splitter,
     apply_beam_splitter_fock,
     beam_splitter_fock,
     beam_splitter_sweep,
     bound_profile_sweep,
     counterexample_demo,
     entanglement_entropy,
+    entanglement_entropy_gaussian,
     g,
     load_nastar_envelope,
     make_fock_number,
     make_fock_squeezed,
     make_fock_tmsv,
+    make_squeezed,
+    make_tmsv,
+    make_vacuum,
     mtn_pure,
     random_audit,
     split_accuracy_sweep,
     squeezed_cutoff,
+    tensor,
+    theorem_symmetric_bound,
     tmsv_cutoff,
 )
-from bosonic_bounds import fock
+from bosonic_bounds import fock, gaussian, symplectic
 from bosonic_bounds.errors import AuditViolationError
 from bosonic_bounds.experiments import write_sweep
 from bosonic_bounds.tolerances import TAU_CHECK, TAU_TRUNC
@@ -143,6 +150,82 @@ def test_gaussian_sweep_rows_agree_with_the_fock_route(family, tol, s):
     assert row["ef"] == pytest.approx(ef, abs=tol)
     assert row["mtn_in"] == pytest.approx(mtn, rel=tol)
     assert (row["cutoff"], row["tail_mass"]) == (0, 0.0)
+
+
+SQUEEZED_FAMILIES = ("antisqueezed-vacuum", "orthogonal-squeezed", "tmsv-direct")
+
+
+def _covariance_route(family, s):
+    """(E_F of the output, M_TN of the input) of a squeezed row on covariance matrices."""
+    if family == "antisqueezed-vacuum":
+        st_in = tensor(make_squeezed(2.0 * s), make_vacuum(1))
+    elif family == "orthogonal-squeezed":
+        st_in = tensor(make_squeezed(s), make_squeezed(s, math.pi / 2.0))
+    else:
+        st_in = make_tmsv(s)
+    st_out = st_in if family == "tmsv-direct" else apply_beam_splitter(st_in)
+    ef = entanglement_entropy_gaussian(st_out, Bipartition(1, 1))
+    return ef, float(np.trace(st_in.cov)) / (2 * st_in.n)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5, 2.0])
+@pytest.mark.parametrize("family", SQUEEZED_FAMILIES)
+def test_squeezed_sweep_rows_agree_with_the_covariance_route(family, s):
+    (row,) = beam_splitter_sweep(families=(family,), squeeze_grid=[s])
+    ef, mtn = _covariance_route(family, s)
+    assert row["ef"] == pytest.approx(ef, rel=1e-12)
+    assert row["mtn_in"] == pytest.approx(mtn, rel=1e-12)
+    assert row["g_in"] == pytest.approx(theorem_symmetric_bound(mtn, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [2.5, 3.0, 5.0, 20.0])
+def test_squeezed_rows_stay_pure_past_the_covariance_route_envelope(s):
+    # The output is locally a two-mode squeezed vacuum of parameter s at any
+    # squeezing, where the covariance route's spectrum calls it mixed.
+    rows = beam_splitter_sweep(families=SQUEEZED_FAMILIES, squeeze_grid=[s])
+    assert [r["family"] for r in rows] == list(SQUEEZED_FAMILIES)
+    for row in rows:
+        assert row["ef"] == pytest.approx(g(math.sinh(s) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family, s",
+    [(f, s) for f in SQUEEZED_FAMILIES for s in (math.nan, math.inf, -math.inf)]
+    # cosh^2 2s overflows near s = 177.5, cosh 2s near s = 355.2
+    + [("antisqueezed-vacuum", 200.0), ("orthogonal-squeezed", 400.0),
+       ("tmsv-direct", 400.0)],
+)
+def test_squeezed_rows_refuse_non_finite_or_overflowing_squeezing(family, s):
+    with pytest.raises(ValueError, match=f"{family}: squeezing s = {s!r}"):
+        beam_splitter_sweep(families=(family,), squeeze_grid=[s])
+
+
+@pytest.mark.parametrize(
+    "family, s",
+    [("antisqueezed-vacuum", 177.0), ("orthogonal-squeezed", 355.0), ("tmsv-direct", 355.0)],
+)
+def test_squeezed_rows_are_finite_just_below_overflow(family, s):
+    (row,) = beam_splitter_sweep(families=(family,), squeeze_grid=[s])
+    assert all(math.isfinite(row[k]) for k in ("mtn_in", "g_in", "ef", "ratio"))
+
+
+def test_default_beam_splitter_sweep_runs_no_gaussian_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep reached the covariance layers")
+
+    for module in (gaussian, symplectic):
+        monkeypatch.setattr(module, "symplectic_eigenvalues", refuse)
+        monkeypatch.setattr(module, "validate_covariance", refuse)
+    assert len(beam_splitter_sweep()) == 2 * 11 + 3 * 8
+
+
+def test_antisqueezed_gap_to_the_thermal_entropy_asymptote_closes():
+    # g(x) -> ln x + 1 and sinh^2 s -> e^{2s} / 4, so E_F -> 2s + 1 - ln 4.
+    rows = beam_splitter_sweep(families=("antisqueezed-vacuum",))
+    gaps = [r["asymptote_gap"] for r in rows]
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    (top,) = [r for r in rows if r["param"] == 1.5]
+    assert 0.0 < top["asymptote_gap"] < 1e-3
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 8, 16, 40])
