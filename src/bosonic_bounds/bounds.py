@@ -109,16 +109,6 @@ class NAStarSolution:
     method: str
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "na_star": self.na_star,
-            "nb_star": self.nb_star,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "method": self.method,
-            "total": self.total,
-        }
-
 
 def _check_mode_counts(n_a: int, n_b: int):
     if n_a < 1 or n_b < 1:
@@ -282,16 +272,6 @@ class BoundCheck:
     margin: float
     holds: bool
     saturated: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "holds": self.holds,
-            "saturated": self.saturated,
-        }
 
 
 def _check(provenance: str, lhs: float, rhs: float, tau_check: float) -> BoundCheck:

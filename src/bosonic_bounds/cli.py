@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -192,7 +192,7 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(_flatten(value, f"{name}."))
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             flat[name] = json.dumps(value, allow_nan=False)
         else:
             flat[name] = value
@@ -250,7 +250,7 @@ def _cmd_measure(args) -> int:
     bp = _bipartition(args, state.n)
     if kind == "gaussian":
         rep = gaussian_measures(state, bp)
-        payload = rep.to_dict()
+        payload = asdict(rep)
     else:
         tau = args.tau_trunc
         noise = total_noise(state, tau=tau)
@@ -297,7 +297,7 @@ def _cmd_bound_check(args) -> int:
         floor = mtn_floor_from_entanglement(ef, state.n)
         if floor is not None:
             payload["mtn_floor"] = floor
-    payload["checks"] = [c.to_dict() for c in checks]
+    payload["checks"] = [asdict(c) for c in checks]
     payload["all_hold"] = all(c.holds for c in checks)
     payload["config"] = _config_echo(args, kind=kind)
     _emit(payload, args)
@@ -325,7 +325,7 @@ def _cmd_nastar(args) -> int:
                           "(e nu)^(1 - mu) or nu^mu over- or underflows")
             elif not 0.0 <= sol.na_star <= sol.total:  # no split of N photons
                 reason = f"closed form gives N_A* = {sol.na_star!r}, outside [0, N]"
-        entry = payload["solutions"][method] = sol.to_dict()
+        entry = payload["solutions"][method] = asdict(sol)
         if reason is not None:
             entry.update(na_star=None, nb_star=None, residual=None, reason=reason)
     payload["config"] = _config_echo(args)

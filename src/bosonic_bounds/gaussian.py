@@ -44,7 +44,6 @@ __all__ = [
     "log_negativity_gaussian",
     "entanglement_entropy_gaussian",
     "gaussian_measures",
-    "random_orthogonal_symplectic",
     "random_symplectic",
     "random_gaussian_state",
     "random_classical_state",
@@ -264,16 +263,6 @@ class MeasureReport:
     symplectic_spectrum: tuple
     symplectic_spectrum_pt: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "qcs2": self.qcs2,
-            "ftot": self.ftot,
-            "log_negativity": self.log_negativity,
-            "n_minus": self.n_minus,
-            "symplectic_spectrum": list(self.symplectic_spectrum),
-            "symplectic_spectrum_pt": list(self.symplectic_spectrum_pt),
-        }
-
 
 def gaussian_measures(st: GaussianState, bp: Bipartition | None = None) -> MeasureReport:
     """Evaluate coherence scale, Fisher information, and log-negativity.
@@ -328,11 +317,6 @@ def _orthogonal_symplectic(w: np.ndarray) -> np.ndarray:
     O[..., 1::2, 0::2] = u.imag
     O[..., 1::2, 1::2] = u.real
     return O
-
-
-def random_orthogonal_symplectic(n: int, rng=None) -> np.ndarray:
-    """Random orthogonal symplectic matrix (a passive Gaussian unitary)."""
-    return _orthogonal_symplectic(_as_rng(rng).normal(size=(2, n, n)))
 
 
 def random_symplectic(n: int, rng=None, squeeze_max: float = 1.0) -> np.ndarray:

@@ -126,8 +126,8 @@ def validate_covariance(V) -> np.ndarray:
 def symplectic_eigenvalues(V) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, ascending.
 
-    Computed from the Hermitian matrix sqrt(V) (i Omega) sqrt(V), which is
-    similar to i Omega V; its spectrum is +/- the symplectic eigenvalues.
+    With the Cholesky factor V = L L^T, the Hermitian matrix L^T (i Omega) L
+    is similar to i Omega V; its spectrum is +/- the symplectic eigenvalues.
 
     Returns
     -------
@@ -136,19 +136,14 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     """
     V = validate_covariance(V)
     n = V.shape[0] // 2
-    lam, Q = np.linalg.eigh(V)
-    if lam[0] <= TAU_PD:
-        # eigh can disagree in sign with the eigvalsh of validate_covariance
-        # once V is ill-conditioned enough; its root would then be NaN.
+    try:
+        L = np.linalg.cholesky(V)
+    except np.linalg.LinAlgError as exc:
         raise NonPositiveDefiniteError(
-            f"covariance eigenvalue {lam[0]:.3e} under the matrix square root "
-            f"at or below floor {TAU_PD:.1e} "
+            f"covariance has no Cholesky factor: {exc} "
             f"(condition number of V {np.linalg.cond(V):.3e})"
-        )
-    root = (Q * np.sqrt(lam)) @ Q.T
-    K = 1j * root @ omega(n) @ root
-    ev = np.linalg.eigvalsh(K)
-    return ev[n:]
+        ) from exc
+    return np.linalg.eigvalsh(1j * L.T @ omega(n) @ L)[n:]
 
 
 def symplectic_trace(V) -> float:

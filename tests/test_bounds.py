@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -358,7 +359,7 @@ def test_log_negativity_qcs_bound_check_fields():
     assert chk.rhs == pytest.approx(math.log(2.0) + math.log(2.0))
     assert chk.holds
     assert chk.margin == pytest.approx(chk.rhs - 0.5)
-    d = chk.to_dict()
+    d = asdict(chk)
     assert set(d) >= {"provenance", "lhs", "rhs", "margin", "holds", "saturated"}
 
 

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ def test_nastar_out_of_range_closed_forms_print_null(capsys):
         entry = sols[method]
         assert (entry["na_star"], entry["nb_star"], entry["residual"]) == (None, None, None)
         assert "outside [0, N]" in entry["reason"]
-    assert sols["bisection"] == json.loads(json.dumps(solve_na_star(0.5, 1, 5).to_dict()))
+    assert sols["bisection"] == json.loads(json.dumps(asdict(solve_na_star(0.5, 1, 5))))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ def test_tmsv_entanglement_entropy_is_g_of_sinh_squared(r):
     assert ef == pytest.approx(g(np.sinh(r) ** 2), rel=1e-12)
 
 
+def test_gaussian_entanglement_entropy_accepts_a_pure_state_at_high_squeezing():
+    # squeezed(5) x vacuum through a balanced beam splitter is locally a
+    # two-mode squeezed vacuum of parameter 2.5; cond V = e^20.
+    s = 2.5
+    st = apply_beam_splitter(tensor(make_squeezed(2 * s), make_vacuum(1)))
+    ef = entanglement_entropy_gaussian(st, Bipartition(1, 1))
+    assert ef == pytest.approx(g(np.sinh(s) ** 2), rel=1e-12)
+
+
 def test_gaussian_entanglement_entropy_is_the_same_from_either_party():
     # On the two-mode party one symplectic eigenvalue is 1 up to rounding,
     # sometimes just below it.
@@ -140,7 +150,7 @@ def test_qcs2_characteristic_oracle_matches_main_formula(n, seed):
 
 def test_gaussian_measures_report_fields():
     rep = gaussian_measures(make_tmsv(0.5), Bipartition(1, 1))
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["n_minus"] == 1
     assert d["log_negativity"] == pytest.approx(1.0, abs=1e-10)
     assert_allclose(d["symplectic_spectrum"], [1.0, 1.0], atol=1e-10)
@@ -161,9 +171,10 @@ def test_high_squeezing_fails_only_with_library_errors():
     """Far past the envelope, every failure is a typed error quoting cond(V).
 
     At squeeze_max = 10 the condition number of V reaches 1e16 and more:
-    eigh inside the symplectic spectrum can return a negative eigenvalue
-    that validate_covariance's eigvalsh did not, and inv can meet an exact
-    zero pivot.  Neither may surface as a raw LinAlgError or a NaN warning.
+    the Cholesky factor inside the symplectic spectrum can fail on a V whose
+    eigenvalues validate_covariance's eigvalsh found positive, and inv can
+    meet an exact zero pivot.  Neither may surface as a raw LinAlgError or a
+    NaN warning.
     """
     failures = 0
     with warnings.catch_warnings(record=True) as caught:

@@ -117,3 +117,40 @@ def test_every_tolerance_is_read():
         if path != tolerances:
             read.update(_loaded_names(ast.parse(path.read_text())))
     assert defined and sorted(defined - read) == []
+
+
+def _referenced_names(tree):
+    yield from _loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1]
+
+
+def unreferenced_exports(modules, sources):
+    """Names in the modules' __all__ that no source names, reads or imports."""
+    referenced = set()
+    for source in sources:
+        referenced.update(_referenced_names(ast.parse(source)))
+    exported = set()
+    for source in modules:
+        exported |= _exported_names(ast.parse(source))
+    return sorted(exported - referenced)
+
+
+def test_export_detector_flags_only_unreferenced_names():
+    module = (
+        "__all__ = ['used', 'called', 'imported', 'dead']\n"
+        "def used(): return called()\n"
+        "def called(): pass\n"
+        "def imported(): pass\n"
+        "def dead(): 'dead appears only in strings'\n"
+    )
+    script = "from pkg.mod import imported\nprint(pkg.used, 'dead')\n"
+    assert unreferenced_exports([module], [module, script]) == ["dead"]
+
+
+def test_every_exported_name_is_used():
+    # __init__.py only re-exports; an import there is not a use.
+    sources = [p.read_text() for p in MODULES + SCRIPTS]
+    assert unreferenced_exports([p.read_text() for p in MODULES], sources) == []

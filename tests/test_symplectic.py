@@ -128,6 +128,28 @@ def test_symplectic_eigenvalues_invariant_under_symplectic_congruence(n, seed):
     assert_allclose(np.sort(nu2), np.sort(nu), rtol=1e-9, atol=1e-11)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symplectic_eigenvalues_recover_a_known_williamson_spectrum(n):
+    # V = S diag(nu (x) (1, 1)) S^T has symplectic spectrum nu by construction.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        s = random_symplectic(n, rng, squeeze_max=1.2)
+        nu = 1.0 + rng.exponential(1.0, size=n)
+        v = (s * np.repeat(nu, 2)) @ s.T
+        assert_allclose(symplectic_eigenvalues(v), np.sort(nu), rtol=1e-10)
+
+
+def test_symplectic_eigenvalues_turn_a_failed_factorization_into_a_library_error(
+    monkeypatch,
+):
+    def no_factor(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    with pytest.raises(NonPositiveDefiniteError, match=r"\(condition number of V "):
+        symplectic_eigenvalues(make_tmsv(0.7).cov)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_symplectic_trace_below_trace(seed):
     rng = np.random.default_rng(seed)
