@@ -2,14 +2,12 @@
 
 Pure states live on a dense tensor of amplitudes indexed by per-mode photon
 numbers; density operators are dense matrices over the flattened product
-basis.  Constructors for analytic families record the probability mass lost
-to truncation (``tail_mass``) and refuse cutoffs that leave more than the
-requested tolerance in the tail: the closed-form tail of the family's law
-(Poisson or geometric) that also picks the default cutoff.  Only the
-squeezed vacuum, whose tail has no closed form, records 1 - sum |c_k|^2.
-A parameter that is not finite raises ValueError; a cutoff search that
-cannot end inside the byte budget, or a tail ratio that rounds to 1,
-raises CutoffOverflowError.
+basis.  Each analytic family has one tail law, the mass a cutoff K drops,
+and one rule (``_family_cutoff``) reads it: the default cutoff is the
+smallest K whose tail is <= tau, searched up to the byte budget, and any
+cutoff must fit the budget and meet tau.  The state records the law's tail,
+except the squeezed vacuum's, whose law is a bound: it records
+1 - sum |c_k|^2.  Past the rule's edges the errors are typed.
 
 Every measure is exact for the state as stored, with no padding.  The
 quadrature moments pair a raised vector only with stored levels, C^2 of
@@ -22,8 +20,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -69,8 +68,12 @@ __all__ = [
 AMPLITUDE_BUDGET_BYTES = 2**28
 
 
+def _nbytes(shape: tuple[int, ...]) -> int:
+    return math.prod(shape) * np.dtype(complex).itemsize
+
+
 def _check_budget(shape: tuple[int, ...], what: str):
-    need = math.prod(shape) * np.dtype(complex).itemsize
+    need = _nbytes(shape)
     if need > AMPLITUDE_BUDGET_BYTES:
         est = f"{need:.3g}" if need < 1e300 else "over 1e300"
         raise CutoffOverflowError(
@@ -215,68 +218,86 @@ def _sech(x: float) -> float:
     return 1.0 / math.cosh(x) if x < 700.0 else 2.0 * math.exp(-x)
 
 
-def _geometric_cutoff(q: float, tau: float) -> int:
-    """Smallest K >= 1 with q^K <= tau, for 0 <= q < 1.
+def _family_cutoff(what, law, shape, cutoff, tau, first=1, bisect=True) -> tuple[int, float]:
+    """(cutoff, tail) of an analytic family, the cutoff given or chosen.
 
-    q^K is the tail the family records; where the float ceil(log tau / log q)
-    lands one short of it, K steps up.  A q that is not below 1 in floats
-    (tanh r rounds to 1 from r ~ 19.1) has no finite cutoff.
+    ``law(K)`` is the family's tail at cutoff K, non-increasing from
+    ``first`` on, with limit ``law(math.inf)``; ``shape(K)`` is its tensor.
+    The default is the smallest K >= first with tail <= tau, by doubling,
+    then bisection (``bisect=False`` keeps the doubling's K); the first K
+    over AMPLITUDE_BUDGET_BYTES ends the search and raises.
     """
-    if not q < 1.0:
-        raise CutoffOverflowError(f"no finite cutoff: tail ratio {q!r} is not below 1 in floats")
-    if q == 0.0:
-        return 1
-    K = max(1, math.ceil(math.log(tau) / math.log(q)))
-    return K if q**K <= tau else K + 1
+    if not tau >= 0.0:  # NaN too
+        raise ValueError(f"{what}: tau = {tau!r} must be >= 0")
+    if cutoff is None:
+        if not law(math.inf) < 1.0:
+            raise CutoffOverflowError(f"{what}: no finite cutoff: the tail does not fall below 1")
+
+        def done(K):  # monotone: over the budget, or the tail meets tau
+            return _nbytes(shape(K)) > AMPLITUDE_BUDGET_BYTES or law(K) <= tau
+
+        lo, cutoff = first - 1, first
+        while not done(cutoff):
+            lo, cutoff = cutoff, 2 * cutoff
+        while bisect and cutoff - lo > 1:
+            mid = (lo + cutoff) // 2
+            lo, cutoff = (lo, mid) if done(mid) else (mid, cutoff)
+        what = f"{what}: default cutoff for tau = {tau:.1e}"
+    elif not (isinstance(cutoff, numbers.Integral) and cutoff >= 0):
+        raise ValueError(f"{what}: cutoff = {cutoff!r} must be an integer >= 0")
+    _check_budget(shape(cutoff), what)
+    tail = law(cutoff)
+    _check_tail(tail, cutoff, tau, what)
+    return cutoff, tail
+
+
+def _tmsv_cutoff(r, cutoff, tau):
+    _check_finite(r, "r", "tmsv")
+    t = math.tanh(r)
+    return _family_cutoff("tmsv", lambda K: (t * t) ** K, lambda K: (K, K), cutoff, tau)
+
+
+def _squeezed_cutoff(s, cutoff, tau):
+    # No closed form: the law is twice B_m = |c_2m|^2 t^2 / (1 - t^2), t = tanh s,
+    # which bounds the tail past cutoff 2m + 2 and falls with m.
+    _check_finite(s, "s", "squeezed")
+    t2 = math.tanh(abs(s)) ** 2
+
+    def law(K):
+        if K < 2:  # the mass past cutoff 0, or past c_0 alone
+            return 1.0 - K * _sech(s)
+        if t2 in (0.0, 1.0) or K == math.inf:  # tanh s rounds to 1 from s ~ 19.1
+            return float(t2 == 1.0)
+        m = K // 2 - 1
+        return 2.0 * math.exp(
+            math.lgamma(2 * m + 1) - 2.0 * math.lgamma(m + 1) - 2 * m * math.log(2.0)
+            + (m + 1) * math.log(t2) - math.log1p(-t2) - math.log(math.cosh(s))
+        )
+
+    return _family_cutoff("squeezed", law, lambda K: (K,), cutoff, tau, first=2 if t2 else 1)
+
+
+def _thermal_cutoff(nbar, cutoff, tau):
+    _check_finite(nbar, "nbar", "thermal")
+    if nbar < 0.0:
+        raise ValueError("thermal occupation must be >= 0")
+    q = nbar / (1.0 + nbar)
+    return _family_cutoff("thermal", lambda K: q**K, lambda K: (K, K), cutoff, tau)
 
 
 def tmsv_cutoff(r: float, tau: float = TAU_TRUNC) -> int:
     """Smallest per-mode cutoff whose two-mode squeezed tail tanh(r)^{2K} is <= tau."""
-    _check_finite(r, "r", "tmsv")
-    t = math.tanh(r)
-    return _geometric_cutoff(t * t, tau)
+    return _tmsv_cutoff(r, None, tau)[0]
 
 
 def squeezed_cutoff(s: float, tau: float = TAU_TRUNC) -> int:
-    """Smallest cutoff with single-mode squeezed-vacuum tail mass <= tau.
-
-    The tail past level 2m + 1 is at most |c_{2m}|^2 t^2 / (1 - t^2) with
-    t = tanh s, a bound that falls with m; the search stops once it is
-    <= tau / 2.  CutoffOverflowError when t^2 rounds to 1 or the cutoff
-    would pass the byte budget.
-    """
-    _check_finite(s, "s", "squeezed")
-    t2 = math.tanh(abs(s)) ** 2
-    if t2 == 0.0:
-        return 1
-    if t2 == 1.0:
-        raise CutoffOverflowError(f"squeezed: no finite cutoff, tanh(s)^2 rounds to 1 at s = {s!r}")
-    # The bound at the last m whose cutoff fits the budget, from lgamma,
-    # says up front whether the search ends inside it.
-    last = (AMPLITUDE_BUDGET_BYTES // np.dtype(complex).itemsize - 2) // 2
-    log_bound = (
-        math.lgamma(2 * last + 1) - 2.0 * math.lgamma(last + 1) - 2 * last * math.log(2.0)
-        + (last + 1) * math.log(t2) - math.log1p(-t2) - math.log(math.cosh(s))
-    )
-    if log_bound > math.log(0.5 * tau):
-        raise CutoffOverflowError(
-            f"squeezed: s = {s!r} needs a cutoff above {2 * last + 2}, "
-            f"over the budget of {AMPLITUDE_BUDGET_BYTES} bytes"
-        )
-    term = 1.0 / math.cosh(s)  # |c_0|^2
-    m = 0
-    while term * t2 / (1.0 - t2) > 0.5 * tau:
-        m += 1
-        term *= t2 * (2 * m - 1) / (2 * m)
-    return 2 * m + 2
+    """Smallest even cutoff 2m + 2 whose squeezed-vacuum tail bound is <= tau / 2 (1 at s = 0)."""
+    return _squeezed_cutoff(s, None, tau)[0]
 
 
 def thermal_cutoff(nbar: float, tau: float = TAU_TRUNC) -> int:
-    """Smallest cutoff with thermal tail mass <= tau: tail = (nbar/(1+nbar))^K."""
-    _check_finite(nbar, "nbar", "thermal")
-    if nbar <= 0.0:
-        return 1
-    return _geometric_cutoff(nbar / (1.0 + nbar), tau)
+    """Smallest cutoff with thermal tail (nbar/(1+nbar))^K <= tau."""
+    return _thermal_cutoff(nbar, None, tau)[0]
 
 
 def make_fock_number(occupations, cutoffs=None) -> FockPureState:
@@ -294,6 +315,8 @@ def make_fock_number(occupations, cutoffs=None) -> FockPureState:
     if cutoffs is None:
         cutoffs = (sum(occ) + 1,) * len(occ)
     cutoffs = tuple(int(c) for c in cutoffs)
+    if len(cutoffs) != len(occ):
+        raise ValueError(f"cutoffs has {len(cutoffs)} entries for {len(occ)} modes")
     if any(k >= c for k, c in zip(occ, cutoffs)):
         raise ValueError(f"occupation {occ} outside cutoffs {cutoffs}")
     _check_budget(cutoffs, "number state")
@@ -310,12 +333,12 @@ def _poisson_tail(cutoff: int, x: float) -> float:
     cutoff > x, where each ratio x / (k + 1) is below 1, and otherwise as 1
     minus the levels below the cutoff summed downward, whose ratios k / x
     are at most 1.  In the second case the tail is at least about 1/2, so
-    the subtraction loses nothing.
+    the subtraction loses nothing.  An infinite cutoff gives the limit.
     """
     if cutoff <= 0:
         return 1.0
-    if x == 0.0:
-        return 0.0
+    if x == 0.0 or cutoff == math.inf:
+        return float(x == math.inf)
     upper = cutoff > x
     k = cutoff if upper else cutoff - 1
     log_first = k * math.log(x) - x - math.lgamma(k + 1)
@@ -335,30 +358,24 @@ def _poisson_tail(cutoff: int, x: float) -> float:
 
 
 def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUNC) -> FockPureState:
-    """Single-mode coherent state with amplitude alpha."""
-    # The Poisson tail at the cutoff is the recorded tail: 1 - sum |c_k|^2
-    # carries rounding of order 1e-12 at |alpha|^2 ~ 400, enough to reject
-    # a cutoff that meets tau = 1e-12.  Cutoff 0 keeps the whole mass.
+    """Single-mode coherent state with amplitude alpha.
+
+    The default cutoff is the first of 8, 16, 32, ... whose Poisson tail is
+    <= tau; it fits the budget at the default tau for |alpha| <= 4092.
+    """
+    # The Poisson tail is recorded: 1 - sum |c_k|^2 rounds by ~1e-12 at
+    # |alpha|^2 ~ 400, enough to reject a cutoff that meets tau = 1e-12.
     _check_finite(alpha, "alpha", "coherent")
-    try:
-        x = abs(alpha) ** 2
-    except OverflowError:  # |alpha| past ~1e154
-        x = math.inf
-    if cutoff is None:
-        cutoff = 8
-        # At x = inf the tail is NaN, and the search doubles up to the budget.
-        while not _poisson_tail(cutoff, x) <= tau:
-            cutoff *= 2
-            _check_budget((cutoff,), "coherent")
-    _check_budget((cutoff,), "coherent")
+    x = abs(alpha) * abs(alpha)  # inf past |alpha| ~ 1e154
+    cutoff, tail = _family_cutoff(
+        "coherent", partial(_poisson_tail, x=x), lambda K: (K,), cutoff, tau, first=8, bisect=False
+    )
     k = np.arange(cutoff)
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(cutoff)])
     logs = -0.5 * x + k * np.log(np.abs(alpha)) - 0.5 * log_fact \
         if alpha != 0 else np.where(k == 0, 0.0, -np.inf)
     phase = np.exp(1j * np.angle(alpha) * k) if alpha != 0 else np.ones(cutoff)
     amps = np.exp(logs) * phase
-    tail = _poisson_tail(cutoff, x)
-    _check_tail(tail, cutoff, tau, "coherent")
     return FockPureState(amps, tail)
 
 
@@ -368,13 +385,11 @@ def make_fock_squeezed(
     """Single-mode squeezed vacuum, axis at angle phi (phi = 0 squeezes X).
 
     Amplitudes c_{2m} = (-e^{2 i phi} tanh s)^m sqrt((2m)!) / (2^m m!) /
-    sqrt(cosh s); odd levels vanish.
+    sqrt(cosh s); odd levels vanish.  The default cutoff, squeezed_cutoff,
+    fits the budget at the default tau for |s| <= 7.12.
     """
-    _check_finite(s, "s", "squeezed")
     _check_finite(phi, "phi", "squeezed")
-    if cutoff is None:
-        cutoff = squeezed_cutoff(s, tau)
-    _check_budget((cutoff,), "squeezed")
+    cutoff, _ = _squeezed_cutoff(s, cutoff, tau)
     t = math.tanh(s)
     amps = np.zeros(cutoff, dtype=complex)
     base = math.sqrt(_sech(s))
@@ -382,40 +397,32 @@ def make_fock_squeezed(
     for m in range(0, (cutoff - 1) // 2 + 1):
         ln = 0.5 * math.lgamma(2 * m + 1) - math.lgamma(m + 1) - m * math.log(2.0)
         amps[2 * m] = base * math.exp(ln) * factor**m
-    # No closed form, so the summed tail is recorded; squeezed_cutoff's
-    # factor-2 margin (a bound <= tau / 2) absorbs the rounding of the sum.
+    # The law is a bound, so the summed tail is recorded; its factor 2 absorbs the rounding.
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
     _check_tail(tail, cutoff, tau, "squeezed")
     return FockPureState(amps, tail)
 
 
 def make_fock_tmsv(r: float, cutoff: int = None, tau: float = TAU_TRUNC) -> FockPureState:
-    """Two-mode squeezed vacuum: amplitudes tanh(r)^k / cosh(r) on |k, k>."""
-    _check_finite(r, "r", "tmsv")
-    if cutoff is None:
-        cutoff = tmsv_cutoff(r, tau)
+    """Two-mode squeezed vacuum: amplitudes tanh(r)^k / cosh(r) on |k, k>.
+
+    The default cutoff fits the budget at the default tau for |r| <= 3.28.
+    """
+    cutoff, tail = _tmsv_cutoff(r, cutoff, tau)
     t = math.tanh(r)
-    tail = (t * t) ** cutoff
-    _check_tail(tail, cutoff, tau, "tmsv")
-    _check_budget((cutoff, cutoff), "tmsv")
     amps = np.zeros((cutoff, cutoff), dtype=complex)
     amps[np.arange(cutoff), np.arange(cutoff)] = t ** np.arange(cutoff) * _sech(r)
     return FockPureState(amps, tail)
 
 
 def make_fock_thermal(nbar: float, cutoff: int = None, tau: float = TAU_TRUNC) -> FockDensityOperator:
-    """Single-mode thermal density operator with mean occupation nbar."""
-    _check_finite(nbar, "nbar", "thermal")
-    if nbar < 0.0:
-        raise ValueError("thermal occupation must be >= 0")
-    if cutoff is None:
-        cutoff = thermal_cutoff(nbar, tau)
-    tail = (nbar / (1.0 + nbar)) ** cutoff
-    _check_tail(tail, cutoff, tau, "thermal")
-    _check_budget((cutoff, cutoff), "thermal")
+    """Single-mode thermal density operator with mean occupation nbar.
+
+    The default cutoff fits the budget at the default tau for nbar <= 177.
+    """
+    cutoff, tail = _thermal_cutoff(nbar, cutoff, tau)
     if nbar == 0.0:
-        p = np.zeros(cutoff)
-        p[0] = 1.0
+        p = np.eye(1, cutoff)[0]  # empty at cutoff 0
     else:
         k = np.arange(cutoff)
         p = np.exp(k * math.log(nbar) - (k + 1) * math.log(1.0 + nbar))
@@ -702,19 +709,21 @@ def saturating_family(
     (1 - t^2)^{n_A} t^{2 |k|} with t = tanh r, and U_A, U_B are unitaries
     preserving total photon number (validated).  For any such choice the
     state is centered, has M_TN = cosh 2r, and entanglement entropy
-    n_A g(sinh^2 r), saturating the bound.
+    n_A g(sinh^2 r), saturating the bound.  The default cutoff is the
+    smallest whose tail 1 - (1 - t^{2K})^{n_A} is <= tau; it fits the budget
+    at the default tau for |r| <= 3.28 (n = 2), 1.19 (n = 4), 0.51 (n = 6).
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
     n_a = n // 2
     _check_finite(r, "r", "saturating family")
     t = math.tanh(r)
-    if cutoff is None:
-        cutoff = _geometric_cutoff(t * t, tau / n_a)
-    q = (t * t) ** cutoff  # 1 when tanh r rounds to 1
-    tail = 1.0 if q == 1.0 else -math.expm1(n_a * math.log1p(-q))  # 1 - (1 - q)^{n_A}
-    _check_tail(tail, cutoff, tau, "saturating family")
-    _check_budget((cutoff,) * n, "saturating family")
+
+    def law(K):
+        q = (t * t) ** K  # 1 when tanh r rounds to 1
+        return 1.0 if q == 1.0 else -math.expm1(n_a * math.log1p(-q))  # 1 - (1 - q)^{n_A}
+
+    cutoff, tail = _family_cutoff("saturating family", law, lambda K: (K,) * n, cutoff, tau)
     totals = _basis_totals(n_a, cutoff)
     weights = (1.0 - t * t) ** n_a * t ** (2.0 * totals.astype(float))
     C = np.diag(np.sqrt(weights)).astype(complex)
@@ -738,19 +747,19 @@ def make_counterexample_states(
     The base state on modes (A, B1, B2) is sqrt(1-q) sum_m q^{m/2} |m; m, 0>.
     The partner applies a local permutation on B swapping |k, 0> with |0, 1>,
     which for k >= 2 lowers the mean photon number by (1-q) q^k (k-1) while
-    leaving the entanglement across A | B unchanged.
+    leaving the entanglement across A | B unchanged.  The default cutoff is
+    the smallest K >= k + 2 with q^K <= tau; it fits the budget at the
+    default tau for q <= 0.992 and k <= 2894.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    if k < 2:
-        raise ValueError("k must be >= 2 so the permutation lowers the photon number")
-    if cutoff is None:
-        cutoff = max(k + 2, _geometric_cutoff(q, tau))
-    if k >= cutoff:
+    if not isinstance(k, numbers.Integral) or k < 2:
+        raise ValueError(f"k = {k!r} must be an integer >= 2 so the swap lowers the photon number")
+    if cutoff is not None and k >= cutoff:
         raise ValueError(f"k = {k} outside cutoff {cutoff}")
-    tail = q**cutoff
-    _check_tail(tail, cutoff, tau, "counterexample")
-    _check_budget((cutoff, cutoff, 2), "counterexample")
+    cutoff, tail = _family_cutoff(
+        "counterexample", lambda K: q**K, lambda K: (K, K, 2), cutoff, tau, first=k + 2
+    )
     m = np.arange(cutoff)
     coeff = np.sqrt((1.0 - q) * q**m.astype(float))
     base = np.zeros((cutoff, cutoff, 2), dtype=complex)

@@ -755,8 +755,8 @@ def test_measure_fock_reports_qcs2_as_mtn_without_a_density_operator(
 @pytest.mark.parametrize(
     "argv",
     [["measure", "--fock", "N=100000,0"], ["measure", "--fock", "N=20000,0"],
-     ["counterexample", "--q", "0.999999"]],
-    ids=["measure-149GiB", "measure-6GB", "counterexample"],
+     ["counterexample", "--q", "0.999999"], ["counterexample", "--q", "0.993"]],
+    ids=["measure-149GiB", "measure-6GB", "counterexample", "counterexample-past-the-envelope"],
 )
 def test_fock_tensors_past_the_byte_budget_are_usage_errors(argv, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -1,6 +1,8 @@
+import decimal
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -60,6 +62,10 @@ def test_number_state_rejects_bad_occupations():
         make_fock_number((-1,))
     with pytest.raises(ValueError):
         make_fock_number((4,), cutoffs=(3,))
+    with pytest.raises(ValueError, match="cutoffs has 1 entries for 2 modes"):
+        make_fock_number((1, 2), cutoffs=(3,))
+    with pytest.raises(ValueError, match="cutoffs has 2 entries for 1 modes"):
+        make_fock_number((1,), cutoffs=(3, 4))
 
 
 def test_coherent_state_is_minimum_noise():
@@ -248,19 +254,71 @@ def test_tmsv_builds_the_cutoff_its_tail_law_picks():
     assert psi.tail_mass == _tmsv_tail(r, 724) < 1e-13
 
 
+def _geometric(q, tau):
+    """The shared cutoff rule on the geometric law q^K, over a one-mode tensor."""
+    return fock._family_cutoff("geometric", lambda K: q**K, lambda K: (K,), None, tau)[0]
+
+
+def _geometric_rule(q, tau):
+    """Reference: the closed form, with its step-up, that picked geometric cutoffs
+    before the shared search."""
+    if q == 0.0:
+        return 1
+    K = max(1, math.ceil(math.log(tau) / math.log(q)))
+    return K if q**K <= tau else K + 1
+
+
+def _coherent_doubling(x, tau):
+    """Reference: the coherent search, doubling from 8 to a Poisson tail <= tau."""
+    K = 8
+    while not fock._poisson_tail(K, x) <= tau:
+        K *= 2
+    return K
+
+
+class _Resolved(Exception):
+    pass
+
+
+def _default_cutoff(build):
+    """The default cutoff a constructor resolves, stopped before it allocates."""
+    resolve = fock._family_cutoff
+
+    def stop(*args, **kwargs):
+        raise _Resolved(resolve(*args, **kwargs)[0])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock, "_family_cutoff", stop)
+        with pytest.raises(_Resolved) as resolved:
+            build()
+    return resolved.value.args[0]
+
+
+def _assert_cutoff_or_overflow(cutoff_of, want, top):
+    """cutoff_of() is want, or raises past the budget's largest cutoff top."""
+    if want <= top:
+        assert cutoff_of() == want
+    else:
+        with pytest.raises(CutoffOverflowError, match="over the budget"):
+            cutoff_of()
+
+
 def test_geometric_cutoffs_equal_their_closed_forms():
     taus = [1e-3, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-14, 1e-15]
     for tau in taus:
         for x in np.random.default_rng(7).uniform(0.01, 5.0, 400).tolist():
+            # 4096^2 amplitudes fill the budget; past it the search raises
             t = abs(math.tanh(x))
-            assert tmsv_cutoff(x, tau) == max(1, math.ceil(0.5 * math.log(tau) / math.log(t)))
+            want = max(1, math.ceil(0.5 * math.log(tau) / math.log(t)))
+            _assert_cutoff_or_overflow(lambda: tmsv_cutoff(x, tau), want, 4096)
             q = x / (1.0 + x)
-            assert thermal_cutoff(x, tau) == max(1, math.ceil(math.log(tau) / math.log(q)))
+            want = max(1, math.ceil(math.log(tau) / math.log(q)))
+            _assert_cutoff_or_overflow(lambda: thermal_cutoff(x, tau), want, 4096)
             for n_a in (1, 2, 3):
-                K = fock._geometric_cutoff(t * t, tau / n_a)
+                K = _geometric(t * t, tau / n_a)
                 assert K == max(1, math.ceil(0.5 * math.log(tau / n_a) / math.log(t)))
             q = x / 5.01
-            assert fock._geometric_cutoff(q, tau) == max(1, math.ceil(math.log(tau) / math.log(q)))
+            assert _geometric(q, tau) == max(1, math.ceil(math.log(tau) / math.log(q)))
     assert tmsv_cutoff(0.0) == thermal_cutoff(0.0) == 1
 
 
@@ -268,12 +326,63 @@ def test_geometric_cutoff_steps_up_where_the_log_ratio_lands_short():
     # log(1e-10) / log(1e-5) is 2.0, but (1e-5)^2 rounds above 1e-10
     q, tau = 1e-5, 1e-10
     assert math.ceil(math.log(tau) / math.log(q)) == 2 and q**2 > tau
-    assert fock._geometric_cutoff(q, tau) == 3
+    assert _geometric(q, tau) == 3
+
+
+@pytest.mark.parametrize("tau", [1e-6, 1e-10, 1e-12, 1e-15])
+def test_the_cutoff_rule_keeps_the_geometric_closed_form(tau):
+    rng = np.random.default_rng(20)
+    qs = np.concatenate([rng.uniform(0.0, 1.0, 1600), 1.0 - np.geomspace(1e-7, 0.5, 1600)])
+    for q in qs.tolist():
+        want = _geometric_rule(q, tau)
+        if want <= 2**24:  # a one-mode tensor of 2^24 amplitudes fills the budget
+            assert _geometric(q, tau) == want, q
+        else:
+            with pytest.raises(CutoffOverflowError, match="over the budget"):
+                _geometric(q, tau)
+
+
+def test_the_cutoff_rule_keeps_the_saturating_cutoffs(monkeypatch):
+    # Before the shared search the saturating family took the geometric rule
+    # at tau / n_A; the search reads its recorded tail 1 - (1 - t^2K)^{n_A}.
+    monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 2**400)
+    for n_a in (2, 3):
+        for tau in (1e-6, 1e-10, 1e-12, 1e-14):
+            for r in np.linspace(0.01, 3.0, 600).tolist():
+                t = math.tanh(r)
+                got = _default_cutoff(lambda: saturating_family(2 * n_a, r, tau=tau))
+                assert got == _geometric_rule(t * t, tau / n_a), (n_a, tau, r)
+
+
+def test_the_cutoff_rule_keeps_the_squeezed_and_coherent_cutoffs():
+    for s in np.linspace(0.01, 4.9, 200).tolist():
+        assert squeezed_cutoff(s) == _squeezed_cutoff_search(s), s
+    # _squeezed_cutoff_search takes about a second to reach this value
+    assert squeezed_cutoff(7.0) == 12994174
+    assert squeezed_cutoff(0.0) == squeezed_cutoff(0.0, tau=0.0) == 1
+    for alpha in np.arange(0.0, 30.05, 0.1).tolist():
+        want = _coherent_doubling(alpha * alpha, TAU_TRUNC)
+        assert make_fock_coherent(alpha).cutoffs == (want,), alpha
+
+
+def test_tau_zero_takes_the_first_cutoff_whose_tail_is_zero():
+    t = math.tanh(0.5)
+    for law, K in [(lambda K: (t * t) ** K, tmsv_cutoff(0.5, tau=0.0)),
+                   (lambda K: 0.5**K, thermal_cutoff(1.0, tau=0.0))]:
+        assert law(K) == 0.0 < law(K - 1), K
+    # coherent states keep the doubling: 128 still leaves a tail
+    assert make_fock_coherent(1.0, tau=0.0).cutoffs == (256,)
+    assert fock._poisson_tail(256, 1.0) == 0.0 < fock._poisson_tail(128, 1.0)
+    K = squeezed_cutoff(0.5, tau=0.0)
+    bound, below = (fock._squeezed_cutoff(0.5, c, 1.0)[1] for c in (K, K - 2))
+    assert K % 2 == 0 and bound == 0.0 < below
 
 
 def test_thermal_refuses_negative_occupation():
     with pytest.raises(ValueError, match="thermal occupation must be >= 0"):
         make_fock_thermal(-0.5)
+    with pytest.raises(ValueError, match="thermal occupation must be >= 0"):
+        thermal_cutoff(-1.0)
 
 
 def test_schmidt_product_state_is_rank_one():
@@ -659,6 +768,13 @@ def test_counterexample_rejects_bad_parameters():
         make_counterexample_states(0.5, 1)
     with pytest.raises(ValueError):
         make_counterexample_states(1.0, 2)
+    with pytest.raises(ValueError, match="k = 2.5 must be an integer"):
+        make_counterexample_states(0.5, 2.5)
+    for cutoff in (-2, 2.5):
+        with pytest.raises(ValueError, match="cutoff"):
+            make_counterexample_states(0.5, 2, cutoff=cutoff)
+    with pytest.raises(ValueError, match="tau = nan"):
+        make_counterexample_states(0.5, 2, tau=math.nan)
 
 
 @pytest.mark.parametrize(
@@ -707,17 +823,20 @@ def test_default_cutoffs_are_checked_against_the_byte_budget(build, monkeypatch)
 _EDGE_VALUES = [0.0, 1e-300, 0.5, 19.1, 1e17, 1e154, 1e300, math.inf, math.nan]
 
 
+_TAU_EDGES = [TAU_TRUNC, 0.0, math.nan, -1.0]
+
+
 @pytest.mark.parametrize(
     "build",
     [
-        lambda x: make_fock_number((x,)),
+        lambda x, tau: make_fock_number((x,)),
         make_fock_coherent,
         make_fock_squeezed,
-        lambda x: make_fock_squeezed(0.5, phi=x),
+        lambda x, tau: make_fock_squeezed(0.5, phi=x, tau=tau),
         make_fock_tmsv,
         make_fock_thermal,
-        lambda x: saturating_family(2, x),
-        lambda x: make_counterexample_states(x, 2),
+        lambda x, tau: saturating_family(2, x, tau=tau),
+        lambda x, tau: make_counterexample_states(x, 2, tau=tau),
         tmsv_cutoff,
         squeezed_cutoff,
         thermal_cutoff,
@@ -726,19 +845,24 @@ _EDGE_VALUES = [0.0, 1e-300, 0.5, 19.1, 1e17, 1e154, 1e300, math.inf, math.nan]
          "saturating-2", "counterexample", "tmsv-cutoff", "squeezed-cutoff",
          "thermal-cutoff"],
 )
-def test_fock_constructors_build_or_raise_a_value_error_at_every_edge(build, monkeypatch):
+def test_fock_constructors_build_or_raise_a_value_error_at_every_edge(build, request, monkeypatch):
     # 2^16 bytes hold 4096 amplitudes.  Anything but a ValueError subclass
     # (ZeroDivisionError, OverflowError, MemoryError) escapes and fails here.
+    # A NaN or negative tau is named wherever the parameter is valid.
     monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 2**16)
-    for x in _EDGE_VALUES:
-        try:
-            build(x)
-        except ValueError:
-            continue
-        assert math.isfinite(x), f"built at parameter {x}"
+    takes_tau = request.node.callspec.id != "number"
+    for tau in _TAU_EDGES:
+        bad_tau = takes_tau and not tau >= 0.0
+        for x in _EDGE_VALUES:
+            try:
+                build(x, tau=tau)
+            except ValueError as exc:
+                assert not (bad_tau and x == 0.5) or f"tau = {tau!r}" in str(exc), exc
+                continue
+            assert math.isfinite(x) and not bad_tau, f"built at parameter {x}, tau {tau}"
 
 
-@pytest.mark.parametrize("tau", [TAU_TRUNC, 1.0])
+@pytest.mark.parametrize("tau", [TAU_TRUNC, 1.0, 0.0, math.nan, -1.0])
 @pytest.mark.parametrize(
     "build",
     [
@@ -757,19 +881,22 @@ def test_explicit_cutoff_constructors_build_or_raise_a_typed_error_at_every_edge
     # Past s ~ 710 cosh overflows, and tanh r rounds to 1 from r ~ 19.1.  A
     # tail above tau is a TruncationError; tau = 1 admits any tail, and the
     # state then built keeps its mass and its tail adding to 1.  A bare
-    # ValueError must name a non-finite parameter: "math domain error" or
-    # an OverflowError fails here.
+    # ValueError must name a non-finite parameter, tau or the cutoff, or the
+    # empty tensor of cutoff 0: "math domain error", a raw TypeError,
+    # IndexError or OverflowError fails here.
     monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 2**16)
     for x in _EDGE_VALUES:
-        for cutoff in (1, 5, 10):
+        for cutoff in (1, 5, 10, 0, -2, 2.5):
             try:
                 state = build(x, cutoff=cutoff, tau=tau)
             except (TruncationError, CutoffOverflowError):
                 continue
             except ValueError as exc:
-                assert "is not finite" in str(exc), (x, cutoff, exc)
+                named = re.search(r"is not finite|(tau|cutoff) = |is empty", str(exc))
+                assert named, (x, cutoff, exc)
+                assert math.isfinite(x) or "is not finite" in str(exc), (x, cutoff, exc)
                 continue
-            assert math.isfinite(x), f"built at parameter {x}"
+            assert math.isfinite(x) and tau >= 0.0 and cutoff in (1, 5, 10), (x, cutoff, tau)
             mass = (state.norm2() if isinstance(state, FockPureState)
                     else float(np.trace(state.mat).real))
             assert mass + state.tail_mass == pytest.approx(1.0, abs=1e-9), (x, cutoff)
@@ -794,7 +921,7 @@ def test_geometric_cutoffs_past_a_unit_ratio_are_typed():
 
 
 def _squeezed_cutoff_search(s, tau=TAU_TRUNC):
-    """squeezed_cutoff's loop, with no bound on its length."""
+    """Reference: the squeezed search as a loop over m, with no bound on its length."""
     t2 = math.tanh(abs(s)) ** 2
     if t2 == 0.0:
         return 1
@@ -876,3 +1003,45 @@ def test_norm_validation():
 def test_non_finite_or_empty_fock_states_are_rejected(build):
     with pytest.raises(ValueError, match="empty|finite"):
         build()
+
+
+_ENVELOPE_CALLS = {
+    "make_fock_tmsv(r)": make_fock_tmsv,
+    "make_fock_thermal(nbar)": make_fock_thermal,
+    "make_fock_squeezed(s)": make_fock_squeezed,
+    "make_fock_coherent(alpha)": make_fock_coherent,
+    "saturating_family(2, r)": lambda r: saturating_family(2, r),
+    "saturating_family(4, r)": lambda r: saturating_family(4, r),
+    "saturating_family(6, r)": lambda r: saturating_family(6, r),
+    "make_counterexample_states(q, 2)": lambda q: make_counterexample_states(q, 2),
+    "make_counterexample_states(0.5, k)": lambda k: make_counterexample_states(0.5, k),
+}
+
+
+def _envelope_rows():
+    """(call, largest parameter, next value out, cutoff) rows of the README envelope table."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\s*\| `(.+?)` \| \w+ = ([\d.]+) \| (\d+) \|$", readme, re.M)
+    assert {call for call, _, _ in rows} == set(_ENVELOPE_CALLS)
+    for call, value, cutoff in rows:
+        largest = decimal.Decimal(value)
+        step = decimal.Decimal(1).scaleb(largest.as_tuple().exponent)
+        parse = int if "." not in value else float
+        yield call, parse(largest), parse(largest + step), int(cutoff)
+
+
+def test_the_readme_envelope_table_matches_the_cutoff_rule():
+    # The default cutoff at each stated edge resolves (nothing is allocated),
+    # and the next value out raises from the constructor itself, before any
+    # allocation, and from the public cutoff function where there is one.
+    cutoff_of = {"make_fock_tmsv(r)": tmsv_cutoff, "make_fock_thermal(nbar)": thermal_cutoff,
+                 "make_fock_squeezed(s)": squeezed_cutoff}
+    for call, largest, beyond, cutoff in _envelope_rows():
+        build = _ENVELOPE_CALLS[call]
+        assert _default_cutoff(lambda: build(largest)) == cutoff, call
+        with pytest.raises(CutoffOverflowError, match="over the budget"):
+            build(beyond)
+        if call in cutoff_of:
+            assert cutoff_of[call](largest) == cutoff
+            with pytest.raises(CutoffOverflowError, match="over the budget"):
+                cutoff_of[call](beyond)
