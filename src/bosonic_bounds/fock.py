@@ -5,9 +5,9 @@ numbers; density operators are dense matrices over the flattened product
 basis.  Each analytic family has one tail law, the mass a cutoff K drops,
 and one rule (``_family_cutoff``) reads it: the default cutoff is the
 smallest K whose tail is <= tau, searched up to the byte budget, and any
-cutoff must fit the budget and meet tau.  The state records the law's tail,
-except the squeezed vacuum's, whose law is a bound: it records
-1 - sum |c_k|^2.  Past the rule's edges the errors are typed.
+cutoff must fit the budget and meet tau.  The state records the law's tail;
+the squeezed vacuum's law is only a bound that picks the default, so it
+records and checks 1 - sum |c_k|^2.  Past the rule's edges errors are typed.
 
 Every measure is exact for the state as stored, with no padding.  The
 quadrature moments pair a raised vector only with stored levels, C^2 of
@@ -218,14 +218,15 @@ def _sech(x: float) -> float:
     return 1.0 / math.cosh(x) if x < 700.0 else 2.0 * math.exp(-x)
 
 
-def _family_cutoff(what, law, shape, cutoff, tau, first=1, bisect=True) -> tuple[int, float]:
+def _family_cutoff(what, law, shape, cutoff, tau, first=1, bisect=True, bound=False):
     """(cutoff, tail) of an analytic family, the cutoff given or chosen.
 
-    ``law(K)`` is the family's tail at cutoff K, non-increasing from
-    ``first`` on, with limit ``law(math.inf)``; ``shape(K)`` is its tensor.
-    The default is the smallest K >= first with tail <= tau, by doubling,
-    then bisection (``bisect=False`` keeps the doubling's K); the first K
-    over AMPLITUDE_BUDGET_BYTES ends the search and raises.
+    ``law(K)`` is the tail at cutoff K, non-increasing from ``first`` on,
+    with limit ``law(math.inf)``; ``shape(K)`` is the tensor.  The default
+    is the smallest K >= first whose tail meets tau, by doubling, then
+    bisection (``bisect=False`` keeps the doubling's K), and raises at the
+    first K over AMPLITUDE_BUDGET_BYTES.  A law that only bounds the tail
+    (``bound=True``) returns no tail: the caller checks the one it records.
     """
     if not tau >= 0.0:  # NaN too
         raise ValueError(f"{what}: tau = {tau!r} must be >= 0")
@@ -246,6 +247,8 @@ def _family_cutoff(what, law, shape, cutoff, tau, first=1, bisect=True) -> tuple
     elif not (isinstance(cutoff, numbers.Integral) and cutoff >= 0):
         raise ValueError(f"{what}: cutoff = {cutoff!r} must be an integer >= 0")
     _check_budget(shape(cutoff), what)
+    if bound:  # the caller checks the tail it records
+        return cutoff, None
     tail = law(cutoff)
     _check_tail(tail, cutoff, tau, what)
     return cutoff, tail
@@ -257,24 +260,23 @@ def _tmsv_cutoff(r, cutoff, tau):
     return _family_cutoff("tmsv", lambda K: (t * t) ** K, lambda K: (K, K), cutoff, tau)
 
 
-def _squeezed_cutoff(s, cutoff, tau):
-    # No closed form: the law is twice B_m = |c_2m|^2 t^2 / (1 - t^2), t = tanh s,
-    # which bounds the tail past cutoff 2m + 2 and falls with m.
-    _check_finite(s, "s", "squeezed")
+def _squeezed_bound(K, s: float) -> float:
+    """Twice B_m = |c_2m|^2 t^2 / (1 - t^2), t = tanh s, at cutoff K = 2m + 2: a bound,
+    falling with m, on the squeezed vacuum's tail, which has no closed form."""
     t2 = math.tanh(abs(s)) ** 2
+    if t2 in (0.0, 1.0) or K == math.inf:  # tanh s rounds to 1 from s ~ 19.1
+        return float(t2 == 1.0)
+    m = K // 2 - 1
+    return 2.0 * math.exp(
+        math.lgamma(2 * m + 1) - 2.0 * math.lgamma(m + 1) - 2 * m * math.log(2.0)
+        + (m + 1) * math.log(t2) - math.log1p(-t2) - math.log(math.cosh(s))
+    )
 
-    def law(K):
-        if K < 2:  # the mass past cutoff 0, or past c_0 alone
-            return 1.0 - K * _sech(s)
-        if t2 in (0.0, 1.0) or K == math.inf:  # tanh s rounds to 1 from s ~ 19.1
-            return float(t2 == 1.0)
-        m = K // 2 - 1
-        return 2.0 * math.exp(
-            math.lgamma(2 * m + 1) - 2.0 * math.lgamma(m + 1) - 2 * m * math.log(2.0)
-            + (m + 1) * math.log(t2) - math.log1p(-t2) - math.log(math.cosh(s))
-        )
 
-    return _family_cutoff("squeezed", law, lambda K: (K,), cutoff, tau, first=2 if t2 else 1)
+def _squeezed_cutoff(s, cutoff, tau):
+    _check_finite(s, "s", "squeezed")
+    law, first = partial(_squeezed_bound, s=s), 2 if math.tanh(s) ** 2 else 1
+    return _family_cutoff("squeezed", law, lambda K: (K,), cutoff, tau, first=first, bound=True)
 
 
 def _thermal_cutoff(nbar, cutoff, tau):
@@ -358,13 +360,9 @@ def _poisson_tail(cutoff: int, x: float) -> float:
 
 
 def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUNC) -> FockPureState:
-    """Single-mode coherent state with amplitude alpha.
-
-    The default cutoff is the first of 8, 16, 32, ... whose Poisson tail is
-    <= tau; it fits the budget at the default tau for |alpha| <= 4092.
-    """
-    # The Poisson tail is recorded: 1 - sum |c_k|^2 rounds by ~1e-12 at
-    # |alpha|^2 ~ 400, enough to reject a cutoff that meets tau = 1e-12.
+    """Single-mode coherent state with amplitude alpha; default cutoff up to |alpha| = 4092."""
+    # The default is the first of 8, 16, 32, ... to meet tau.  The Poisson tail is recorded:
+    # 1 - sum |c_k|^2 rounds by ~1e-12 at |alpha|^2 ~ 400, enough to fail tau = 1e-12.
     _check_finite(alpha, "alpha", "coherent")
     x = abs(alpha) * abs(alpha)  # inf past |alpha| ~ 1e154
     cutoff, tail = _family_cutoff(
@@ -385,8 +383,7 @@ def make_fock_squeezed(
     """Single-mode squeezed vacuum, axis at angle phi (phi = 0 squeezes X).
 
     Amplitudes c_{2m} = (-e^{2 i phi} tanh s)^m sqrt((2m)!) / (2^m m!) /
-    sqrt(cosh s); odd levels vanish.  The default cutoff, squeezed_cutoff,
-    fits the budget at the default tau for |s| <= 7.12.
+    sqrt(cosh s); odd levels vanish.  Default cutoff up to |s| = 7.12.
     """
     _check_finite(phi, "phi", "squeezed")
     cutoff, _ = _squeezed_cutoff(s, cutoff, tau)
@@ -404,10 +401,7 @@ def make_fock_squeezed(
 
 
 def make_fock_tmsv(r: float, cutoff: int = None, tau: float = TAU_TRUNC) -> FockPureState:
-    """Two-mode squeezed vacuum: amplitudes tanh(r)^k / cosh(r) on |k, k>.
-
-    The default cutoff fits the budget at the default tau for |r| <= 3.28.
-    """
+    """Two-mode squeezed vacuum tanh(r)^k / cosh(r) on |k, k>; default cutoff up to |r| = 3.28."""
     cutoff, tail = _tmsv_cutoff(r, cutoff, tau)
     t = math.tanh(r)
     amps = np.zeros((cutoff, cutoff), dtype=complex)
@@ -416,10 +410,7 @@ def make_fock_tmsv(r: float, cutoff: int = None, tau: float = TAU_TRUNC) -> Fock
 
 
 def make_fock_thermal(nbar: float, cutoff: int = None, tau: float = TAU_TRUNC) -> FockDensityOperator:
-    """Single-mode thermal density operator with mean occupation nbar.
-
-    The default cutoff fits the budget at the default tau for nbar <= 177.
-    """
+    """Thermal density operator of mean occupation nbar; default cutoff up to nbar = 177."""
     cutoff, tail = _thermal_cutoff(nbar, cutoff, tau)
     if nbar == 0.0:
         p = np.eye(1, cutoff)[0]  # empty at cutoff 0
@@ -709,9 +700,8 @@ def saturating_family(
     (1 - t^2)^{n_A} t^{2 |k|} with t = tanh r, and U_A, U_B are unitaries
     preserving total photon number (validated).  For any such choice the
     state is centered, has M_TN = cosh 2r, and entanglement entropy
-    n_A g(sinh^2 r), saturating the bound.  The default cutoff is the
-    smallest whose tail 1 - (1 - t^{2K})^{n_A} is <= tau; it fits the budget
-    at the default tau for |r| <= 3.28 (n = 2), 1.19 (n = 4), 0.51 (n = 6).
+    n_A g(sinh^2 r), saturating the bound.  Its tail is 1 - (1 - t^{2K})^{n_A};
+    default cutoff up to |r| = 3.28 (n = 2), 1.19 (n = 4), 0.51 (n = 6).
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
@@ -748,8 +738,7 @@ def make_counterexample_states(
     The partner applies a local permutation on B swapping |k, 0> with |0, 1>,
     which for k >= 2 lowers the mean photon number by (1-q) q^k (k-1) while
     leaving the entanglement across A | B unchanged.  The default cutoff is
-    the smallest K >= k + 2 with q^K <= tau; it fits the budget at the
-    default tau for q <= 0.992 and k <= 2894.
+    at least k + 2; default cutoff up to q = 0.992 and k = 2894.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")

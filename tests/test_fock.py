@@ -374,7 +374,7 @@ def test_tau_zero_takes_the_first_cutoff_whose_tail_is_zero():
     assert make_fock_coherent(1.0, tau=0.0).cutoffs == (256,)
     assert fock._poisson_tail(256, 1.0) == 0.0 < fock._poisson_tail(128, 1.0)
     K = squeezed_cutoff(0.5, tau=0.0)
-    bound, below = (fock._squeezed_cutoff(0.5, c, 1.0)[1] for c in (K, K - 2))
+    bound, below = (fock._squeezed_bound(c, 0.5) for c in (K, K - 2))
     assert K % 2 == 0 and bound == 0.0 < below
 
 
@@ -879,24 +879,33 @@ def test_explicit_cutoff_constructors_build_or_raise_a_typed_error_at_every_edge
     build, tau, monkeypatch
 ):
     # Past s ~ 710 cosh overflows, and tanh r rounds to 1 from r ~ 19.1.  A
-    # tail above tau is a TruncationError; tau = 1 admits any tail, and the
-    # state then built keeps its mass and its tail adding to 1.  A bare
-    # ValueError must name a non-finite parameter, tau or the cutoff, or the
-    # empty tensor of cutoff 0: "math domain error", a raw TypeError,
-    # IndexError or OverflowError fails here.
+    # tail above tau is a TruncationError; tau = 1 admits any tail a moderate
+    # parameter leaves (the squeezed law, a bound, reads 3.2 at s = 2 and
+    # cutoff 4), and the state then built keeps its mass and its tail adding
+    # to 1.  A bare ValueError names what is wrong: a non-finite parameter,
+    # a NaN or negative tau, a negative or non-integer cutoff, or the empty
+    # tensor of cutoff 0.  "math domain error", a raw TypeError, IndexError
+    # or OverflowError fails here.
     monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 2**16)
-    for x in _EDGE_VALUES:
-        for cutoff in (1, 5, 10, 0, -2, 2.5):
+    bad_tau = not tau >= 0.0
+    for x in (*_EDGE_VALUES, 2.0):
+        for cutoff in (1, 4, 5, 10, 0, -2, 2.5):
             try:
                 state = build(x, cutoff=cutoff, tau=tau)
             except (TruncationError, CutoffOverflowError):
+                assert not bad_tau or not math.isfinite(x), (x, cutoff, tau)
+                assert not (tau == 1.0 and abs(x) <= 2.0), (x, cutoff)
                 continue
             except ValueError as exc:
-                named = re.search(r"is not finite|(tau|cutoff) = |is empty", str(exc))
-                assert named, (x, cutoff, exc)
+                named = ["is not finite"]
+                named += [f"tau = {tau!r}"] if bad_tau else []
+                named += [f"cutoff = {cutoff!r}"] if cutoff in (-2, 2.5) else []
+                named += ["is empty"] if cutoff == 0 else []
+                assert any(n in str(exc) for n in named), (x, cutoff, tau, exc)
                 assert math.isfinite(x) or "is not finite" in str(exc), (x, cutoff, exc)
+                assert not bad_tau or not math.isfinite(x) or "tau = " in str(exc), (x, exc)
                 continue
-            assert math.isfinite(x) and tau >= 0.0 and cutoff in (1, 5, 10), (x, cutoff, tau)
+            assert math.isfinite(x) and not bad_tau and cutoff in (1, 4, 5, 10), (x, cutoff, tau)
             mass = (state.norm2() if isinstance(state, FockPureState)
                     else float(np.trace(state.mat).real))
             assert mass + state.tail_mass == pytest.approx(1.0, abs=1e-9), (x, cutoff)
@@ -1034,9 +1043,12 @@ def test_the_readme_envelope_table_matches_the_cutoff_rule():
     # The default cutoff at each stated edge resolves (nothing is allocated),
     # and the next value out raises from the constructor itself, before any
     # allocation, and from the public cutoff function where there is one.
+    # The constructor's docstring states the same edge.
     cutoff_of = {"make_fock_tmsv(r)": tmsv_cutoff, "make_fock_thermal(nbar)": thermal_cutoff,
                  "make_fock_squeezed(s)": squeezed_cutoff}
     for call, largest, beyond, cutoff in _envelope_rows():
+        doc = getattr(fock, call.split("(")[0]).__doc__
+        assert re.search(rf"(?<![\d.]){re.escape(str(largest))}(?![\d.]\d)", doc), call
         build = _ENVELOPE_CALLS[call]
         assert _default_cutoff(lambda: build(largest)) == cutoff, call
         with pytest.raises(CutoffOverflowError, match="over the budget"):
