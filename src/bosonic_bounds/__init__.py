@@ -13,8 +13,9 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundCheck,
     NAStarSolution,
+    classical_checks,
     coherence_scale_checks,
-    even_split_check,
+    entanglement_check,
     g,
     g_prime,
     gaussian_pure_bound,
@@ -27,7 +28,6 @@ from .bounds import (
     split_bound_asymptotic,
     theorem_split_bound,
     theorem_symmetric_bound,
-    uneven_split_check,
 )
 from .errors import (
     AsymmetricInputError,

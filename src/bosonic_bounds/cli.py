@@ -35,11 +35,10 @@ import numpy as np
 from . import __version__
 from .bounds import (
     coherence_scale_checks,
-    even_split_check,
+    entanglement_check,
     mtn_floor_from_entanglement,
     na_star_asymptotic,
     solve_na_star,
-    uneven_split_check,
 )
 from .errors import AuditViolationError, CutoffOverflowError, SchemaError
 from .experiments import (
@@ -290,10 +289,7 @@ def _cmd_bound_check(args) -> int:
         mtn = mtn_pure(state, tau=tau)
         ef = entanglement_entropy(state, bp, tau=tau)
         payload = {"mtn": mtn, "ef": ef}
-        checks = []
-        if bp.n_a == bp.n_b:
-            checks.append(even_split_check(ef, mtn, state.n, tau_check=tau_check))
-        checks.append(uneven_split_check(ef, mtn, bp.n_a, bp.n_b, tau_check=tau_check))
+        checks = [entanglement_check(ef, mtn, bp.n_a, bp.n_b, tau_check=tau_check)]
         floor = mtn_floor_from_entanglement(ef, state.n)
         if floor is not None:
             payload["mtn_floor"] = floor

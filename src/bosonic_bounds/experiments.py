@@ -34,13 +34,14 @@ import numpy as np
 
 from . import __version__ as _version
 from .bounds import (
+    BoundCheck,
     _closed_form_root,
+    classical_checks,
     coherence_scale_checks,
-    even_split_check,
+    entanglement_check,
     g,
     gaussian_pure_bound,
     solve_na_star,
-    uneven_split_check,
 )
 from .errors import AuditViolationError
 from .fock import (
@@ -201,7 +202,7 @@ def _bs_row(family: str, param: float) -> dict:
                 f"{family}: squeezing s = {param!r} must be finite, with M_TN in float range"
             )
         ef = g(math.sinh(s) ** 2)
-    chk = even_split_check(ef, mtn_in, 2)
+    chk = entanglement_check(ef, mtn_in, 1, 1)
     g_in = chk.rhs
     ratio = ef / g_in if g_in > 0.0 else 1.0
     if not chk.holds:
@@ -236,7 +237,7 @@ def beam_splitter_fock(state: FockPureState, tau: float = TAU_TRUNC) -> dict:
     mtn_in = mtn_pure(state, tau=tau)
     out = apply_beam_splitter_fock(state, tau=tau)
     ef, log_negativity = entanglement_measures_pure(out, Bipartition(1, 1), tau=tau)
-    g_in = even_split_check(ef, mtn_in, 2).rhs
+    g_in = entanglement_check(ef, mtn_in, 1, 1).rhs
     return {
         "mtn_in": mtn_in,
         "g_in": g_in,
@@ -436,17 +437,17 @@ class AuditReport:
     violations: list = field(default_factory=list)
     by_check: dict = field(default_factory=dict)
 
-    def record(self, name: str, margin: float, holds: bool, instance: dict):
+    def record(self, chk: BoundCheck, instance: dict):
         self.checks += 1
         entry = self.by_check.setdefault(
-            name, {"count": 0, "min_margin": math.inf, "tightest": None}
+            chk.provenance, {"count": 0, "min_margin": math.inf, "tightest": None}
         )
         entry["count"] += 1
-        if margin < entry["min_margin"]:
-            entry["min_margin"] = margin
+        if chk.margin < entry["min_margin"]:
+            entry["min_margin"] = chk.margin
             entry["tightest"] = dict(instance)
-        if not holds:
-            self.violations.append({"check": name, "margin": margin, **instance})
+        if not chk.holds:
+            self.violations.append({"check": chk.provenance, "margin": chk.margin, **instance})
 
     def to_dict(self) -> dict:
         return {
@@ -468,7 +469,7 @@ def _audit_gaussian(rng, count, modes, tau_check, report):
             rep.log_negativity, rep.qcs2, modes, rep.n_minus,
             float(np.linalg.det(st.cov)), tau_check=tau_check,
         ):
-            report.record(chk.provenance, chk.margin, chk.holds, inst)
+            report.record(chk, inst)
 
 
 def _audit_classical(rng, count, modes, tau_check, report):
@@ -476,13 +477,9 @@ def _audit_classical(rng, count, modes, tau_check, report):
     for _ in range(count):
         st = random_classical_state(modes, rng)
         inst = {"kind": "classical", "modes": modes, "state": gaussian_to_dict(st)}
-        qcs2 = qcs2_gaussian(st)
-        margin = 1.0 - qcs2
-        report.record("classical states have QCS^2 <= 1", margin, margin >= -tau_check, inst)
         en, _ = log_negativity_gaussian(st, bp)
-        report.record(
-            "classical states have zero log-negativity", -en, en <= tau_check, inst
-        )
+        for chk in classical_checks(qcs2_gaussian(st), en, tau_check):
+            report.record(chk, inst)
 
 
 def _random_fock_pure(rng, modes, cutoff) -> FockPureState:
@@ -496,16 +493,11 @@ def _audit_fock(rng, count, tau_check, report):
         modes = 2 if idx % 2 == 0 else 3
         cutoff = 6 if modes == 2 else 4
         psi = _random_fock_pure(rng, modes, cutoff)
-        mtn = mtn_pure(psi)
+        bp = default_bipartition(modes)
+        ef = entanglement_entropy(psi, bp)
         inst = {"kind": "fock", "modes": modes, "cutoff": cutoff,
                 "state": fock_to_dict(psi)}
-        if modes == 2:
-            ef = entanglement_entropy(psi, Bipartition(1, 1))
-            chk = even_split_check(ef, mtn, 2, tau_check=tau_check)
-        else:
-            ef = entanglement_entropy(psi, Bipartition(1, 2))
-            chk = uneven_split_check(ef, mtn, 1, 2, tau_check=tau_check)
-        report.record(chk.provenance, chk.margin, chk.holds, inst)
+        report.record(entanglement_check(ef, mtn_pure(psi), bp.n_a, bp.n_b, tau_check), inst)
 
 
 def random_audit(
@@ -569,7 +561,7 @@ def counterexample_demo(q: float = 0.5, k: int = 2) -> dict:
     ef_base = entanglement_entropy(psi, bp)
     ef_perm = entanglement_entropy(psi_perm, bp)
     gauss = gaussian_pure_bound(mtn_perm, 1, 2)
-    split = uneven_split_check(ef_perm, mtn_perm, 1, 2)
+    split = entanglement_check(ef_perm, mtn_perm, bp.n_a, bp.n_b)
     return {
         "q": q,
         "k": k,

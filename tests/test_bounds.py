@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from bosonic_bounds import (
     bound_profile_sweep,
-    even_split_check,
+    classical_checks,
+    entanglement_check,
     g,
     g_prime,
     gaussian_pure_bound,
@@ -25,7 +26,7 @@ from bosonic_bounds import (
     theorem_split_bound,
     theorem_symmetric_bound,
 )
-from bosonic_bounds.tolerances import TAU_PHYS, TAU_ROOT, TAU_SAT
+from bosonic_bounds.tolerances import TAU_CHECK, TAU_PHYS, TAU_ROOT, TAU_SAT
 
 
 def test_g_fixed_values():
@@ -384,9 +385,51 @@ def test_refined_bound_saturated_by_tmsv():
 def test_saturation_flips_at_tau_sat():
     # at M_TN = 1 the even-split bound is exactly 0, so the margin is -ef
     for ef in (TAU_SAT, -TAU_SAT):
-        assert even_split_check(ef, 1.0, 2).saturated
+        assert entanglement_check(ef, 1.0, 1, 1).saturated
     for ef in (math.nextafter(TAU_SAT, 1.0), math.nextafter(-TAU_SAT, -1.0)):
-        assert not even_split_check(ef, 1.0, 2).saturated
+        assert not entanglement_check(ef, 1.0, 1, 1).saturated
+
+
+_EVEN = "entanglement vs total noise (even split)"
+_UNEVEN = "entanglement vs total noise (uneven split)"
+
+
+@pytest.mark.parametrize("n_a", [1, 2, 3])
+@pytest.mark.parametrize("mtn", [1.0, 1.5, 2.8, 100.0])
+def test_entanglement_check_takes_the_symmetric_bound_on_an_even_split(n_a, mtn):
+    chk = entanglement_check(0.3, mtn, n_a, n_a)
+    assert chk.provenance == _EVEN
+    assert chk.rhs == theorem_symmetric_bound(mtn, 2 * n_a)
+    assert chk.margin == chk.rhs - 0.3
+
+
+@pytest.mark.parametrize("n_a,n_b", [(1, 2), (2, 3), (2, 1)])
+@pytest.mark.parametrize("mtn", [1.0, 1.5, 2.8, 100.0])
+def test_entanglement_check_takes_the_split_bound_on_an_uneven_split(n_a, n_b, mtn):
+    chk = entanglement_check(0.3, mtn, n_a, n_b)
+    assert chk.provenance == _UNEVEN
+    assert chk.rhs == theorem_split_bound(mtn, n_a, n_b)
+    assert chk.margin == chk.rhs - 0.3
+
+
+def test_classical_checks_hold_up_to_tau_check_and_fail_one_ulp_past_it():
+    names = ["classical states have QCS^2 <= 1", "classical states have zero log-negativity"]
+    # the largest C^2 with 1 - C^2 >= -TAU_CHECK
+    qcs2_edge = 1.0 + TAU_CHECK
+    while 1.0 - qcs2_edge < -TAU_CHECK:
+        qcs2_edge = math.nextafter(qcs2_edge, 0.0)
+    for qcs2, en, holds in [
+        (0.5, 0.0, [True, True]),
+        (qcs2_edge, TAU_CHECK, [True, True]),
+        (math.nextafter(qcs2_edge, 2.0), 0.0, [False, True]),
+        (1.0, math.nextafter(TAU_CHECK, 1.0), [True, False]),
+    ]:
+        checks = classical_checks(qcs2, en, TAU_CHECK)
+        assert [c.provenance for c in checks] == names
+        assert [c.holds for c in checks] == holds
+        # the rules the audit applied inline before these checks existed
+        assert holds == [1.0 - qcs2 >= -TAU_CHECK, en <= TAU_CHECK]
+        assert [c.margin for c in checks] == [1.0 - qcs2, 0.0 - en]
 
 
 def test_implication_report_regimes():

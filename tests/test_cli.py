@@ -12,7 +12,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from bosonic_bounds import cli, fock, make_tmsv, make_vacuum, save_gaussian, solve_na_star
+from bosonic_bounds import (
+    cli,
+    fock,
+    make_tmsv,
+    make_vacuum,
+    save_gaussian,
+    solve_na_star,
+    theorem_symmetric_bound,
+)
 from bosonic_bounds.tolerances import TAU_ROOT, TAU_TRUNC
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -117,12 +125,26 @@ def test_bound_check_tmsv_all_hold(tmp_path, capsys):
     assert refined and refined[0]["saturated"]
 
 
-def test_bound_check_fock_keeps_both_routes(capsys):
+_MODE_COUNTING = "log-negativity vs coherence-scale (mode-counting)"
+_EVEN = "entanglement vs total noise (even split)"
+_UNEVEN = "entanglement vs total noise (uneven split)"
+
+
+def test_bound_check_fock_takes_one_check_chosen_by_the_split(capsys):
     payload = run_json(["bound-check", "--fock", "N=2,2"], capsys)
     assert payload["all_hold"]
-    names = [c["provenance"] for c in payload["checks"]]
-    assert any(n.endswith("(even split)") for n in names)
-    assert any(n.endswith("(uneven split)") for n in names)
+    assert [c["provenance"] for c in payload["checks"]] == [_EVEN]
+    payload = run_json(["bound-check", "--fock", "N=2,1,0", "--bipartition", "1:2"], capsys)
+    assert payload["all_hold"]
+    assert [c["provenance"] for c in payload["checks"]] == [_UNEVEN]
+
+
+def test_bound_check_fock_even_split_emits_the_inequality_once(capsys):
+    payload = run_json(["bound-check", "--fock", "N=3,7"], capsys)
+    assert payload["all_hold"] and payload["mtn"] == 11.0
+    (chk,) = payload["checks"]
+    assert chk["provenance"] == _EVEN
+    assert chk["rhs"] == theorem_symmetric_bound(11.0, 2)
 
 
 def test_coherent_product_rounding_below_unit_noise_is_accepted(tmp_path, capsys):
@@ -135,14 +157,9 @@ def test_coherent_product_rounding_below_unit_noise_is_accepted(tmp_path, capsys
     fock.save_fock(fock.FockPureState(amps, a.tail_mass + b.tail_mass), path)
     payload = run_json(["bound-check", "--fock", str(path)], capsys)
     assert payload["mtn"] < 1.0 and payload["all_hold"]
-    assert [c["rhs"] for c in payload["checks"]] == [0.0, 0.0]
+    assert [c["rhs"] for c in payload["checks"]] == [0.0]
     payload = run_json(["beamsplitter", "--fock", str(path)], capsys)
     assert payload["mtn_in"] < 1.0 and payload["g_in"] == 0.0
-
-
-_MODE_COUNTING = "log-negativity vs coherence-scale (mode-counting)"
-_EVEN = "entanglement vs total noise (even split)"
-_UNEVEN = "entanglement vs total noise (uneven split)"
 
 
 @pytest.mark.parametrize(
@@ -151,7 +168,7 @@ _UNEVEN = "entanglement vs total noise (uneven split)"
         ("tmsv", [], [_MODE_COUNTING, "two-mode coherence-scale refinement",
                       "entangled-enough implies nonclassical"]),
         ("mixed3", [], [_MODE_COUNTING]),
-        ("N=2,2", [], [_EVEN, _UNEVEN]),
+        ("N=2,2", [], [_EVEN]),
         ("N=2,1,0", ["--bipartition", "1:2"], [_UNEVEN]),
     ],
 )

@@ -11,6 +11,7 @@ import pytest
 from bosonic_bounds import (
     AuditReport,
     Bipartition,
+    BoundCheck,
     FockPureState,
     apply_beam_splitter,
     apply_beam_splitter_fock,
@@ -390,11 +391,15 @@ def test_random_audit_reports_seed_and_instance_on_violation():
 def test_audit_report_record_keeps_first_tightest_and_ordered_violations():
     report = AuditReport(seed=1, counts={"gaussian": 4})
     first = {"id": 1}
-    report.record("demo", 0.2, True, first)
-    report.record("demo", 0.2, True, {"id": 2})
-    report.record("bad", -0.5, False, {"id": 3})
-    report.record("demo", 0.7, True, {"id": 4})
-    report.record("bad", -0.1, False, {"id": 5})
+
+    def chk(name, margin, holds):
+        return BoundCheck(name, 0.0, margin, margin, holds, saturated=False)
+
+    report.record(chk("demo", 0.2, True), first)
+    report.record(chk("demo", 0.2, True), {"id": 2})
+    report.record(chk("bad", -0.5, False), {"id": 3})
+    report.record(chk("demo", 0.7, True), {"id": 4})
+    report.record(chk("bad", -0.1, False), {"id": 5})
     first["id"] = 99
     assert report.checks == 5
     demo = report.by_check["demo"]
