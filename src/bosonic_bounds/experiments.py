@@ -54,6 +54,7 @@ from .fock import (
     mtn_pure,
 )
 from .gaussian import (
+    GaussianState,
     gaussian_measures,
     gaussian_to_dict,
     log_negativity_gaussian,
@@ -428,7 +429,9 @@ class AuditReport:
 
     ``by_check`` maps each inequality name to its count, minimum margin,
     and the instance that produced that minimum (seed and generator kind,
-    plus the serialized state for replay).
+    plus the serialized state for replay).  An instance may carry its
+    ``state`` as a GaussianState or FockPureState; it is serialized only
+    when it becomes a check's tightest instance or a violation.
     """
 
     seed: int
@@ -445,9 +448,11 @@ class AuditReport:
         entry["count"] += 1
         if chk.margin < entry["min_margin"]:
             entry["min_margin"] = chk.margin
-            entry["tightest"] = dict(instance)
+            entry["tightest"] = _serialized(instance)
         if not chk.holds:
-            self.violations.append({"check": chk.provenance, "margin": chk.margin, **instance})
+            self.violations.append(
+                {"check": chk.provenance, "margin": chk.margin, **_serialized(instance)}
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -459,12 +464,22 @@ class AuditReport:
         }
 
 
+def _serialized(instance: dict) -> dict:
+    """A copy of an audit instance with its state object turned into a dict."""
+    state = instance.get("state")
+    if isinstance(state, GaussianState):
+        return {**instance, "state": gaussian_to_dict(state)}
+    if isinstance(state, FockPureState):
+        return {**instance, "state": fock_to_dict(state)}
+    return dict(instance)
+
+
 def _audit_gaussian(rng, count, modes, tau_check, report):
     bp = default_bipartition(modes)
     for _ in range(count):
         st = random_gaussian_state(modes, rng, squeeze_max=1.2)
         rep = gaussian_measures(st, bp)
-        inst = {"kind": "gaussian", "modes": modes, "state": gaussian_to_dict(st)}
+        inst = {"kind": "gaussian", "modes": modes, "state": st}
         for chk in coherence_scale_checks(
             rep.log_negativity, rep.qcs2, modes, rep.n_minus,
             float(np.linalg.det(st.cov)), tau_check=tau_check,
@@ -476,7 +491,7 @@ def _audit_classical(rng, count, modes, tau_check, report):
     bp = default_bipartition(modes)
     for _ in range(count):
         st = random_classical_state(modes, rng)
-        inst = {"kind": "classical", "modes": modes, "state": gaussian_to_dict(st)}
+        inst = {"kind": "classical", "modes": modes, "state": st}
         en, _ = log_negativity_gaussian(st, bp)
         for chk in classical_checks(qcs2_gaussian(st), en, tau_check):
             report.record(chk, inst)
@@ -495,8 +510,7 @@ def _audit_fock(rng, count, tau_check, report):
         psi = _random_fock_pure(rng, modes, cutoff)
         bp = default_bipartition(modes)
         ef = entanglement_entropy(psi, bp)
-        inst = {"kind": "fock", "modes": modes, "cutoff": cutoff,
-                "state": fock_to_dict(psi)}
+        inst = {"kind": "fock", "modes": modes, "cutoff": cutoff, "state": psi}
         report.record(entanglement_check(ef, mtn_pure(psi), bp.n_a, bp.n_b, tau_check), inst)
 
 

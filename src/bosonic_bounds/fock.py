@@ -377,6 +377,30 @@ def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUN
     return FockPureState(amps, tail)
 
 
+def _squeezed_amps(s: float, phi: float, cutoff: int) -> np.ndarray:
+    """The squeezed vacuum's amplitudes below cutoff, built in numpy.
+
+    sqrt((2m)!) / (2^m m!) = prod_{j <= m} sqrt(1 - 1/(2j)) is summed in logs,
+    and ln tanh|s| is taken from expm1, which keeps its last bits where tanh s
+    rounds toward 1.  The phase (-e^{2 i phi} sign s)^m is applied as an exact
+    sign, then e^{2 i phi m}.  The work arrays are freed on return.
+    """
+    a = abs(s)
+    ln_t = math.log(-math.expm1(-2.0 * a)) - math.log1p(math.exp(-2.0 * a)) if a else -math.inf
+    m = np.arange((cutoff + 1) // 2)
+    ln = np.zeros(m.size)
+    np.cumsum(0.5 * np.log1p(-0.5 / m[1:]), out=ln[1:])
+    ln[1:] += m[1:] * ln_t
+    amps = np.zeros(cutoff, dtype=complex)
+    amps[0::2] = np.exp(ln, out=ln)
+    amps[0::2] *= math.sqrt(_sech(s))
+    if s > 0:
+        amps[2::4] *= -1.0
+    if phi:
+        amps[0::2] *= np.exp(2j * phi * m)
+    return amps
+
+
 def make_fock_squeezed(
     s: float, phi: float = 0.0, cutoff: int = None, tau: float = TAU_TRUNC
 ) -> FockPureState:
@@ -387,13 +411,7 @@ def make_fock_squeezed(
     """
     _check_finite(phi, "phi", "squeezed")
     cutoff, _ = _squeezed_cutoff(s, cutoff, tau)
-    t = math.tanh(s)
-    amps = np.zeros(cutoff, dtype=complex)
-    base = math.sqrt(_sech(s))
-    factor = -np.exp(2j * phi) * t
-    for m in range(0, (cutoff - 1) // 2 + 1):
-        ln = 0.5 * math.lgamma(2 * m + 1) - math.lgamma(m + 1) - m * math.log(2.0)
-        amps[2 * m] = base * math.exp(ln) * factor**m
+    amps = _squeezed_amps(s, phi, cutoff)
     # The law is a bound, so the summed tail is recorded; its factor 2 absorbs the rounding.
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
     _check_tail(tail, cutoff, tau, "squeezed")
@@ -479,15 +497,25 @@ def quadrature_moments(psi: FockPureState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _total_noise(psi: FockPureState) -> float:
-    """Tr V / 2 from the quadrature moments, with no tail check."""
-    _, V = quadrature_moments(psi)
-    return float(0.5 * np.trace(V))
+    """Tr V / 2 = sum_i (2 <N_i> + 1 - 2 |<a_i>|^2), with no tail check.
+
+    <N_i> = ||a_i psi||^2 and <a_i> = <psi|a_i psi> come from one lowered
+    tensor, freed before the next mode's is made.  The diagonal of V sums to
+    this term by term, so it equals half the trace of quadrature_moments' V.
+    """
+    amps = psi.amps
+
+    def mode_noise(low):
+        return 2.0 * np.vdot(low, low).real + 1.0 - 2.0 * abs(np.vdot(amps, low)) ** 2
+
+    return float(sum(mode_noise(_ladder(amps, i)) for i in range(psi.n)))
 
 
 def total_noise(psi: FockPureState, tau: float = TAU_TRUNC) -> float:
-    """Sum of the variances of all 2n quadratures.
+    """Sum of the variances of all 2n quadratures, Tr V / 2.
 
-    For states with zero mean this equals 2 <N> + n.
+    Computed as sum_i (2 <N_i> + 1 - 2 |<a_i>|^2) from the photon numbers
+    and first moments; for states with zero mean this is 2 <N> + n.
     """
     _check_tail(psi.tail_mass, psi.cutoffs, tau, "state")
     return _total_noise(psi)
@@ -609,9 +637,10 @@ def qcs2_fock(state: FockPureState | FockDensityOperator) -> float:
     """Squared quadrature coherence scale C^2 of a pure state or density operator.
 
     On a pure state C^2 is the mean total noise M_TN = Tr V / (2n) (De
-    Bievre et al., Phys. Rev. Lett. 122, 080402 (2019)), read from the
-    quadrature moments: exact for the truncated state without padding, and
-    equal to mtn_pure bit for bit.  A density operator takes the commutator
+    Bievre et al., Phys. Rev. Lett. 122, 080402 (2019)), computed as
+    (1/n) sum_i (2 <N_i> + 1 - 2 |<a_i>|^2) from the photon numbers and
+    first moments: exact for the truncated state without padding, and equal
+    to mtn_pure bit for bit.  A density operator takes the commutator
     route, C^2 = sum_j Tr([rho, R_j][R_j, rho]) / (2 n Tr rho^2) over the 2n
     quadratures.  With X and P built from the truncated ladder operator a_j,
     the two terms of mode j sum to 2 ||[rho, a_j]||_F^2, so exactly

@@ -324,7 +324,7 @@ def random_symplectic(n: int, rng=None, squeeze_max: float = 1.0) -> np.ndarray:
     rng = _as_rng(rng)
     o1, o2 = _orthogonal_symplectic(rng.normal(size=(2, 2, n, n)))
     s = rng.uniform(0.0, squeeze_max, size=n)
-    d = np.stack([np.exp(-s), np.exp(s)], axis=1).reshape(-1)
+    d = np.exp(s[:, None] * (-1.0, 1.0)).ravel()
     return (o1 * d) @ o2
 
 

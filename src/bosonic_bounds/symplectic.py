@@ -104,16 +104,17 @@ def validate_covariance(V) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2 != 0 or V.shape[0] == 0:
         raise ValueError(f"covariance matrix must be 2n x 2n, got shape {V.shape}")
-    peak = float(np.max(np.abs(V)))
+    peak = float(abs(V).max())
     if not math.isfinite(peak):
         raise ValueError("covariance matrix has a non-finite entry")
     scale = max(1.0, peak)
-    asym = float(np.max(np.abs(V - V.T)))
+    asym = float(abs(V - V.T).max())
     if asym > TAU_SYM * scale:
         raise AsymmetricInputError(
             f"covariance asymmetry {asym:.3e} exceeds {TAU_SYM:.1e} * {scale:.3e}"
         )
-    V = 0.5 * (V + V.T)
+    V = V + V.T
+    V *= 0.5
     evals = np.linalg.eigvalsh(V)
     if evals[0] <= TAU_PD:
         raise NonPositiveDefiniteError(
@@ -128,6 +129,9 @@ def symplectic_eigenvalues(V) -> np.ndarray:
 
     With the Cholesky factor V = L L^T, the Hermitian matrix L^T (i Omega) L
     is similar to i Omega V; its spectrum is +/- the symplectic eigenvalues.
+    L^T Omega is formed by a column permutation, with no Omega matrix: each
+    mode's pair of columns of L^T is swapped and the first negated, which is
+    exact, so the spectrum equals that of the dense product bit for bit.
 
     Returns
     -------
@@ -143,7 +147,10 @@ def symplectic_eigenvalues(V) -> np.ndarray:
             f"covariance has no Cholesky factor: {exc} "
             f"(condition number of V {np.linalg.cond(V):.3e})"
         ) from exc
-    return np.linalg.eigvalsh(1j * L.T @ omega(n) @ L)[n:]
+    lt_omega = np.empty_like(L)
+    lt_omega[:, 1::2] = L[0::2].T
+    np.negative(L[1::2].T, out=lt_omega[:, 0::2])
+    return np.linalg.eigvalsh((1j * lt_omega) @ L)[n:]
 
 
 def symplectic_trace(V) -> float:
@@ -164,9 +171,8 @@ def partial_transpose(V, bp: Bipartition) -> np.ndarray:
     if V.shape[0] != 2 * bp.n:
         raise ValueError(f"covariance is for {V.shape[0] // 2} modes, bipartition has {bp.n}")
     signs = np.ones(2 * bp.n)
-    for j in bp.b_modes:
-        signs[2 * j + 1] = -1.0
-    return V * np.outer(signs, signs)
+    signs[2 * bp.n_a + 1 :: 2] = -1.0  # the P quadrature of every B mode
+    return V * signs * signs[:, None]
 
 
 def check_physicality(V) -> bool:

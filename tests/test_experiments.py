@@ -414,6 +414,45 @@ def test_audit_report_record_keeps_first_tightest_and_ordered_violations():
     ]
 
 
+def test_audit_report_serializes_a_state_only_when_it_is_kept(monkeypatch):
+    from bosonic_bounds import experiments
+
+    serialized = []
+    monkeypatch.setattr(experiments, "gaussian_to_dict",
+                        lambda st: serialized.append(st) or gaussian.gaussian_to_dict(st))
+    tight, loose, psi = make_tmsv(0.3), make_tmsv(0.9), make_fock_number((1, 0))
+    report = AuditReport(seed=1, counts={})
+
+    def chk(name, margin):
+        return BoundCheck(name, 0.0, margin, margin, margin >= 0.0, saturated=False)
+
+    report.record(chk("demo", 0.2), {"kind": "gaussian", "state": tight})
+    report.record(chk("demo", 0.5), {"kind": "gaussian", "state": loose})
+    report.record(chk("bad", -0.1), {"kind": "fock", "modes": 2, "state": psi})
+    assert serialized == [tight]
+    assert report.by_check["demo"]["tightest"] == {
+        "kind": "gaussian", "state": gaussian.gaussian_to_dict(tight)}
+    assert report.violations == [
+        {"check": "bad", "margin": -0.1, "kind": "fock", "modes": 2,
+         "state": fock.fock_to_dict(psi)}]
+    assert report.by_check["bad"]["tightest"] == {
+        "kind": "fock", "modes": 2, "state": fock.fock_to_dict(psi)}
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_random_audit_serializes_far_fewer_states_than_it_draws(monkeypatch):
+    from bosonic_bounds import experiments
+
+    calls = []
+    monkeypatch.setattr(experiments, "gaussian_to_dict",
+                        lambda st: calls.append(st) or gaussian.gaussian_to_dict(st))
+    report = random_audit(n_states=300, modes=3, seed=2, fock_states=0, classical_states=100)
+    # one serialization per improvement of a check's tightest margin
+    assert 0 < len(calls) < 100
+    for entry in report.by_check.values():
+        assert isinstance(entry["tightest"]["state"], dict)
+
+
 def test_random_audit_gaussian_slice_ignores_other_slice_counts():
     alone = random_audit(n_states=30, modes=2, seed=4, fock_states=0,
                          classical_states=0)

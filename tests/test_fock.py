@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,74 @@ def test_total_noise_and_mtn():
 def test_displacement_does_not_change_mtn():
     psi = make_fock_coherent(1.2, tau=1e-14)
     assert mtn_pure(psi, tau=1e-10) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_total_noise_is_half_the_trace_of_the_moments_covariance(n):
+    rng = np.random.default_rng(50 + n)
+    for _ in range(6):
+        psi = _random_fock_state(rng, tuple(rng.integers(2, 7, size=n)))
+        _, V = quadrature_moments(psi)
+        assert fock._total_noise(psi) == pytest.approx(0.5 * np.trace(V), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("occ", [(0,), (3,), (2, 5), (1, 0, 4), (40, 0), (7, 7)])
+def test_number_states_have_total_noise_2n_plus_modes(occ):
+    want = 2 * sum(occ) + len(occ)
+    assert total_noise(make_fock_number(occ)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.2 * np.exp(0.4j), -2.5j, 4.0])
+def test_coherent_states_have_unit_mtn(alpha):
+    assert mtn_pure(make_fock_coherent(alpha, tau=1e-14), tau=1e-14) == pytest.approx(
+        1.0, rel=0.0, abs=1e-13
+    )
+
+
+@pytest.mark.parametrize("r", [0.2, 0.8, 1.5])
+def test_tmsv_has_mtn_cosh_2r(r):
+    psi = make_fock_tmsv(r, tau=1e-15)
+    assert mtn_pure(psi, tau=1e-15) == pytest.approx(math.cosh(2 * r), rel=1e-13, abs=0.0)
+
+
+def test_total_noise_holds_one_lowered_tensor_at_a_time():
+    psi = _random_fock_state(np.random.default_rng(6), (60, 60, 60))
+    total_noise(psi)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        total_noise(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one lowered tensor and numpy's fixed ufunc buffers; two tensors would be over 2x
+    assert peak <= 1.5 * psi.amps.nbytes
+
+
+def _squeezed_amps_loop(s, phi, cutoff):
+    """The per-level lgamma loop that built the squeezed vacuum, kept as its reference."""
+    amps = np.zeros(cutoff, dtype=complex)
+    base = math.sqrt(1.0 / math.cosh(s))
+    factor = -np.exp(2j * phi) * math.tanh(s)
+    for m in range(0, (cutoff - 1) // 2 + 1):
+        ln = 0.5 * math.lgamma(2 * m + 1) - math.lgamma(m + 1) - m * math.log(2.0)
+        amps[2 * m] = base * math.exp(ln) * factor**m
+    return amps
+
+
+@pytest.mark.parametrize("s", [0.0, 0.05, 0.5, -0.8, 1.3, 2.0, -2.0])
+@pytest.mark.parametrize("phi", [0.0, 0.7, -2.3])
+def test_squeezed_builder_matches_the_per_level_loop(s, phi):
+    psi = make_fock_squeezed(s, phi, tau=1e-14)
+    assert_allclose(psi.amps, _squeezed_amps_loop(s, phi, psi.cutoffs[0]), rtol=1e-12, atol=0.0)
+    if phi == 0.0:  # the signs (-sign s)^m are exact, with no imaginary residue
+        assert not psi.amps.imag.any()
+        ref = _squeezed_amps_loop(s, 0.0, psi.cutoffs[0])
+        assert np.array_equal(np.sign(psi.amps.real), np.sign(ref.real))
+
+
+def test_squeezed_builder_zeroes_every_level_above_vacuum_at_s_zero():
+    psi = make_fock_squeezed(0.0, 0.4, cutoff=7)
+    assert np.array_equal(psi.amps, np.eye(1, 7)[0])
 
 
 def test_tail_guard_raises():

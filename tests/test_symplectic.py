@@ -186,3 +186,54 @@ def test_check_physicality():
     assert check_physicality(make_tmsv(1.0).cov)
     assert check_physicality((1.0 - TAU_PHYS / 2) * np.eye(2))
     assert not check_physicality((1.0 - 2 * TAU_PHYS) * np.eye(2))
+
+
+def _dense_spectrum(V):
+    """The spectrum built with the dense Omega matrix."""
+    n = V.shape[0] // 2
+    L = np.linalg.cholesky(validate_covariance(V))
+    return np.linalg.eigvalsh(1j * L.T @ omega(n) @ L)[n:]
+
+
+def _dense_partial_transpose(V, bp):
+    """The partial transpose built from a per-mode sign loop and an outer product."""
+    signs = np.ones(2 * bp.n)
+    for j in bp.b_modes:
+        signs[2 * j + 1] = -1.0
+    return V * np.outer(signs, signs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("squeeze_max", [0.5, 2.0, 6.0])
+@pytest.mark.parametrize("profile", ["mixed", "pure"])
+def test_spectrum_and_partial_transpose_equal_the_dense_forms_bit_for_bit(
+    n, squeeze_max, profile
+):
+    rng = np.random.default_rng(100 * n + int(10 * squeeze_max))
+    for _ in range(8):
+        V = random_gaussian_state(n, rng, profile, squeeze_max).cov
+        assert np.array_equal(symplectic_eigenvalues(V), _dense_spectrum(V))
+        for n_a in range(1, n):
+            bp = Bipartition(n_a, n - n_a)
+            pt = partial_transpose(V, bp)
+            assert np.array_equal(pt, _dense_partial_transpose(V, bp))
+            assert np.array_equal(symplectic_eigenvalues(pt), _dense_spectrum(pt))
+
+
+def test_validate_covariance_returns_the_symmetric_part_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in (1, 3):
+        v = random_gaussian_state(n, rng).cov * (1.0 + 1e-13 * rng.normal(size=(2 * n, 2 * n)))
+        assert np.array_equal(validate_covariance(v), 0.5 * (v + v.T))
+
+
+def test_random_symplectic_equals_the_stacked_euler_form_bit_for_bit():
+    from bosonic_bounds.gaussian import _orthogonal_symplectic
+
+    for n in (1, 2, 4):
+        ref_rng = np.random.default_rng(n)
+        o1, o2 = _orthogonal_symplectic(ref_rng.normal(size=(2, 2, n, n)))
+        s = ref_rng.uniform(0.0, 1.5, size=n)
+        d = np.stack([np.exp(-s), np.exp(s)], axis=1).reshape(-1)
+        S = random_symplectic(n, np.random.default_rng(n), squeeze_max=1.5)
+        assert np.array_equal(S, (o1 * d) @ o2)

@@ -1,0 +1,76 @@
+"""Print one SHA-256 per output of the documented CLI commands.
+
+Runs each command in-process, in a temporary working directory so every
+path it echoes is the same relative name on every run, and prints
+``<sha256>  <label>`` lines: one per command's stdout, plus one per file
+that ``figure --name all`` writes.  Two trees give the same outputs exactly
+when they print the same lines, so diff the listings of a parent and a
+change:
+
+    PYTHONPATH=src python tools/output_digest.py > change.txt
+    PYTHONPATH=<parent checkout>/src python tools/output_digest.py > parent.txt
+    diff parent.txt change.txt
+
+The bosonic_bounds package is taken from the import path, so PYTHONPATH
+picks the tree under test.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from bosonic_bounds import cli
+from bosonic_bounds.gaussian import make_tmsv, save_gaussian
+
+TMSV_FILE = "tmsv-0.8.json"
+FOCK_SPECS = ("N=3,7", "N=2,2", "N=40,0")
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(label, argv) of every digested command, in output order."""
+    cmds = [("figure --name all", ["figure", "--name", "all", "--out", "figures"])]
+    for modes in (2, 3, 4):
+        argv = ["audit", "--states", "1000", "--modes", str(modes), "--seed", "11"]
+        cmds.append((" ".join(argv), argv))
+    for sub in ("measure", "bound-check", "beamsplitter"):
+        for spec in FOCK_SPECS:
+            cmds.append((f"{sub} --fock {spec}", [sub, "--fock", spec]))
+        if sub != "beamsplitter":  # the beam splitter takes Fock input only
+            cmds.append((f"{sub} --gaussian {TMSV_FILE}", [sub, "--gaussian", TMSV_FILE]))
+    cmds.append(("counterexample", ["counterexample"]))
+    return cmds
+
+
+def outputs():
+    """Yield (label, bytes) for every output, run in the current directory."""
+    save_gaussian(make_tmsv(0.8), TMSV_FILE)
+    for label, argv in commands():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"{label}: exit code {code}")
+        yield label, buf.getvalue().encode()
+        if argv[0] == "figure":
+            for name in sorted(os.listdir("figures")):
+                with open(os.path.join("figures", name), "rb") as fh:
+                    yield f"{label}: {name}", fh.read()
+
+
+def main() -> int:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for label, data in outputs():
+                print(f"{hashlib.sha256(data).hexdigest()}  {label}")
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
