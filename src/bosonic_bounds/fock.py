@@ -368,13 +368,46 @@ def make_fock_coherent(alpha: complex, cutoff: int = None, tau: float = TAU_TRUN
     cutoff, tail = _family_cutoff(
         "coherent", partial(_poisson_tail, x=x), lambda K: (K,), cutoff, tau, first=8, bisect=False
     )
-    k = np.arange(cutoff)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(cutoff)])
-    logs = -0.5 * x + k * np.log(np.abs(alpha)) - 0.5 * log_fact \
-        if alpha != 0 else np.where(k == 0, 0.0, -np.inf)
-    phase = np.exp(1j * np.angle(alpha) * k) if alpha != 0 else np.ones(cutoff)
-    amps = np.exp(logs) * phase
-    return FockPureState(amps, tail)
+    return FockPureState(_coherent_amps(alpha, cutoff), tail)
+
+
+def _coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
+    """The coherent state's amplitudes below cutoff, built in numpy.
+
+    ln|c_k| = -|alpha|^2/2 + k ln|alpha| - ln(k!)/2 is set by one lgamma at
+    the Poisson mode k0 = floor(|alpha|^2) (or the top level, if lower) and
+    reached from there by cumulative sums of the steps ln|alpha| - ln(k)/2,
+    upward and downward; summed from k = 0, the rounding grows to ~1e-7 at
+    |alpha| = 1000.  The phase e^{i k arg alpha} goes on as cos and sin.
+    The work arrays are freed on return.
+    """
+    amps = np.zeros(cutoff, dtype=complex)
+    if alpha == 0 or cutoff == 0:  # |0>, or the empty tensor FockPureState refuses
+        amps[:1] = 1.0
+        return amps
+    a = abs(alpha)
+    ln_a = math.log(a)
+    k0 = min(int(a * a), cutoff - 1)
+    steps = np.arange(1.0, cutoff)  # steps[k - 1] takes ln|c_{k-1}| to ln|c_k|
+    np.log(steps, out=steps)
+    steps *= -0.5
+    steps += ln_a
+    logs = np.empty(cutoff)
+    logs[k0] = -0.5 * a * a + k0 * ln_a - 0.5 * math.lgamma(k0 + 1.0)
+    np.cumsum(steps[k0:], out=logs[k0 + 1 :])
+    logs[k0 + 1 :] += logs[k0]
+    np.cumsum(steps[:k0][::-1], out=logs[:k0][::-1])
+    np.subtract(logs[k0], logs[:k0], out=logs[:k0])
+    del steps
+    np.exp(logs, out=logs)
+    phi = cmath.phase(alpha)
+    if phi:
+        theta = np.arange(cutoff) * phi
+        np.multiply(logs, np.sin(theta), out=amps.imag)
+        np.multiply(logs, np.cos(theta, out=theta), out=amps.real)
+    else:
+        amps.real = logs
+    return amps
 
 
 def _squeezed_amps(s: float, phi: float, cutoff: int) -> np.ndarray:

@@ -7,6 +7,7 @@ interleaved quadrature order and vacuum covariance equal to the identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,13 +320,47 @@ def _orthogonal_symplectic(w: np.ndarray) -> np.ndarray:
     return O
 
 
+def _euler_symplectic(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """S = O1 diag(e^{-s_k}, e^{s_k}) O2 from draws w (..., 2, 2, n, n) and s (..., n).
+
+    Every stacked matrix is formed by the same LAPACK and BLAS calls as a
+    lone one, so a stack equals its matrices built one at a time bit for bit.
+    """
+    O = _orthogonal_symplectic(w)
+    d = np.exp(s[..., None] * (-1.0, 1.0)).reshape(s.shape[:-1] + (2 * s.shape[-1],))
+    return (O[..., 0, :, :] * d[..., None, :]) @ O[..., 1, :, :]
+
+
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def _check_sampler(n, squeeze_max: float = 0.0, size=None) -> int:
+    """Reject bad sampler arguments before any draw; return the number of states."""
+    if not _is_count(n, 1):
+        raise ValueError(f"mode count n must be an integer >= 1, got {n!r}")
+    if not (math.isfinite(squeeze_max) and squeeze_max >= 0.0):
+        raise ValueError(f"squeeze_max must be finite and >= 0, got {squeeze_max!r}")
+    if size is not None and not _is_count(size, 0):
+        raise ValueError(f"size must be None or an integer >= 0, got {size!r}")
+    return 1 if size is None else int(size)
+
+
+def _states(V: np.ndarray, size):
+    """One zero-mean GaussianState per stacked covariance; the lone state when size is None."""
+    states = [GaussianState(np.zeros(V.shape[-1]), v) for v in V]
+    return states[0] if size is None else states
+
+
 def random_symplectic(n: int, rng=None, squeeze_max: float = 1.0) -> np.ndarray:
-    """Random symplectic S = O1 diag(e^{-s_k}, e^{s_k}) O2, Euler form."""
+    """Random symplectic S = O1 diag(e^{-s_k}, e^{s_k}) O2, Euler form.
+
+    O1 and O2 come from Haar unitaries; s_k is uniform on [0, squeeze_max].
+    """
+    _check_sampler(n, squeeze_max)
     rng = _as_rng(rng)
-    o1, o2 = _orthogonal_symplectic(rng.normal(size=(2, 2, n, n)))
-    s = rng.uniform(0.0, squeeze_max, size=n)
-    d = np.exp(s[:, None] * (-1.0, 1.0)).ravel()
-    return (o1 * d) @ o2
+    w = rng.normal(size=(2, 2, n, n))
+    return _euler_symplectic(w, rng.uniform(0.0, squeeze_max, size=n))
 
 
 def random_gaussian_state(
@@ -333,13 +368,16 @@ def random_gaussian_state(
     seed=None,
     purity_profile: str = "mixed",
     squeeze_max: float = 1.0,
-) -> GaussianState:
-    """Sample a random physical Gaussian state.
+    size: int | None = None,
+):
+    """Sample a random physical Gaussian state, or a list of ``size`` of them.
+
+    V = S diag(nu) S^T with S from :func:`random_symplectic`'s Euler form.
 
     Parameters
     ----------
     n : int
-        Mode count.
+        Mode count, at least 1.
     seed : int, Generator, or None
         Determinism contract: the same integer seed yields the same state
         bit for bit.
@@ -347,29 +385,50 @@ def random_gaussian_state(
         "pure" sets every symplectic eigenvalue to 1; "mixed" draws
         nu_k = 1 + Exponential(1).
     squeeze_max : float
-        Squeezing magnitudes are drawn uniformly from [0, squeeze_max].
+        Squeezing magnitudes are drawn uniformly from [0, squeeze_max];
+        it must be finite and >= 0.
+    size : int or None
+        None returns one GaussianState.  An integer k >= 0 returns a list of
+        k states equal bit for bit to k calls in a row on the same
+        generator: each state's variates are drawn in the single-call order
+        (exponential, normal, uniform), then the k states are assembled as
+        one stack.  If one of them fails validation the call raises, with
+        all k states' variates drawn.
+
+    Raises
+    ------
+    ValueError
+        For an unknown profile, or an n, squeeze_max or size out of range;
+        these are checked before any draw.
     """
-    rng = _as_rng(seed)
-    if purity_profile == "pure":
-        nu = np.ones(n)
-    elif purity_profile == "mixed":
-        nu = 1.0 + rng.exponential(1.0, size=n)
-    else:
+    count = _check_sampler(n, squeeze_max, size)
+    if purity_profile not in ("mixed", "pure"):
         raise ValueError(f"unknown purity profile {purity_profile!r}")
-    S = random_symplectic(n, rng, squeeze_max)
-    V = (S * np.repeat(nu, 2)) @ S.T
-    return GaussianState(np.zeros(2 * n), V)
+    rng = _as_rng(seed)
+    mixed = purity_profile == "mixed"
+    nu = np.ones((count, n))
+    w = np.empty((count, 2, 2, n, n))
+    s = np.empty((count, n))
+    for k in range(count):
+        if mixed:
+            nu[k] += rng.exponential(1.0, size=n)
+        w[k] = rng.normal(size=(2, 2, n, n))
+        s[k] = rng.uniform(0.0, squeeze_max, size=n)
+    S = _euler_symplectic(w, s)
+    return _states((S * np.repeat(nu, 2, axis=-1)[:, None, :]) @ S.swapaxes(-1, -2), size)
 
 
-def random_classical_state(n: int, seed=None) -> GaussianState:
+def random_classical_state(n: int, seed=None, size: int | None = None):
     """Random classical Gaussian state: V = identity + positive semidefinite noise.
 
     Such states have QCS^2 <= 1 and zero log-negativity across every split.
+    ``size`` follows :func:`random_gaussian_state`: None gives one state, an
+    integer k >= 0 a list of k states equal bit for bit to k calls in a row.
     """
+    count = _check_sampler(n, size=size)
     rng = _as_rng(seed)
-    A = rng.normal(size=(2 * n, 2 * n))
-    V = np.eye(2 * n) + (A @ A.T) / (2.0 * n)
-    return GaussianState(np.zeros(2 * n), V)
+    A = rng.normal(size=(count, 2 * n, 2 * n))
+    return _states(np.eye(2 * n) + (A @ A.swapaxes(-1, -2)) / (2.0 * n), size)
 
 
 def gaussian_to_dict(st: GaussianState) -> dict:

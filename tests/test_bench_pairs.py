@@ -1,0 +1,61 @@
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(values, name="items_per_s"):
+    return [{name: v} for v in values]
+
+
+def test_summary_counts_wins_and_ties_in_the_better_direction(tool):
+    parent = _runs([10.0, 11.0, 12.0, 13.0, 14.0])
+    change = _runs([12.0, 11.0, 15.0, 12.5, 20.0])
+    higher = tool.summarize(parent, change, {"items_per_s": "higher"})["items_per_s"]
+    assert (higher["wins"], higher["ties"], higher["pairs"]) == (3, 1, 5)
+    lower = tool.summarize(parent, change, {"items_per_s": "lower"})["items_per_s"]
+    assert (lower["wins"], lower["ties"]) == (1, 1)
+    assert not higher["gain"] and not lower["gain"]
+
+
+def test_summary_quartiles_and_parent_iqr(tool):
+    parent = _runs([10.0, 11.0, 12.0, 13.0, 14.0])
+    change = _runs([20.0, 21.0, 22.0, 23.0, 24.0])
+    row = tool.summarize(parent, change, {"items_per_s": "higher"})["items_per_s"]
+    assert row["parent"] == (11.0, 12.0, 13.0)
+    assert row["change"] == (21.0, 22.0, 23.0)
+    assert row["parent_iqr"] == 2.0
+    assert row["wins"] == 5 and row["gain"]
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr(tool):
+    parent = _runs([100.0 + k for k in range(10)])
+    # every pair won, but the medians differ by 1, less than the parent's IQR of 4.5
+    close = tool.summarize(parent, _runs([101.0 + k for k in range(10)]),
+                           {"items_per_s": "higher"})["items_per_s"]
+    assert close["wins"] == 10 and close["parent_iqr"] == 4.5 and not close["gain"]
+    # a large median gain with only 8 of 10 pairs won is no gain either
+    eight = _runs([120.0 + k for k in range(8)] + [50.0, 50.0])
+    row = tool.summarize(parent, eight, {"items_per_s": "higher"})["items_per_s"]
+    assert row["wins"] == 8 and not row["gain"]
+    nine = _runs([120.0 + k for k in range(9)] + [50.0])
+    assert tool.summarize(parent, nine, {"items_per_s": "higher"})["items_per_s"]["gain"]
+
+
+def test_summary_of_one_pair_and_lower_is_better_metrics(tool):
+    row = tool.summarize(_runs([5.0], "peak_rss_mb"), _runs([4.0], "peak_rss_mb"),
+                         {"peak_rss_mb": "lower"})["peak_rss_mb"]
+    assert row["parent"] == (5.0, 5.0, 5.0) and row["parent_iqr"] == 0.0
+    assert row["wins"] == 1 and row["gain"]
+    with pytest.raises(ValueError):
+        tool.summarize([], [], {"peak_rss_mb": "lower"})

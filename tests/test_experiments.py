@@ -463,6 +463,35 @@ def test_random_audit_gaussian_slice_ignores_other_slice_counts():
         assert mixed.by_check[name] == entry
 
 
+def test_random_audit_report_does_not_depend_on_the_block_size(monkeypatch):
+    from bosonic_bounds import experiments
+
+    def audit():
+        return random_audit(n_states=300, modes=2, seed=8, fock_states=0,
+                            classical_states=300).to_dict()
+
+    default = audit()
+    for block in (1, 7):
+        monkeypatch.setattr(experiments, "SAMPLE_BLOCK", block)
+        assert audit() == default, block
+
+
+def _audit_peak(n_states):
+    tracemalloc.start()
+    try:
+        random_audit(n_states=n_states, modes=2, seed=1, fock_states=0, classical_states=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_random_audit_memory_does_not_grow_with_the_state_count():
+    _audit_peak(250)  # warm numpy's caches outside the trace
+    # Stacking the whole 2000-state slice at once would hold eight times the
+    # states a 250-state audit does.
+    assert _audit_peak(2000) <= 1.5 * _audit_peak(250)
+
+
 def test_counterexample_demo_flags():
     result = counterexample_demo()
     assert result["mtn_base"] == pytest.approx(7.0 / 3.0, rel=1e-8)

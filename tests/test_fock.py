@@ -101,6 +101,42 @@ def test_coherent_tail_is_the_poisson_tail():
         make_fock_coherent(0.0, cutoff=0)
 
 
+def _coherent_amps_lgamma_list(alpha, cutoff):
+    """Reference: the former builder, ln(k!) from a Python list of lgamma values."""
+    k = np.arange(cutoff)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(cutoff)])
+    logs = -0.5 * abs(alpha) ** 2 + k * np.log(np.abs(alpha)) - 0.5 * log_fact
+    return np.exp(logs) * np.exp(1j * np.angle(alpha) * k)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.8 - 0.3j, 2.0, 5.0 * np.exp(2.1j), -12.0, 30.0, 30j])
+def test_coherent_amplitudes_match_the_lgamma_reference(alpha):
+    psi = make_fock_coherent(alpha)
+    assert_allclose(psi.amps, _coherent_amps_lgamma_list(alpha, psi.cutoffs[0]),
+                    rtol=1e-11, atol=0.0)
+
+
+def test_coherent_vacuum_is_exactly_the_zero_photon_state():
+    for alpha in (0, 0.0, 0j):
+        psi = make_fock_coherent(alpha)
+        assert psi.amps[0] == 1.0 and not np.any(psi.amps[1:])
+        assert psi.tail_mass == 0.0
+
+
+def test_coherent_builder_holds_at_most_three_tensors():
+    # A 2 MiB tensor, past the size where numpy squares FockPureState's
+    # |amps| temporary in place; the lgamma-list builder peaked at 5x it.
+    alpha = 300.0 * np.exp(0.4j)
+    make_fock_coherent(alpha)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        psi = make_fock_coherent(alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * psi.amps.nbytes
+
+
 def test_poisson_tail_matches_regularized_gamma():
     cutoffs = sorted({*range(1, 65), *np.geomspace(1, 4096, 60).astype(int).tolist()})
     for x in np.geomspace(1e-6, 2000.0, 80):

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import asdict
 
@@ -30,6 +31,7 @@ from bosonic_bounds import (
     qcs2_gaussian_char_oracle,
     random_classical_state,
     random_gaussian_state,
+    random_symplectic,
     save_gaussian,
     tensor,
 )
@@ -202,6 +204,71 @@ def test_random_gaussian_state_is_physical_and_seedable():
 def test_random_gaussian_state_pure_profile():
     st = random_gaussian_state(2, 5, purity_profile="pure")
     assert purity(st) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("profile", ["mixed", "pure"])
+@pytest.mark.parametrize("squeeze_max", [1.2, 6.0])
+def test_a_stacked_draw_equals_single_draws_in_a_row_bit_for_bit(profile, squeeze_max):
+    for n in range(1, 7):
+        single, stacked = np.random.default_rng(n), np.random.default_rng(n)
+        want = [random_gaussian_state(n, single, profile, squeeze_max) for _ in range(9)]
+        got = random_gaussian_state(n, stacked, profile, squeeze_max, size=9)
+        assert len(got) == 9
+        for a, b in zip(want, got):
+            assert np.array_equal(a.cov, b.cov) and np.array_equal(a.mean, b.mean)
+        # both generators stand at the same point of the stream
+        assert stacked.bit_generator.state == single.bit_generator.state
+
+
+def test_a_stacked_classical_draw_equals_single_draws_in_a_row_bit_for_bit():
+    for n in range(1, 5):
+        single, stacked = np.random.default_rng(n), np.random.default_rng(n)
+        want = [random_classical_state(n, single) for _ in range(9)]
+        got = random_classical_state(n, stacked, size=9)
+        assert [a.cov.tobytes() for a in want] == [b.cov.tobytes() for b in got]
+        assert stacked.bit_generator.state == single.bit_generator.state
+
+
+def test_sampler_size_gives_a_list_and_none_one_state():
+    assert random_gaussian_state(2, 1, size=0) == []
+    assert random_classical_state(2, 1, size=0) == []
+    assert isinstance(random_gaussian_state(2, 1), GaussianState)
+    assert isinstance(random_classical_state(2, 1), GaussianState)
+    one = random_gaussian_state(2, 1, size=1)
+    assert len(one) == 1 and np.array_equal(one[0].cov, random_gaussian_state(2, 1).cov)
+
+
+_BAD_SAMPLER_ARGS = [
+    ("n", {"n": 0}),
+    ("n", {"n": -1}),
+    ("n", {"n": 2.0}),
+    ("n", {"n": True}),
+    ("squeeze_max", {"squeeze_max": math.nan}),
+    ("squeeze_max", {"squeeze_max": math.inf}),
+    ("squeeze_max", {"squeeze_max": -0.1}),
+    ("size", {"size": -1}),
+    ("size", {"size": 2.0}),
+    ("size", {"size": False}),
+]
+
+
+@pytest.mark.parametrize("name,bad", _BAD_SAMPLER_ARGS, ids=[str(b) for _, b in _BAD_SAMPLER_ARGS])
+def test_samplers_reject_bad_arguments_before_any_draw(name, bad):
+    samplers = {
+        random_gaussian_state: {"n": 2, "squeeze_max": 1.0, "size": 3},
+        random_symplectic: {"n": 2, "squeeze_max": 1.0},
+        random_classical_state: {"n": 2, "size": 3},
+    }
+    for sampler, good in samplers.items():
+        if name not in good:
+            continue
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        kwargs = {**good, **bad}
+        n = kwargs.pop("n")
+        with pytest.raises(ValueError, match=name):
+            sampler(n, rng, **kwargs)
+        assert rng.bit_generator.state == before, sampler.__name__
 
 
 def test_random_classical_state_is_classical():
