@@ -476,8 +476,10 @@ def _serialized(instance: dict) -> dict:
 
 
 # States per sampler call in the audit's Gaussian and classical slices.  A block
-# is drawn as a stack, bit for bit like one-at-a-time draws; bounding it keeps
-# the stack's memory flat in the slice's count.
+# is drawn as a stack, bit for bit like one-at-a-time draws wherever numpy
+# sends each slice of a stack to the same BLAS and LAPACK routine as a lone
+# matrix (checked by the tier-1 tests); bounding it keeps the stack's memory
+# flat in the slice's count.
 SAMPLE_BLOCK = 128
 
 
@@ -542,9 +544,10 @@ def random_audit(
     counts): the Gaussian, classical and Fock slices each draw from their
     own generator spawned from ``seed``, so one slice's count does not move
     another slice's states.  The Gaussian and classical slices draw their
-    states in stacked blocks of SAMPLE_BLOCK; each block equals that many
-    single draws bit for bit, so the stream and the report do not depend on
-    the block size.
+    states in stacked blocks of SAMPLE_BLOCK.  The random stream does not
+    depend on the block size; the report does not either as long as numpy
+    sends each slice of a stacked QR and matmul to the same BLAS and LAPACK
+    routine as a lone matrix, which the tier-1 tests check.
     """
     if modes < 2:
         raise ValueError(f"the audit splits states in two, so it needs modes >= 2, got {modes}")

@@ -323,8 +323,11 @@ def _orthogonal_symplectic(w: np.ndarray) -> np.ndarray:
 def _euler_symplectic(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """S = O1 diag(e^{-s_k}, e^{s_k}) O2 from draws w (..., 2, 2, n, n) and s (..., n).
 
-    Every stacked matrix is formed by the same LAPACK and BLAS calls as a
-    lone one, so a stack equals its matrices built one at a time bit for bit.
+    A stack equals its matrices built one at a time bit for bit as long as
+    numpy hands each slice of a stacked QR and matmul to the same LAPACK and
+    BLAS routine, with the same strides and workspace, as a lone matrix.
+    That is numpy's behaviour, not its documented API; the tier-1 tests in
+    tests/test_gaussian.py check it on the BLAS in use.
     """
     O = _orthogonal_symplectic(w)
     d = np.exp(s[..., None] * (-1.0, 1.0)).reshape(s.shape[:-1] + (2 * s.shape[-1],))
@@ -392,8 +395,12 @@ def random_gaussian_state(
         k states equal bit for bit to k calls in a row on the same
         generator: each state's variates are drawn in the single-call order
         (exponential, normal, uniform), then the k states are assembled as
-        one stack.  If one of them fails validation the call raises, with
-        all k states' variates drawn.
+        one stack.  The draws are always the same; the bit-for-bit equality
+        of the assembled states rests on numpy calling the same LAPACK and
+        BLAS routine for each slice of a stack as for a lone matrix (see
+        :func:`_euler_symplectic`), which the tier-1 tests check.  If one
+        of the states fails validation the call raises, with all k states'
+        variates drawn.
 
     Raises
     ------
@@ -423,7 +430,9 @@ def random_classical_state(n: int, seed=None, size: int | None = None):
 
     Such states have QCS^2 <= 1 and zero log-negativity across every split.
     ``size`` follows :func:`random_gaussian_state`: None gives one state, an
-    integer k >= 0 a list of k states equal bit for bit to k calls in a row.
+    integer k >= 0 a list of k states equal bit for bit to k calls in a row,
+    as long as numpy's stacked A @ A^T calls the same BLAS routine for each
+    slice as for a lone matrix (checked by the tier-1 tests).
     """
     count = _check_sampler(n, size=size)
     rng = _as_rng(seed)

@@ -6,12 +6,13 @@ metric of BENCHMARK.json it prints each side's median and quartiles, how
 many pairs the change won (ties count for neither side), the parent's
 interquartile range, and whether a gain may be claimed: the change wins at
 least nine tenths of the pairs and the medians differ, in the better
-direction, by more than the parent's interquartile range.
+direction, by more than the parent's interquartile range.  Every run lasts
+BENCHMARK.json's ``run_seconds``, the same on both sides.
 
 Run from the root of the changed checkout:
 
     python tools/bench_pairs.py --parent ../parent --workload gaussian-audit \\
-        --pairs 10 --seed 9 --seconds 30
+        --pairs 10 --seed 9
 
 The parent directory is a plain copy of the parent commit (``git archive``
 or ``git clone``).  Nothing under either tree's ``bench/`` is edited; each
@@ -91,20 +92,21 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     opts = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {spec["name"]: spec["better"] for spec in json.load(fh)["end_to_end"]}
+        benchmark = json.load(fh)
+    better = {spec["name"]: spec["better"] for spec in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     sides = {"parent": os.path.abspath(opts.parent), "change": ROOT}
     runs = {"parent": [], "change": []}
     for pair in range(opts.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_bench(sides[side], opts.workload, opts.seed, opts.seconds))
+            runs[side].append(run_bench(sides[side], opts.workload, opts.seed, seconds))
         print(f"pair {pair + 1}/{opts.pairs} done ({' then '.join(order)})", file=sys.stderr)
     summary = summarize(runs["parent"], runs["change"], better)
     print(f"workload {opts.workload}, seed {opts.seed}, {opts.pairs} pairs of "
-          f"{opts.seconds:g} s runs; median [first quartile, third quartile]")
+          f"{seconds:g} s runs; median [first quartile, third quartile]")
     for name, row in summary.items():
         print(f"{name:16s} parent {_fmt(row['parent']):36s} change {_fmt(row['change']):36s} "
               f"wins {row['wins']}/{row['pairs']} ties {row['ties']} "
