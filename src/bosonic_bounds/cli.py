@@ -213,12 +213,14 @@ def _seed_from(args) -> int:
 
 
 def _load_fock(args):
-    """The --fock state, with --tau-trunc set to TAU_TRUNC when not given."""
+    """The --fock state, its tail checked against --tau-trunc (TAU_TRUNC when not given)."""
     if not args.fock:
         raise SchemaError("--fock is required")
     if args.tau_trunc is None:
         args.tau_trunc = TAU_TRUNC
-    return _parse_fock_arg(args.fock)
+    state = _parse_fock_arg(args.fock)
+    state.check_tail(args.tau_trunc)
+    return state
 
 
 def _load_state(args):
@@ -251,8 +253,7 @@ def _cmd_measure(args) -> int:
         rep = gaussian_measures(state, bp)
         payload = asdict(rep)
     else:
-        tau = args.tau_trunc
-        noise = total_noise(state, tau=tau)
+        noise = total_noise(state)
         payload = {
             "modes": state.n,
             "cutoffs": list(state.cutoffs),
@@ -262,9 +263,7 @@ def _cmd_measure(args) -> int:
             "mtn": noise / state.n,
         }
         if bp is not None:
-            payload["ef"], payload["log_negativity"] = entanglement_measures_pure(
-                state, bp, tau=tau
-            )
+            payload["ef"], payload["log_negativity"] = entanglement_measures_pure(state, bp)
     payload["config"] = _config_echo(args, kind=kind)
     _emit(payload, args)
     return 0
@@ -285,9 +284,8 @@ def _cmd_bound_check(args) -> int:
     else:
         if bp is None:
             raise SchemaError("bound-check on a Fock state needs >= 2 modes")
-        tau = args.tau_trunc
-        mtn = mtn_pure(state, tau=tau)
-        ef = entanglement_entropy(state, bp, tau=tau)
+        mtn = mtn_pure(state)
+        ef = entanglement_entropy(state, bp)
         payload = {"mtn": mtn, "ef": ef}
         checks = [entanglement_check(ef, mtn, bp.n_a, bp.n_b, tau_check=tau_check)]
         floor = mtn_floor_from_entanglement(ef, state.n)

@@ -231,14 +231,17 @@ def beam_splitter_fock(state: FockPureState, tau: float = TAU_TRUNC) -> dict:
 
     Returns the input's M_TN, its budget g_in = g((M_TN - 1)/2), the
     output's E_F and E_N, ratio = E_F / g_in (1 when g_in is 0), and the
-    output's tail mass and cutoffs.  This is the route for arbitrary input;
-    the sweep's number families take their closed forms instead.
+    output's tail mass and cutoffs; both tails, the output's with the blocks
+    dropped, must be <= tau.  This is the route for arbitrary input; the
+    sweep's number families take their closed forms instead.
     """
     if state.n != 2:
         raise ValueError(f"the balanced beam splitter acts on 2 modes, state has {state.n}")
-    mtn_in = mtn_pure(state, tau=tau)
+    state.check_tail(tau)
+    mtn_in = mtn_pure(state)
     out = apply_beam_splitter_fock(state, tau=tau)
-    ef, log_negativity = entanglement_measures_pure(out, Bipartition(1, 1), tau=tau)
+    out.check_tail(tau)
+    ef, log_negativity = entanglement_measures_pure(out, Bipartition(1, 1))
     g_in = entanglement_check(ef, mtn_in, 1, 1).rhs
     return {
         "mtn_in": mtn_in,

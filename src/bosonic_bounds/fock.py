@@ -9,7 +9,8 @@ cutoff must fit the budget and meet tau.  The state records the law's tail;
 the squeezed vacuum's law is only a bound that picks the default, so it
 records and checks 1 - sum |c_k|^2.  Past the rule's edges errors are typed.
 
-Every measure is exact for the state as stored, with no padding.  The
+Every measure is exact for the state as stored, with no padding, and
+checks no tail (the constructors and FockPureState.check_tail do).  The
 quadrature moments pair a raised vector only with stored levels, C^2 of
 a density operator adds back what the truncated ladder drops at the top
 level, and the Schmidt measures never leave the stored tensor.
@@ -63,8 +64,8 @@ __all__ = [
 
 # Largest dense complex tensor a constructor allocates: 256 MiB of complex128,
 # about 4096^2 amplitudes.  Every constructor (the analytic families, number
-# states, fock_from_dict) checks its shape and raises CutoffOverflowError
-# before it allocates more, instead of a MemoryError or the OOM killer.
+# states, fock_from_dict, density operators) checks its shape and raises
+# CutoffOverflowError before it allocates more, not a MemoryError or OOM kill.
 AMPLITUDE_BUDGET_BYTES = 2**28
 
 
@@ -108,7 +109,7 @@ class FockPureState:
             raise ValueError("amplitude tensor needs at least one mode")
         if amps.size == 0:
             raise ValueError(f"amplitude tensor of shape {amps.shape} is empty")
-        norm2 = float(np.sum(np.abs(amps) ** 2))
+        norm2 = float(np.vdot(amps, amps).real)
         if not math.isfinite(norm2):
             raise ValueError("amplitude tensor has a non-finite entry")
         if norm2 > 1.0 + 1e-9:
@@ -127,21 +128,26 @@ class FockPureState:
         return self.amps.shape
 
     def norm2(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+        return float(np.vdot(self.amps, self.amps).real)
+
+    def check_tail(self, tau: float):
+        """Raise TruncationError if tail_mass exceeds tau: the check where a state is read."""
+        _check_tail(self.tail_mass, self.cutoffs, tau, "state")
 
 
 @dataclass(frozen=True)
 class FockDensityOperator:
-    """Density matrix over the flattened product Fock basis."""
+    """Density matrix over the flattened product Fock basis; D x D must fit the byte budget."""
 
     mat: np.ndarray
     cutoffs: tuple[int, ...]
     tail_mass: float = 0.0
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
         cutoffs = tuple(int(c) for c in self.cutoffs)
-        dim = int(np.prod(cutoffs))
+        dim = math.prod(cutoffs)
+        _check_budget((dim, dim), "density operator")
+        mat = np.array(self.mat, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match cutoffs {cutoffs}")
         if dim == 0:
@@ -185,6 +191,7 @@ class FockDensityOperator:
         triangles, so it is still symmetrized as __post_init__ would.
         """
         v = psi.amps.reshape(-1)
+        _check_budget((v.size, v.size), "density operator")
         mat = np.outer(v, v.conj())
         mat = 0.5 * (mat + mat.conj().T)
         mat.setflags(write=False)
@@ -529,9 +536,11 @@ def quadrature_moments(psi: FockPureState) -> tuple[np.ndarray, np.ndarray]:
     return mean, V
 
 
-def _total_noise(psi: FockPureState) -> float:
-    """Tr V / 2 = sum_i (2 <N_i> + 1 - 2 |<a_i>|^2), with no tail check.
+def total_noise(psi: FockPureState) -> float:
+    """Sum of the variances of all 2n quadratures, Tr V / 2.
 
+    Computed as sum_i (2 <N_i> + 1 - 2 |<a_i>|^2) from the photon numbers
+    and first moments; for states with zero mean this is 2 <N> + n.
     <N_i> = ||a_i psi||^2 and <a_i> = <psi|a_i psi> come from one lowered
     tensor, freed before the next mode's is made.  The diagonal of V sums to
     this term by term, so it equals half the trace of quadrature_moments' V.
@@ -544,19 +553,9 @@ def _total_noise(psi: FockPureState) -> float:
     return float(sum(mode_noise(_ladder(amps, i)) for i in range(psi.n)))
 
 
-def total_noise(psi: FockPureState, tau: float = TAU_TRUNC) -> float:
-    """Sum of the variances of all 2n quadratures, Tr V / 2.
-
-    Computed as sum_i (2 <N_i> + 1 - 2 |<a_i>|^2) from the photon numbers
-    and first moments; for states with zero mean this is 2 <N> + n.
-    """
-    _check_tail(psi.tail_mass, psi.cutoffs, tau, "state")
-    return _total_noise(psi)
-
-
-def mtn_pure(psi: FockPureState, tau: float = TAU_TRUNC) -> float:
+def mtn_pure(psi: FockPureState) -> float:
     """Total noise per mode after centering; equals 1 exactly for coherent states."""
-    return total_noise(psi, tau) / psi.n
+    return total_noise(psi) / psi.n
 
 
 def _split_dims(psi: FockPureState, bp: Bipartition) -> tuple[int, int]:
@@ -573,16 +572,13 @@ def schmidt_coefficients(psi: FockPureState, bp: Bipartition) -> np.ndarray:
     return np.linalg.svd(psi.amps.reshape(da, db), compute_uv=False)
 
 
-def entanglement_measures_pure(
-    psi: FockPureState, bp: Bipartition, tau: float = TAU_TRUNC
-) -> tuple[float, float]:
+def entanglement_measures_pure(psi: FockPureState, bp: Bipartition) -> tuple[float, float]:
     """(E_F, E_N) of a pure state from one Schmidt decomposition.
 
     Over the Schmidt values sigma, E_F = -sum sigma^2 ln sigma^2 is the
     entropy of entanglement and E_N = 2 ln(sum sigma) the logarithmic
     negativity.
     """
-    _check_tail(psi.tail_mass, psi.cutoffs, tau, "state")
     s = schmidt_coefficients(psi, bp)
     s2 = s**2
     s2 = s2[s2 > 1e-30]
@@ -591,9 +587,9 @@ def entanglement_measures_pure(
     return ef, en
 
 
-def entanglement_entropy(psi: FockPureState, bp: Bipartition, tau: float = TAU_TRUNC) -> float:
+def entanglement_entropy(psi: FockPureState, bp: Bipartition) -> float:
     """Entropy of entanglement E_F, the first of entanglement_measures_pure."""
-    return entanglement_measures_pure(psi, bp, tau)[0]
+    return entanglement_measures_pure(psi, bp)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +666,9 @@ def qcs2_fock(state: FockPureState | FockDensityOperator) -> float:
     """Squared quadrature coherence scale C^2 of a pure state or density operator.
 
     On a pure state C^2 is the mean total noise M_TN = Tr V / (2n) (De
-    Bievre et al., Phys. Rev. Lett. 122, 080402 (2019)), computed as
-    (1/n) sum_i (2 <N_i> + 1 - 2 |<a_i>|^2) from the photon numbers and
-    first moments: exact for the truncated state without padding, and equal
-    to mtn_pure bit for bit.  A density operator takes the commutator
+    Bievre et al., Phys. Rev. Lett. 122, 080402 (2019)), read by mtn_pure
+    from the photon numbers and first moments: exact for the truncated state
+    without padding.  A density operator takes the commutator
     route, C^2 = sum_j Tr([rho, R_j][R_j, rho]) / (2 n Tr rho^2) over the 2n
     quadratures.  With X and P built from the truncated ladder operator a_j,
     the two terms of mode j sum to 2 ||[rho, a_j]||_F^2, so exactly
@@ -686,11 +681,10 @@ def qcs2_fock(state: FockPureState | FockDensityOperator) -> float:
     mode j to level d_j, past the cutoff, where a_j rho has no entry; the
     truncated ladder drops it, so its norm d_j ||rho at column level
     d_j - 1||_F^2 is added back.  C^2 is thus exact for the stored operator,
-    with no padding, as on the pure route.  Neither route checks the tail
-    mass.
+    with no padding, as on the pure route.
     """
     if isinstance(state, FockPureState):
-        return _total_noise(state) / state.n
+        return mtn_pure(state)
     n = state.n
     t = state.mat.reshape(state.cutoffs + state.cutoffs)
     acc = 0.0
@@ -826,16 +820,14 @@ def make_counterexample_states(
 
 
 def fock_to_dict(psi: FockPureState) -> dict:
-    entries = []
-    it = np.nditer(psi.amps, flags=["multi_index"])
-    for val in it:
-        z = complex(val)
-        if z != 0.0:
-            entries.append([*it.multi_index, z.real, z.imag])
+    """{"n", "cutoffs", "amps", "tail_mass"}, listing the nonzero amplitudes in C order."""
+    idx = np.nonzero(psi.amps)
+    vals = psi.amps[idx]
+    rows = zip(*(i.tolist() for i in idx), vals.real.tolist(), vals.imag.tolist())
     return {
         "n": psi.n,
         "cutoffs": list(psi.cutoffs),
-        "amps": entries,
+        "amps": [list(row) for row in rows],
         "tail_mass": psi.tail_mass,
     }
 

@@ -60,8 +60,9 @@ def test_criterion1_tmsv_saturates_even_split_bound():
     for r in (0.2, 0.5, 0.8, 1.1):
         t0 = time.perf_counter()
         psi = make_fock_tmsv(r, tau=1e-12)
-        ef = entanglement_entropy(psi, _BP, tau=1e-10)
-        mtn = mtn_pure(psi, tau=1e-10)
+        psi.check_tail(1e-10)
+        ef = entanglement_entropy(psi, _BP)
+        mtn = mtn_pure(psi)
         dt = time.perf_counter() - t0
         target = g(math.sinh(r) ** 2)
         via_mtn = 1.0 * g((mtn - 1.0) / 2.0)  # (n/2) g((M_TN-1)/2), n = 2
@@ -82,7 +83,8 @@ def _binomial_entropy(N):
 def _bs_ratio(occupations):
     psi = make_fock_number(occupations)
     out = apply_beam_splitter_fock(psi, tau=1e-10)
-    ef = entanglement_entropy(out, _BP, tau=1e-9)
+    out.check_tail(1e-9)
+    ef = entanglement_entropy(out, _BP)
     g_in = g((mtn_pure(psi) - 1.0) / 2.0)
     return ef, ef / g_in
 
@@ -164,7 +166,8 @@ def test_criterion3_squeezed_input_identities():
         cutoff = squeezed_cutoff(2.0 * s, 1e-12)
         psi_in = _antisqueezed_vacuum_input(2.0 * s, cutoff, 1e-10)
         out = apply_beam_splitter_fock(psi_in, tau=1e-10)
-        gap1 = abs(entanglement_entropy(out, _BP, tau=1e-9) - g(math.sinh(s) ** 2))
+        out.check_tail(1e-9)
+        gap1 = abs(entanglement_entropy(out, _BP) - g(math.sinh(s) ** 2))
 
         m1 = make_fock_squeezed(s, 0.0, cutoff, 1e-10)
         m2 = make_fock_squeezed(s, math.pi / 2.0, cutoff, 1e-10)
@@ -172,7 +175,8 @@ def test_criterion3_squeezed_input_identities():
             np.tensordot(m1.amps, m2.amps, axes=0), m1.tail_mass + m2.tail_mass
         )
         out2 = apply_beam_splitter_fock(pair, tau=1e-10)
-        gap2 = abs(entanglement_entropy(out2, _BP, tau=1e-9) - g(math.sinh(s) ** 2))
+        out2.check_tail(1e-9)
+        gap2 = abs(entanglement_entropy(out2, _BP) - g(math.sinh(s) ** 2))
 
         # one squeezer at 2s' feeding vacuum carries the same mean total
         # noise as two orthogonal squeezers at s when cosh(4s') = 2cosh(2s)-1

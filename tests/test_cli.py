@@ -720,6 +720,22 @@ def test_tail_budget_is_refused_on_gaussian_input(command, tmp_path, capsys):
     assert "tau_trunc" not in payload["config"]
 
 
+_TAIL_ERROR = (
+    "error: state: tail mass 1.937e-11 at cutoff (10, 10) exceeds 1.0e-12; increase cutoffs\n"
+)
+
+
+@pytest.mark.parametrize("command", ["measure", "bound-check", "beamsplitter"])
+def test_fock_file_whose_tail_exceeds_the_budget_is_refused(command, tmp_path, capsys):
+    path = tmp_path / "tmsv.json"
+    fock.save_fock(fock.make_fock_tmsv(0.3), path)
+    argv = [command, "--fock", str(path), "--tau-trunc"]
+    assert run_cli(argv + ["1e-12"], capsys) == (2, "", _TAIL_ERROR)
+    assert run_json(argv + ["1e-5"], capsys)["config"]["tau_trunc"] == 1e-5
+    if command != "beamsplitter":  # the tail is checked where the file is read, first
+        assert run_cli(argv + ["1e-12", "--bipartition", "3:1"], capsys) == (2, "", _TAIL_ERROR)
+
+
 def test_fock_input_echoes_the_default_tail_budget(capsys):
     payload = run_json(["bound-check", "--fock", "N=2,2"], capsys)
     assert payload["config"]["tau_trunc"] == TAU_TRUNC

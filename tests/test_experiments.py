@@ -38,7 +38,7 @@ from bosonic_bounds import (
     tmsv_cutoff,
 )
 from bosonic_bounds import fock, gaussian, symplectic
-from bosonic_bounds.errors import AuditViolationError
+from bosonic_bounds.errors import AuditViolationError, TruncationError
 from bosonic_bounds.experiments import write_sweep
 from bosonic_bounds.tolerances import TAU_CHECK, TAU_TRUNC
 
@@ -134,8 +134,9 @@ def _fock_route(family, s, tau):
     psi_out = (
         psi_in if family == "tmsv-direct" else apply_beam_splitter_fock(psi_in, tau=tau)
     )
-    ef = entanglement_entropy(psi_out, Bipartition(1, 1), tau=10.0 * tau)
-    return ef, mtn_pure(psi_in, tau=10.0 * tau)
+    psi_in.check_tail(10.0 * tau)
+    psi_out.check_tail(10.0 * tau)
+    return entanglement_entropy(psi_out, Bipartition(1, 1)), mtn_pure(psi_in)
 
 
 @pytest.mark.parametrize("s", [0.4, 0.8])
@@ -241,6 +242,23 @@ def test_number_sweep_rows_agree_with_the_fock_route(family, occupations, N):
     assert row["mtn_in"] == (2 * N + 1 if family == "twin-number" else N + 1)
     assert row["mtn_in"] == pytest.approx(ref["mtn_in"], rel=1e-14)
     assert (row["cutoff"], row["tail_mass"]) == (0, 0.0)
+
+
+def test_beam_splitter_fock_checks_its_input_and_the_tail_it_adds():
+    # At cutoffs (3, 3) the blocks of total 3 and 4 do not fit.  Each holds
+    # 4e-4 <= tau and is dropped, but with the input's 3e-4 the output's tail
+    # is 1.1e-3 > tau.
+    amps = np.zeros((3, 3), dtype=complex)
+    amps[2, 1] = amps[2, 2] = math.sqrt(4e-4)
+    amps[0, 0] = math.sqrt(1.0 - 3e-4 - 8e-4)
+    psi = FockPureState(amps, 3e-4)
+    assert apply_beam_splitter_fock(psi, tau=1e-3).tail_mass == pytest.approx(1.1e-3, rel=1e-12)
+    with pytest.raises(TruncationError, match=r"^state: tail mass 1.100e-03 at cutoff \(3, 3\) "
+                                              r"exceeds 1.0e-03; increase cutoffs$"):
+        beam_splitter_fock(psi, tau=1e-3)
+    with pytest.raises(TruncationError, match=r"^state: tail mass 3.000e-04 at cutoff \(3, 3\) "):
+        beam_splitter_fock(psi, tau=1e-4)
+    assert beam_splitter_fock(psi, tau=1.1e-3)["tail_mass"] == pytest.approx(1.1e-3, rel=1e-12)
 
 
 def test_number_split_gap_to_the_binomial_entropy_asymptote_closes():

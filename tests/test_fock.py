@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import os
 import pathlib
@@ -74,7 +75,8 @@ def test_coherent_state_is_minimum_noise():
     mean, cov = quadrature_moments(psi)
     assert_allclose(mean, [np.sqrt(2) * 0.8, -np.sqrt(2) * 0.3], atol=1e-10)
     assert_allclose(cov, np.eye(2), atol=1e-10)
-    assert mtn_pure(psi, tau=1e-9) == pytest.approx(1.0, abs=1e-10)
+    psi.check_tail(1e-9)
+    assert mtn_pure(psi) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_coherent_cutoff_search_returns_at_large_amplitude():
@@ -124,8 +126,7 @@ def test_coherent_vacuum_is_exactly_the_zero_photon_state():
 
 
 def test_coherent_builder_holds_at_most_three_tensors():
-    # A 2 MiB tensor, past the size where numpy squares FockPureState's
-    # |amps| temporary in place; the lgamma-list builder peaked at 5x it.
+    # A 2 MiB tensor; the lgamma-list builder peaked at 5x it.
     alpha = 300.0 * np.exp(0.4j)
     make_fock_coherent(alpha)  # warm numpy's caches outside the trace
     tracemalloc.start()
@@ -135,6 +136,30 @@ def test_coherent_builder_holds_at_most_three_tensors():
     finally:
         tracemalloc.stop()
     assert peak <= 3.0 * psi.amps.nbytes
+
+
+def test_pure_state_constructor_holds_only_its_copy():
+    # A 256 KiB tensor: the norm from np.abs(amps) ** 2 held 1.0x more in
+    # temporaries beside the copy (2.0x in all, beyond the caller's array).
+    alpha = 100.0 * np.exp(0.4j)
+    psi = make_fock_coherent(alpha)
+    amps = fock._coherent_amps(alpha, psi.cutoffs[0])
+    FockPureState(amps, psi.tail_mass)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        FockPureState(amps, psi.tail_mass)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert amps.nbytes == 2**18
+    assert peak <= 1.1 * amps.nbytes
+
+
+def test_norm2_matches_the_summed_squared_moduli():
+    for r in np.linspace(0.05, 2.3, 46):
+        psi = make_fock_tmsv(float(r))
+        ref = float(np.sum(np.abs(psi.amps) ** 2))
+        assert psi.norm2() == pytest.approx(ref, rel=0.0, abs=1.1e-15)
 
 
 def test_poisson_tail_matches_regularized_gamma():
@@ -224,7 +249,8 @@ def test_total_noise_and_mtn():
 
 def test_displacement_does_not_change_mtn():
     psi = make_fock_coherent(1.2, tau=1e-14)
-    assert mtn_pure(psi, tau=1e-10) == pytest.approx(1.0, abs=1e-9)
+    psi.check_tail(1e-10)
+    assert mtn_pure(psi) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -233,7 +259,7 @@ def test_total_noise_is_half_the_trace_of_the_moments_covariance(n):
     for _ in range(6):
         psi = _random_fock_state(rng, tuple(rng.integers(2, 7, size=n)))
         _, V = quadrature_moments(psi)
-        assert fock._total_noise(psi) == pytest.approx(0.5 * np.trace(V), rel=1e-13, abs=0.0)
+        assert total_noise(psi) == pytest.approx(0.5 * np.trace(V), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("occ", [(0,), (3,), (2, 5), (1, 0, 4), (40, 0), (7, 7)])
@@ -244,15 +270,16 @@ def test_number_states_have_total_noise_2n_plus_modes(occ):
 
 @pytest.mark.parametrize("alpha", [0.3, 1.2 * np.exp(0.4j), -2.5j, 4.0])
 def test_coherent_states_have_unit_mtn(alpha):
-    assert mtn_pure(make_fock_coherent(alpha, tau=1e-14), tau=1e-14) == pytest.approx(
-        1.0, rel=0.0, abs=1e-13
-    )
+    psi = make_fock_coherent(alpha, tau=1e-14)
+    psi.check_tail(1e-14)
+    assert mtn_pure(psi) == pytest.approx(1.0, rel=0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("r", [0.2, 0.8, 1.5])
 def test_tmsv_has_mtn_cosh_2r(r):
     psi = make_fock_tmsv(r, tau=1e-15)
-    assert mtn_pure(psi, tau=1e-15) == pytest.approx(math.cosh(2 * r), rel=1e-13, abs=0.0)
+    psi.check_tail(1e-15)
+    assert mtn_pure(psi) == pytest.approx(math.cosh(2 * r), rel=1e-13, abs=0.0)
 
 
 def test_total_noise_holds_one_lowered_tensor_at_a_time():
@@ -299,7 +326,23 @@ def test_tail_guard_raises():
     psi = make_fock_tmsv(1.0, cutoff=4, tau=1.0)
     assert psi.tail_mass > 1e-2
     with pytest.raises(TruncationError, match=r"state: .* at cutoff \(4, 4\) .*increase cutoffs"):
-        total_noise(psi, tau=1e-12)
+        psi.check_tail(1e-12)
+    psi.check_tail(psi.tail_mass)
+
+
+def test_measures_read_the_stored_state_whatever_its_tail():
+    # The tail is checked where a state is built or read; a measure reads
+    # the truncated tensor as it is, here with 1 - t^8 of the norm.
+    psi = make_fock_tmsv(1.0, cutoff=4, tau=1.0)
+    with pytest.raises(TruncationError):
+        psi.check_tail(TAU_TRUNC)
+    p = np.abs(np.diagonal(psi.amps)) ** 2
+    assert total_noise(psi) == pytest.approx(2.0 + 4.0 * np.dot(np.arange(4), p), rel=1e-14)
+    assert mtn_pure(psi) == qcs2_fock(psi) == total_noise(psi) / 2
+    ef, en = entanglement_measures_pure(psi, Bipartition(1, 1))
+    assert ef == entanglement_entropy(psi, Bipartition(1, 1))
+    assert ef == pytest.approx(-np.sum(p * np.log(p)), rel=1e-12)
+    assert en == pytest.approx(2.0 * np.log(np.sum(np.sqrt(p))), rel=1e-12)
     with pytest.raises(TruncationError, match=r"tmsv: .* at cutoff 4 .*increase cutoffs"):
         make_fock_tmsv(1.0, cutoff=4, tau=1e-12)
 
@@ -502,7 +545,8 @@ def test_schmidt_product_state_is_rank_one():
 def test_tmsv_entropy_matches_thermal_entropy(r):
     # the Schmidt-value sum converges slowly, so give it extra headroom
     psi = make_fock_tmsv(r, cutoff=110, tau=1e-12)
-    ef, en = entanglement_measures_pure(psi, Bipartition(1, 1), tau=1e-9)
+    psi.check_tail(1e-9)
+    ef, en = entanglement_measures_pure(psi, Bipartition(1, 1))
     assert ef == pytest.approx(g(math.sinh(r) ** 2), abs=1e-9)
     assert en == pytest.approx(2 * r, abs=1e-9)
 
@@ -700,6 +744,32 @@ def test_from_pure_is_the_checked_outer_product_without_an_eigensolve(shape, mon
     assert type(rho.tail_mass) is float and all(type(c) is int for c in rho.cutoffs)
 
 
+def test_density_operators_past_the_byte_budget_are_refused_before_they_allocate(monkeypatch):
+    # 4096 bytes hold a 16 x 16 complex matrix: cutoffs (4, 4) fit, (5, 5) do not
+    monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 4096)
+    FockDensityOperator.from_pure(make_fock_number((1, 2), cutoffs=(4, 4)))
+    FockDensityOperator(np.eye(16) / 16, (4, 4))
+    psi = make_fock_number((1, 2), cutoffs=(5, 5))
+    mat = np.eye(25) / 25
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the budget")
+
+    monkeypatch.setattr(np, "outer", no_allocation)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_allocation)
+    over = r"density operator: .* \(25, 25\) needs 1e\+04 bytes, over the budget of 4096"
+    with pytest.raises(CutoffOverflowError, match=over):
+        FockDensityOperator.from_pure(psi)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffOverflowError, match=over):
+            FockDensityOperator(mat, (5, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mat.nbytes  # no copy of the matrix was made
+
+
 def test_entanglement_measures_pure_equal_the_separate_measures():
     rng = np.random.default_rng(3)
     for shape, bp in [((5, 6), Bipartition(1, 1)), ((3, 4, 5), Bipartition(1, 2)),
@@ -711,8 +781,6 @@ def test_entanglement_measures_pure_equal_the_separate_measures():
         assert ef == pytest.approx(-np.sum(s**2 * np.log(s**2)), rel=1e-12)
         assert en == 2.0 * np.log(np.sum(s))
     assert entanglement_measures_pure(make_fock_number((3, 0)), Bipartition(1, 1)) == (0.0, 0.0)
-    with pytest.raises(TruncationError):
-        entanglement_measures_pure(make_fock_tmsv(1.0, cutoff=4, tau=1.0), Bipartition(1, 1))
 
 
 def _phased_tmsv(r, phase, cutoff):
@@ -747,7 +815,7 @@ def test_qcs2_fock_pure_states_reduce_to_mtn(name):
         assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
     else:
         assert value == pytest.approx(ref, rel=0.0, abs=10.0 * psi.tail_mass)
-    assert value == mtn_pure(psi, tau=1.0)
+    assert value == mtn_pure(psi)
 
 
 def test_qcs2_fock_two_mode_thermal_product():
@@ -844,15 +912,17 @@ def test_saturating_family_entropy_is_invariant_under_local_rotations(seed):
     u_a = number_preserving_phases(cutoff, 1, rng=rng)
     u_b = number_preserving_phases(cutoff, 1, rng=rng)
     psi = saturating_family(2, r, cutoff=cutoff, u_a=u_a, u_b=u_b, tau=1e-7)
-    ef = entanglement_entropy(psi, Bipartition(1, 1), tau=1e-7)
+    psi.check_tail(1e-7)
+    ef = entanglement_entropy(psi, Bipartition(1, 1))
     assert ef == pytest.approx(g(math.sinh(r) ** 2), abs=1e-7)
-    assert mtn_pure(psi, tau=1e-7) == pytest.approx(math.cosh(2 * r), rel=1e-7)
+    assert mtn_pure(psi) == pytest.approx(math.cosh(2 * r), rel=1e-7)
 
 
 def test_saturating_family_multimode():
     r = 0.4
     psi = saturating_family(4, r, cutoff=12, tau=1e-7)
-    ef = entanglement_entropy(psi, Bipartition(2, 2), tau=1e-7)
+    psi.check_tail(1e-7)
+    ef = entanglement_entropy(psi, Bipartition(2, 2))
     assert ef == pytest.approx(2 * g(math.sinh(r) ** 2), abs=1e-7)
 
 
@@ -1082,6 +1152,36 @@ def test_fock_dict_is_sparse():
     d = fock_to_dict(psi)
     assert len(d["amps"]) == 1
     assert d["amps"][0][:2] == [1, 0]
+
+
+def _fock_rows_nditer(psi):
+    """Reference: the per-amplitude loop that listed the nonzero amplitudes."""
+    entries = []
+    it = np.nditer(psi.amps, flags=["multi_index"])
+    for val in it:
+        z = complex(val)
+        if z != 0.0:
+            entries.append([*it.multi_index, z.real, z.imag])
+    return entries
+
+
+def test_fock_dict_rows_match_the_per_amplitude_loop():
+    signed = np.zeros((3, 2, 2), dtype=complex)
+    signed[0, 0, 0] = complex(-0.0, 0.6)
+    signed[1, 1, 0] = complex(0.8, -0.0)
+    signed[2, 0, 1] = complex(-0.0, -0.0)  # a signed zero is not listed
+    states = [
+        make_fock_number((1, 0), cutoffs=(3, 3)),
+        make_fock_tmsv(0.3),
+        make_fock_coherent(1.3 * np.exp(0.4j)),
+        make_fock_squeezed(0.5, 0.3),
+        _random_fock_state(np.random.default_rng(8), (3, 4, 2), tail_mass=1e-11),
+        FockPureState(signed),
+    ]
+    for psi in states:
+        d = fock_to_dict(psi)
+        assert json.dumps(d["amps"]) == json.dumps(_fock_rows_nditer(psi))
+        assert [type(x) for x in d["amps"][0]] == [int] * psi.n + [float, float]
 
 
 def test_fock_from_dict_names_offending_field():

@@ -2,8 +2,9 @@
 
 Runs each command in-process, in a temporary working directory so every
 path it echoes is the same relative name on every run, and prints
-``<sha256>  <label>`` lines: one per command's stdout, plus one per file
-that ``figure --name all`` writes.  Two trees give the same outputs exactly
+``<sha256>  <label>`` lines: one per command's stdout, or for a command
+that must fail, its exit code and stderr, plus one per file that
+``figure --name all`` writes.  Two trees give the same outputs exactly
 when they print the same lines, so diff the listings of a parent and a
 change:
 
@@ -23,37 +24,47 @@ import sys
 import tempfile
 
 from bosonic_bounds import cli
+from bosonic_bounds.fock import make_fock_tmsv, save_fock
 from bosonic_bounds.gaussian import make_tmsv, save_gaussian
 
 TMSV_FILE = "tmsv-0.8.json"
+# Cutoff 10 and tail 1.9e-11; the beam splitter drops 4e-6 of mass past block 9.
+FOCK_FILE = "fock-tmsv-0.3.json"
 FOCK_SPECS = ("N=3,7", "N=2,2", "N=40,0")
 
 
-def commands() -> list[tuple[str, list[str]]]:
-    """(label, argv) of every digested command, in output order."""
-    cmds = [("figure --name all", ["figure", "--name", "all", "--out", "figures"])]
+def commands() -> list[tuple[str, list[str], int]]:
+    """(label, argv, exit code) of every digested command, in output order."""
+    cmds = [("figure --name all", ["figure", "--name", "all", "--out", "figures"], 0)]
     for modes in (2, 3, 4):
         argv = ["audit", "--states", "1000", "--modes", str(modes), "--seed", "11"]
-        cmds.append((" ".join(argv), argv))
+        cmds.append((" ".join(argv), argv, 0))
     for sub in ("measure", "bound-check", "beamsplitter"):
         for spec in FOCK_SPECS:
-            cmds.append((f"{sub} --fock {spec}", [sub, "--fock", spec]))
+            cmds.append((f"{sub} --fock {spec}", [sub, "--fock", spec], 0))
+        argv = [sub, "--fock", FOCK_FILE]
+        if sub == "beamsplitter":  # a budget that takes in the dropped blocks
+            argv += ["--tau-trunc", "1e-5"]
+        cmds.append((" ".join(argv), argv, 0))
+        argv = [sub, "--fock", FOCK_FILE, "--tau-trunc", "1e-12"]  # below the file's tail
+        cmds.append((" ".join(argv) + " [exit code, stderr]", argv, 2))
         if sub != "beamsplitter":  # the beam splitter takes Fock input only
-            cmds.append((f"{sub} --gaussian {TMSV_FILE}", [sub, "--gaussian", TMSV_FILE]))
-    cmds.append(("counterexample", ["counterexample"]))
+            cmds.append((f"{sub} --gaussian {TMSV_FILE}", [sub, "--gaussian", TMSV_FILE], 0))
+    cmds.append(("counterexample", ["counterexample"], 0))
     return cmds
 
 
 def outputs():
     """Yield (label, bytes) for every output, run in the current directory."""
     save_gaussian(make_tmsv(0.8), TMSV_FILE)
-    for label, argv in commands():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+    save_fock(make_fock_tmsv(0.3), FOCK_FILE)
+    for label, argv, want in commands():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        if code != 0:
-            raise SystemExit(f"{label}: exit code {code}")
-        yield label, buf.getvalue().encode()
+        if code != want:
+            raise SystemExit(f"{label}: exit code {code}, expected {want}: {err.getvalue()}")
+        yield label, (out.getvalue() if want == 0 else f"exit {code}\n{err.getvalue()}").encode()
         if argv[0] == "figure":
             for name in sorted(os.listdir("figures")):
                 with open(os.path.join("figures", name), "rb") as fh:
