@@ -329,7 +329,7 @@ def _cmd_nastar(args) -> int:
 
 def _cmd_beamsplitter(args) -> int:
     state = _load_fock(args)
-    payload = beam_splitter_fock(state, tau=args.tau_trunc)
+    payload = beam_splitter_fock(state)
     payload["config"] = _config_echo(args)
     _emit(payload, args)
     return 0

@@ -226,21 +226,21 @@ def _bs_row(family: str, param: float) -> dict:
     }
 
 
-def beam_splitter_fock(state: FockPureState, tau: float = TAU_TRUNC) -> dict:
+def beam_splitter_fock(state: FockPureState) -> dict:
     """Balanced beam splitter on a two-mode Fock state, in truncated Fock space.
 
     Returns the input's M_TN, its budget g_in = g((M_TN - 1)/2), the
     output's E_F and E_N, ratio = E_F / g_in (1 when g_in is 0), and the
-    output's tail mass and cutoffs; both tails, the output's with the blocks
-    dropped, must be <= tau.  This is the route for arbitrary input; the
-    sweep's number families take their closed forms instead.
+    output's tail mass and cutoffs.  The output keeps every block, on
+    cutoffs widened to hold it, so its tail is the input's, which the
+    caller checks where the state is made or read.  This is the route for
+    arbitrary input; the sweep's number families take their closed forms
+    instead.
     """
     if state.n != 2:
         raise ValueError(f"the balanced beam splitter acts on 2 modes, state has {state.n}")
-    state.check_tail(tau)
     mtn_in = mtn_pure(state)
-    out = apply_beam_splitter_fock(state, tau=tau)
-    out.check_tail(tau)
+    out = apply_beam_splitter_fock(state)
     ef, log_negativity = entanglement_measures_pure(out, Bipartition(1, 1))
     g_in = entanglement_check(ef, mtn_in, 1, 1).rhs
     return {

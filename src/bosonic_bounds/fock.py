@@ -8,6 +8,8 @@ smallest K whose tail is <= tau, searched up to the byte budget, and any
 cutoff must fit the budget and meet tau.  The state records the law's tail;
 the squeezed vacuum's law is only a bound that picks the default, so it
 records and checks 1 - sum |c_k|^2.  Past the rule's edges errors are typed.
+A number state is stored at cutoffs k_i + 1; the beam splitter widens
+the cutoffs it needs itself, so it drops nothing and keeps the input's tail.
 
 Every measure is exact for the state as stored, with no padding, and
 checks no tail (the constructors and FockPureState.check_tail do).  The
@@ -64,8 +66,9 @@ __all__ = [
 
 # Largest dense complex tensor a constructor allocates: 256 MiB of complex128,
 # about 4096^2 amplitudes.  Every constructor (the analytic families, number
-# states, fock_from_dict, density operators) checks its shape and raises
-# CutoffOverflowError before it allocates more, not a MemoryError or OOM kill.
+# states, fock_from_dict, density operators, the beam splitter's output) checks
+# its shape and raises CutoffOverflowError before it allocates more, not a
+# MemoryError or OOM kill.
 AMPLITUDE_BUDGET_BYTES = 2**28
 
 
@@ -310,20 +313,15 @@ def thermal_cutoff(nbar: float, tau: float = TAU_TRUNC) -> int:
 
 
 def make_fock_number(occupations, cutoffs=None) -> FockPureState:
-    """Product number state |k1, ..., kn>.
+    """Product number state |k1, ..., kn>; the default cutoffs are k_i + 1.
 
-    Default cutoffs accommodate a balanced beam splitter on any mode pair:
-    every cutoff is total photons + 1.
+    Occupations and cutoffs must be integers (numbers.Integral); the beam
+    splitter widens the cutoffs it needs itself.
     """
-    try:
-        occ = tuple(int(k) for k in occupations)
-    except OverflowError as exc:
-        raise ValueError(f"occupations {tuple(occupations)} must be finite") from exc
+    occ = _integers(occupations, "occupations")
     if any(k < 0 for k in occ):
         raise ValueError("occupations must be >= 0")
-    if cutoffs is None:
-        cutoffs = (sum(occ) + 1,) * len(occ)
-    cutoffs = tuple(int(c) for c in cutoffs)
+    cutoffs = tuple(k + 1 for k in occ) if cutoffs is None else _integers(cutoffs, "cutoffs")
     if len(cutoffs) != len(occ):
         raise ValueError(f"cutoffs has {len(cutoffs)} entries for {len(occ)} modes")
     if any(k >= c for k, c in zip(occ, cutoffs)):
@@ -332,6 +330,14 @@ def make_fock_number(occupations, cutoffs=None) -> FockPureState:
     amps = np.zeros(cutoffs, dtype=complex)
     amps[occ] = 1.0
     return FockPureState(amps)
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise ValueError(f"number state: {name} entry {v!r} is not an integer")
+    return tuple(int(v) for v in values)
 
 
 def _poisson_tail(cutoff: int, x: float) -> float:
@@ -616,17 +622,17 @@ def beam_splitter_block(M: int) -> np.ndarray:
     return out
 
 
-def apply_beam_splitter_fock(
-    psi: FockPureState, modes: tuple[int, int] = (0, 1), tau: float = TAU_TRUNC
-) -> FockPureState:
-    """Balanced beam splitter on a mode pair of a Fock state.
+def apply_beam_splitter_fock(psi: FockPureState, modes: tuple[int, int] = (0, 1)) -> FockPureState:
+    """Balanced beam splitter on a mode pair of a Fock state, with nothing dropped.
 
     Acts blockwise on each total-photon subspace of the pair.  The beam
     splitter conserves the pair's photon number, so only the blocks holding
-    a nonzero amplitude are visited: a number state fills one.  A populated
-    block that does not fit inside both cutoffs raises CutoffOverflowError;
-    blocks carrying mass <= tau beyond the cutoffs are dropped into
-    tail_mass instead.
+    a nonzero amplitude are visited: a number state fills one.  Block M
+    spreads over |m, M - m>, m = 0..M, so each mode of the pair gets the
+    cutoff M_max + 1 of the largest occupied block, and never less than its
+    input cutoff; the output is checked against AMPLITUDE_BUDGET_BYTES
+    before it is allocated.  The map is unitary on the stored tensor, so
+    the output's tail is the input's.
     """
     i, j = modes
     if i == j or not (0 <= i < psi.n and 0 <= j < psi.n):
@@ -634,28 +640,19 @@ def apply_beam_splitter_fock(
     di, dj = psi.cutoffs[i], psi.cutoffs[j]
     work = np.moveaxis(psi.amps, (i, j), (0, 1))
     batch = work.reshape(di, dj, -1)
-    out = np.zeros_like(batch)
-    fits = min(di, dj) - 1
-    dropped = 0.0
     totals = np.add.outer(np.arange(di), np.arange(dj))
-    occupied = np.bincount(totals[np.any(batch != 0, axis=2)])
-    for M in np.flatnonzero(occupied).tolist():
+    occupied = np.flatnonzero(np.bincount(totals[np.any(batch != 0, axis=2)])).tolist()
+    top = occupied[-1] + 1 if occupied else 0
+    shape = list(psi.cutoffs)
+    shape[i], shape[j] = max(di, top), max(dj, top)
+    _check_budget(tuple(shape), "beam-splitter output")
+    out = np.zeros((shape[i], shape[j], batch.shape[2]), dtype=complex)
+    for M in occupied:
         ks = np.arange(max(0, M - dj + 1), min(di - 1, M) + 1)
-        vec = batch[ks, M - ks, :]
-        mass = float(np.sum(np.abs(vec) ** 2))
-        if mass == 0.0:
-            continue
-        if M > fits:
-            if mass > tau:
-                raise CutoffOverflowError(
-                    f"total-photon block {M} holds mass {mass:.3e} but cutoffs "
-                    f"({di}, {dj}) only fit blocks up to {fits}"
-                )
-            dropped += mass
-            continue
-        out[ks, M - ks, :] = beam_splitter_block(M) @ vec
-    result = np.moveaxis(out.reshape(work.shape), (0, 1), (i, j))
-    return FockPureState(result, psi.tail_mass + dropped)
+        m = np.arange(M + 1)
+        out[m, M - m, :] = beam_splitter_block(M)[:, ks] @ batch[ks, M - ks, :]
+    result = np.moveaxis(out.reshape(shape[i], shape[j], *work.shape[2:]), (0, 1), (i, j))
+    return FockPureState(result, psi.tail_mass)
 
 
 # ---------------------------------------------------------------------------

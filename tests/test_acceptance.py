@@ -82,7 +82,7 @@ def _binomial_entropy(N):
 
 def _bs_ratio(occupations):
     psi = make_fock_number(occupations)
-    out = apply_beam_splitter_fock(psi, tau=1e-10)
+    out = apply_beam_splitter_fock(psi)
     out.check_tail(1e-9)
     ef = entanglement_entropy(out, _BP)
     g_in = g((mtn_pure(psi) - 1.0) / 2.0)
@@ -165,7 +165,7 @@ def test_criterion3_squeezed_input_identities():
     for s in (0.3, 0.6):
         cutoff = squeezed_cutoff(2.0 * s, 1e-12)
         psi_in = _antisqueezed_vacuum_input(2.0 * s, cutoff, 1e-10)
-        out = apply_beam_splitter_fock(psi_in, tau=1e-10)
+        out = apply_beam_splitter_fock(psi_in)
         out.check_tail(1e-9)
         gap1 = abs(entanglement_entropy(out, _BP) - g(math.sinh(s) ** 2))
 
@@ -174,7 +174,7 @@ def test_criterion3_squeezed_input_identities():
         pair = FockPureState(
             np.tensordot(m1.amps, m2.amps, axes=0), m1.tail_mass + m2.tail_mass
         )
-        out2 = apply_beam_splitter_fock(pair, tau=1e-10)
+        out2 = apply_beam_splitter_fock(pair)
         out2.check_tail(1e-9)
         gap2 = abs(entanglement_entropy(out2, _BP) - g(math.sinh(s) ** 2))
 

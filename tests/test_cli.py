@@ -91,7 +91,7 @@ def test_beamsplitter_reports_the_shared_fock_route(capsys):
     from bosonic_bounds import beam_splitter_fock, make_fock_number
 
     payload = run_json(["beamsplitter", "--fock", "N=3,7"], capsys)
-    want = beam_splitter_fock(make_fock_number((3, 7)), tau=TAU_TRUNC)
+    want = beam_splitter_fock(make_fock_number((3, 7)))
     assert {k: payload[k] for k in want} == want
     assert set(payload) == set(want) | {"config", "unit"}
 
@@ -779,19 +779,41 @@ def test_measure_fock_reports_qcs2_as_mtn_without_a_density_operator(
     monkeypatch.setattr(fock.FockDensityOperator, "from_pure", refuse)
     path = tmp_path / "tmsv.json"
     fock.save_fock(fock.make_fock_tmsv(0.3), path)
-    # padded dimensions 169, 169, 512, 1849 and 144: both sides of 256
-    for spec in ["N=9,1", "N=2,8", "N=0,2,3", "N=40,0", str(path)]:
+    padded = tmp_path / "padded.json"
+    fock.save_fock(fock.make_fock_number((0, 2, 3), cutoffs=(8, 8, 8)), padded)
+    # dimensions 20, 27, 12, 41, 100 and 512: both sides of 256
+    for spec in ["N=9,1", "N=2,8", "N=0,2,3", "N=40,0", str(path), str(padded)]:
         payload = run_json(["measure", "--fock", spec], capsys)
         assert payload["qcs2"] == payload["mtn"], spec
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["measure", "--fock", "N=100000,0"], ["measure", "--fock", "N=20000,0"],
-     ["counterexample", "--q", "0.999999"], ["counterexample", "--q", "0.993"]],
-    ids=["measure-149GiB", "measure-6GB", "counterexample", "counterexample-past-the-envelope"],
+    "argv, named",
+    [(["measure", "--fock", "N=5000,5000"], "number state: amplitude tensor of shape "
+      "(5001, 5001) needs 4e+08 bytes"),
+     (["beamsplitter", "--fock", "N=20000,0"], "beam-splitter output: amplitude tensor of "
+      "shape (20001, 20001) needs 6.4e+09 bytes"),
+     (["counterexample", "--q", "0.999999"], "counterexample"),
+     (["counterexample", "--q", "0.993"], "counterexample")],
+    ids=["measure-400MB", "beamsplitter-output-6GB", "counterexample",
+         "counterexample-past-the-envelope"],
 )
-def test_fock_tensors_past_the_byte_budget_are_usage_errors(argv, capsys):
+def test_fock_tensors_past_the_byte_budget_are_usage_errors(argv, named, capsys, monkeypatch):
+    def no_block(M):
+        raise AssertionError("built a beam-splitter block past the budget")
+
+    monkeypatch.setattr(fock, "beam_splitter_block", no_block)
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "over the budget of" in err
+    assert err.startswith(f"error: {named}") and "over the budget of" in err
+
+
+def test_beamsplitter_takes_an_analytic_state_saved_at_its_default_cutoff(tmp_path, capsys):
+    path = tmp_path / "tmsv.json"
+    fock.save_fock(fock.make_fock_tmsv(0.3), path)
+    payload = run_json(["beamsplitter", "--fock", str(path)], capsys)
+    # a TMSV on a balanced beam splitter is two squeezed vacua: no entanglement
+    assert payload["cutoffs"] == [19, 19]
+    assert 0.0 <= payload["ef"] <= 1e-9
+    assert payload["tail_mass"] == pytest.approx(1.937e-11, rel=1e-3)
+    assert payload["config"]["tau_trunc"] == TAU_TRUNC

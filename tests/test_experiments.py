@@ -21,6 +21,7 @@ from bosonic_bounds import (
     counterexample_demo,
     entanglement_entropy,
     entanglement_entropy_gaussian,
+    entanglement_measures_pure,
     g,
     load_nastar_envelope,
     make_fock_number,
@@ -38,7 +39,7 @@ from bosonic_bounds import (
     tmsv_cutoff,
 )
 from bosonic_bounds import fock, gaussian, symplectic
-from bosonic_bounds.errors import AuditViolationError, TruncationError
+from bosonic_bounds.errors import AuditViolationError
 from bosonic_bounds.experiments import write_sweep
 from bosonic_bounds.tolerances import TAU_CHECK, TAU_TRUNC
 
@@ -132,7 +133,7 @@ def _fock_route(family, s, tau):
     else:
         psi_in = make_fock_tmsv(s, tmsv_cutoff(s, tau), tau)
     psi_out = (
-        psi_in if family == "tmsv-direct" else apply_beam_splitter_fock(psi_in, tau=tau)
+        psi_in if family == "tmsv-direct" else apply_beam_splitter_fock(psi_in)
     )
     psi_in.check_tail(10.0 * tau)
     psi_out.check_tail(10.0 * tau)
@@ -244,21 +245,21 @@ def test_number_sweep_rows_agree_with_the_fock_route(family, occupations, N):
     assert (row["cutoff"], row["tail_mass"]) == (0, 0.0)
 
 
-def test_beam_splitter_fock_checks_its_input_and_the_tail_it_adds():
+def test_beam_splitter_fock_widens_the_output_and_keeps_the_input_tail():
     # At cutoffs (3, 3) the blocks of total 3 and 4 do not fit.  Each holds
-    # 4e-4 <= tau and is dropped, but with the input's 3e-4 the output's tail
-    # is 1.1e-3 > tau.
+    # 4e-4; both are kept on output cutoffs (5, 5), so the output's tail is
+    # the input's 3e-4 and its norm is the input's.
     amps = np.zeros((3, 3), dtype=complex)
     amps[2, 1] = amps[2, 2] = math.sqrt(4e-4)
     amps[0, 0] = math.sqrt(1.0 - 3e-4 - 8e-4)
     psi = FockPureState(amps, 3e-4)
-    assert apply_beam_splitter_fock(psi, tau=1e-3).tail_mass == pytest.approx(1.1e-3, rel=1e-12)
-    with pytest.raises(TruncationError, match=r"^state: tail mass 1.100e-03 at cutoff \(3, 3\) "
-                                              r"exceeds 1.0e-03; increase cutoffs$"):
-        beam_splitter_fock(psi, tau=1e-3)
-    with pytest.raises(TruncationError, match=r"^state: tail mass 3.000e-04 at cutoff \(3, 3\) "):
-        beam_splitter_fock(psi, tau=1e-4)
-    assert beam_splitter_fock(psi, tau=1.1e-3)["tail_mass"] == pytest.approx(1.1e-3, rel=1e-12)
+    out = apply_beam_splitter_fock(psi)
+    assert out.cutoffs == (5, 5) and out.tail_mass == psi.tail_mass == 3e-4
+    assert out.norm2() == pytest.approx(psi.norm2(), rel=0.0, abs=1e-14)
+    report = beam_splitter_fock(psi)
+    assert report["cutoffs"] == [5, 5] and report["tail_mass"] == 3e-4
+    ef, en = entanglement_measures_pure(out, Bipartition(1, 1))
+    assert (report["ef"], report["log_negativity"]) == (ef, en)
 
 
 def test_number_split_gap_to_the_binomial_entropy_asymptote_closes():

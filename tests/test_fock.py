@@ -70,6 +70,28 @@ def test_number_state_rejects_bad_occupations():
         make_fock_number((1,), cutoffs=(3, 4))
 
 
+@pytest.mark.parametrize(
+    "occupations, cutoffs, named",
+    [((1.7,), None, "occupations entry 1.7"),
+     ((2, 1.0), None, "occupations entry 1.0"),
+     ((math.inf,), None, "occupations entry inf"),
+     ((math.nan,), None, "occupations entry nan"),
+     ((1,), (2.9,), "cutoffs entry 2.9"),
+     ((1,), (math.inf,), "cutoffs entry inf"),
+     ((1,), ("3",), "cutoffs entry '3'")],
+)
+def test_number_state_takes_integers_only(occupations, cutoffs, named):
+    with pytest.raises(ValueError, match=re.escape(named) + " is not an integer"):
+        make_fock_number(occupations, cutoffs)
+
+
+def test_number_state_cutoffs_default_to_one_above_each_occupation():
+    assert make_fock_number((3, 7)).cutoffs == (4, 8)
+    assert make_fock_number((0, 2, 3)).cutoffs == (1, 3, 4)
+    psi = make_fock_number((np.int64(2), True), cutoffs=(np.int32(3), 2))
+    assert psi.cutoffs == (3, 2) and psi.amps[2, 1] == 1.0
+
+
 def test_coherent_state_is_minimum_noise():
     psi = make_fock_coherent(0.8 - 0.3j, tau=1e-14)
     mean, cov = quadrature_moments(psi)
@@ -612,9 +634,11 @@ def test_beam_splitter_orthogonal_squeezed_pair_gives_tmsv():
     pair = FockPureState(
         np.tensordot(m1.amps, m2.amps, axes=0), m1.tail_mass + m2.tail_mass
     )
-    out = apply_beam_splitter_fock(pair, tau=1e-8)
+    out = apply_beam_splitter_fock(pair)
     ref = make_fock_tmsv(s, cutoff, tau=1e-11)
-    # photon blocks that fit the cutoff are rotated exactly; compare those
+    # every block is kept, on cutoffs widened to the top one (M = 76); the
+    # input holds blocks M <= 39 whole, so those match the TMSV exactly
+    assert out.cutoffs == (77, 77) and out.tail_mass == pair.tail_mass
     assert_allclose(out.amps[:20, :20], ref.amps[:20, :20], atol=1e-12)
 
 
@@ -626,12 +650,22 @@ def test_beam_splitter_preserves_total_photon_number():
     assert probs[(i + j) != 5].max() < 1e-24
 
 
-def test_beam_splitter_overflow_raises_when_mass_would_be_lost():
-    # equal-cutoff state populated at the top: the rotated block no longer fits
+def _assert_widened(psi, out, shape):
+    """out keeps every block of psi on the given cutoffs: same tail, same norm."""
+    assert out.cutoffs == shape
+    assert out.tail_mass == psi.tail_mass
+    assert out.norm2() == pytest.approx(psi.norm2(), rel=0.0, abs=1e-14)
+
+
+def test_beam_splitter_widens_the_cutoffs_to_the_top_block():
+    # equal-cutoff state populated at the top: block 4 needs cutoff 5 on both modes
     amps = np.zeros((3, 3), dtype=complex)
     amps[2, 2] = 1.0
-    with pytest.raises(CutoffOverflowError):
-        apply_beam_splitter_fock(FockPureState(amps))
+    psi = FockPureState(amps, 1e-13)
+    out = apply_beam_splitter_fock(psi)
+    _assert_widened(psi, out, (5, 5))
+    m = np.arange(5)
+    assert_allclose(out.amps[m, 4 - m], beam_splitter_block(4)[:, 2], rtol=0.0, atol=0.0)
 
 
 def test_qcs2_fock_thermal_matches_gaussian_value():
@@ -639,29 +673,35 @@ def test_qcs2_fock_thermal_matches_gaussian_value():
     assert qcs2_fock(rho) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
-def _beam_splitter_all_blocks(psi, modes=(0, 1), tau=1e-12):
-    """apply_beam_splitter_fock as a loop over every total-photon block."""
+def _beam_splitter_all_blocks(psi, modes=(0, 1)):
+    """apply_beam_splitter_fock as a loop over every total-photon block.
+
+    Each mode of the pair gets the cutoff that holds the top nonzero block,
+    and never less than its own.  A block the input holds whole is
+    multiplied by the whole matrix, as the version that dropped blocks past
+    the cutoffs did, so on an input whose blocks all fit, the reference is
+    that version's arithmetic on the same shape.
+    """
     i, j = modes
     di, dj = psi.cutoffs[i], psi.cutoffs[j]
     work = np.moveaxis(psi.amps.copy(), (i, j), (0, 1))
     batch = work.reshape(di, dj, -1)
-    out = np.zeros_like(batch)
-    fits = min(di, dj) - 1
-    dropped = 0.0
+    totals = np.add.outer(np.arange(di), np.arange(dj))
+    top = max((M for M in range(di + dj - 1) if np.any(batch[totals == M] != 0)), default=-1)
+    ci, cj = max(di, top + 1), max(dj, top + 1)
+    out = np.zeros((ci, cj, batch.shape[2]), dtype=complex)
     for M in range(di + dj - 1):
         ks = np.arange(max(0, M - dj + 1), min(di - 1, M) + 1)
         vec = batch[ks, M - ks, :]
-        mass = float(np.sum(np.abs(vec) ** 2))
-        if mass == 0.0:
+        if not np.any(vec != 0):
             continue
-        if M > fits:
-            if mass > tau:
-                raise CutoffOverflowError(f"block {M}")
-            dropped += mass
-            continue
-        out[ks, M - ks, :] = beam_splitter_block(M) @ vec
-    result = np.moveaxis(out.reshape(work.shape), (0, 1), (i, j))
-    return FockPureState(result, psi.tail_mass + dropped)
+        u = beam_splitter_block(M)
+        if ks.size < M + 1:  # the input holds only part of the block
+            u = u[:, ks]
+        m = np.arange(M + 1)
+        out[m, M - m, :] = u @ vec
+    result = np.moveaxis(out.reshape((ci, cj) + work.shape[2:]), (0, 1), (i, j))
+    return FockPureState(result, psi.tail_mass)
 
 
 def _random_amps(rng, shape, keep, modes=None):
@@ -681,44 +721,57 @@ def _random_amps(rng, shape, keep, modes=None):
 
 def _beam_splitter_cases():
     rng = np.random.default_rng(8)
-    cases = [(make_fock_number(occ), (0, 1), 1e-12)
+    cases = [(make_fock_number(occ), (0, 1))
              for occ in [(0, 0), (1, 0), (40, 0), (20, 20), (7, 3), (0, 5)]]
-    cases.append((make_fock_number((2, 3, 1), cutoffs=(5, 4, 6)), (2, 0), 1e-12))
+    cases.append((make_fock_number((2, 3, 1), cutoffs=(5, 4, 6)), (2, 0)))
     for shape, modes in [((6, 9), (0, 1)), ((5, 4, 3), (0, 2)), ((4, 3, 5), (2, 1))]:
         for keep in (0.05, 0.3, 1.0):
-            cases.append((FockPureState(_random_amps(rng, shape, keep, modes)), modes, 1e-12))
-    # a populated block whose squared mass underflows to 0.0 is skipped
+            cases.append((FockPureState(_random_amps(rng, shape, keep, modes)), modes))
+    # a nonzero block whose squared mass underflows to 0.0 is rotated too
     amps = np.zeros((4, 4), dtype=complex)
     amps[1, 0], amps[0, 2] = 1e-170, 1.0
-    cases.append((FockPureState(amps), (0, 1), 1e-12))
-    # blocks past the cutoffs holding mass <= tau go to the tail
+    cases.append((FockPureState(amps), (0, 1)))
+    # blocks past the cutoffs widen them
     amps = _random_amps(rng, (5, 5), 1.0)
     amps[np.add.outer(np.arange(5), np.arange(5)) > 4] *= 1e-6
-    cases.append((FockPureState(amps / np.linalg.norm(amps), 1e-13), (1, 0), 1e-8))
+    cases.append((FockPureState(amps / np.linalg.norm(amps), 1e-13), (1, 0)))
+    cases.append((FockPureState(_random_amps(rng, (3, 6, 2), 0.5)), (1, 0)))
     return cases
 
 
-@pytest.mark.parametrize("psi, modes, tau", _beam_splitter_cases())
-def test_beam_splitter_matches_all_blocks_loop_bit_for_bit(psi, modes, tau):
-    out = apply_beam_splitter_fock(psi, modes, tau=tau)
-    ref = _beam_splitter_all_blocks(psi, modes, tau=tau)
+@pytest.mark.parametrize("psi, modes", _beam_splitter_cases())
+def test_beam_splitter_matches_all_blocks_loop_bit_for_bit(psi, modes):
+    out = apply_beam_splitter_fock(psi, modes)
+    ref = _beam_splitter_all_blocks(psi, modes)
+    assert out.cutoffs == ref.cutoffs
     assert out.amps.tobytes() == ref.amps.tobytes()
-    assert out.tail_mass == ref.tail_mass
+    assert out.tail_mass == ref.tail_mass == psi.tail_mass
 
 
-def test_beam_splitter_tail_drop_and_overflow_follow_the_all_blocks_loop():
+def test_beam_splitter_rotates_a_block_whose_squared_mass_underflows():
+    # |1e-170|^2 is 0.0, but the amplitude is not: it is rotated like any
+    # other, and the output keeps it at the same magnitude
+    amps = np.zeros((4, 4), dtype=complex)
+    amps[1, 0], amps[0, 2] = 1e-170, 1.0
+    out = apply_beam_splitter_fock(FockPureState(amps))
+    assert out.cutoffs == (4, 4)
+    assert_allclose(out.amps[[0, 1], [1, 0]], 1e-170 * beam_splitter_block(1)[:, 1], rtol=1e-15)
+
+
+def test_beam_splitter_keeps_the_blocks_past_the_cutoffs():
     amps = np.zeros((4, 4), dtype=complex)
     amps[0, 0], amps[3, 3] = math.sqrt(1.0 - 1e-10), 1e-5
-    psi = FockPureState(amps)
-    out = apply_beam_splitter_fock(psi, tau=1e-8)
-    ref = _beam_splitter_all_blocks(psi, tau=1e-8)
-    assert out.tail_mass == ref.tail_mass > 0.0
-    assert out.amps.tobytes() == ref.amps.tobytes()
-    for tau in (1e-12, 0.0):
-        with pytest.raises(CutoffOverflowError):
-            _beam_splitter_all_blocks(psi, tau=tau)
-        with pytest.raises(CutoffOverflowError, match="total-photon block 6"):
-            apply_beam_splitter_fock(psi, tau=tau)
+    psi = FockPureState(amps, 1e-12)
+    out = apply_beam_splitter_fock(psi)
+    _assert_widened(psi, out, (7, 7))
+    assert out.amps.tobytes() == _beam_splitter_all_blocks(psi).amps.tobytes()
+    m = np.arange(7)
+    assert_allclose(out.amps[m, 6 - m], 1e-5 * beam_splitter_block(6)[:, 3], rtol=1e-15)
+    # a third mode rides along, and a widened pair need not be the leading axes
+    rng = np.random.default_rng(5)
+    psi = FockPureState(_random_amps(rng, (3, 2, 4), 1.0), 1e-9)
+    out = apply_beam_splitter_fock(psi, (2, 0))
+    _assert_widened(psi, out, (6, 2, 6))
 
 
 def _random_fock_state(rng, shape, tail_mass=0.0):
@@ -964,9 +1017,10 @@ def test_counterexample_rejects_bad_parameters():
         (lambda c: make_fock_tmsv(0.5, cutoff=c, tau=1.0), 5, 6),
         (lambda c: make_fock_thermal(0.5, cutoff=c, tau=1.0), 5, 6),
         (lambda c: saturating_family(2, 0.5, cutoff=c, tau=1.0), 5, 6),
+        (lambda c: apply_beam_splitter_fock(make_fock_number((c - 1, 0))), 5, 6),
     ],
     ids=["number", "from-dict", "counterexample", "coherent", "squeezed", "tmsv",
-         "thermal", "saturating"],
+         "thermal", "saturating", "beam-splitter-output"],
 )
 def test_amplitude_tensors_past_the_byte_budget_are_refused(build, fits, over, monkeypatch):
     # 512 bytes hold exactly 32 complex amplitudes
