@@ -69,7 +69,6 @@ from .fock import (
     number_preserving_permutation,
     number_preserving_phases,
     qcs2_fock,
-    quadrature_moments,
     saturating_family,
     save_fock,
     schmidt_coefficients,
@@ -94,7 +93,6 @@ from .gaussian import (
     make_vacuum,
     purity,
     qcs2_gaussian,
-    qcs2_gaussian_char_oracle,
     random_classical_state,
     random_gaussian_state,
     random_symplectic,
@@ -108,6 +106,5 @@ from .symplectic import (
     omega,
     partial_transpose,
     symplectic_eigenvalues,
-    symplectic_trace,
     validate_covariance,
 )

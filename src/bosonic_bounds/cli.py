@@ -40,7 +40,7 @@ from .bounds import (
     na_star_asymptotic,
     solve_na_star,
 )
-from .errors import AuditViolationError, CutoffOverflowError, SchemaError
+from .errors import AuditViolationError, SchemaError
 from .experiments import (
     beam_splitter_fock,
     beam_splitter_sweep,
@@ -506,7 +506,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, CutoffOverflowError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SchemaError and CutoffOverflowError included
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

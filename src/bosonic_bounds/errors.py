@@ -22,10 +22,11 @@ class TruncationError(ValueError):
 
 
 class CutoffOverflowError(ValueError):
-    """An operation would scatter amplitude beyond the stored Fock cutoffs.
+    """No Fock cutoff fits: the tensor a state needs is over the byte budget.
 
-    Also raised for cutoffs whose dense amplitude tensor would exceed the
-    byte budget ``fock.AMPLITUDE_BUDGET_BYTES``.
+    Raised before allocating a dense amplitude tensor or density matrix
+    larger than ``fock.AMPLITUDE_BUDGET_BYTES``, and by a family's default
+    cutoff search when its tail never falls below 1 ("no finite cutoff").
     """
 
 

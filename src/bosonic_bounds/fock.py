@@ -12,10 +12,9 @@ A number state is stored at cutoffs k_i + 1; the beam splitter widens
 the cutoffs it needs itself, so it drops nothing and keeps the input's tail.
 
 Every measure is exact for the state as stored, with no padding, and
-checks no tail (the constructors and FockPureState.check_tail do).  The
-quadrature moments pair a raised vector only with stored levels, C^2 of
-a density operator adds back what the truncated ladder drops at the top
-level, and the Schmidt measures never leave the stored tensor.
+checks no tail (the constructors and FockPureState.check_tail do).  C^2
+of a density operator adds back what the truncated ladder drops at the
+top level, and the Schmidt measures never leave the stored tensor.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "squeezed_cutoff",
     "tmsv_cutoff",
     "thermal_cutoff",
-    "quadrature_moments",
     "total_noise",
     "mtn_pure",
     "schmidt_coefficients",
@@ -508,48 +506,13 @@ def _ladder(t: np.ndarray, axis: int, create: bool = False) -> np.ndarray:
     return out
 
 
-def quadrature_moments(psi: FockPureState) -> tuple[np.ndarray, np.ndarray]:
-    """Mean quadrature vector and covariance matrix of a pure Fock state.
-
-    Returns (mean, V) in the conventions of :mod:`.symplectic`, computed
-    from first and second ladder moments.
-    """
-    amps = psi.amps
-    n = psi.n
-    low = [_ladder(amps, i) for i in range(n)]
-
-    def against_low(v):
-        return [np.vdot(v, lo) for lo in low]
-
-    m1 = np.array(against_low(amps))
-    K = np.array([against_low(lo) for lo in low])
-    # <a_i^dag a_i> is real; dropping its rounding residue keeps xp = px.
-    np.fill_diagonal(K, K.diagonal().real)
-    # <a_i a_j> = <a_i^dag psi | a_j psi>: the truncated a^dag is exactly the
-    # adjoint of the truncated a.  Each raised vector is freed once its row
-    # is done, so at most one is alive beside the n lowered ones.
-    M2 = np.array([against_low(_ladder(amps, i, create=True)) for i in range(n)])
-    mean = np.zeros(2 * n)
-    mean[0::2] = math.sqrt(2.0) * m1.real
-    mean[1::2] = math.sqrt(2.0) * m1.imag
-    half = 0.5 * np.eye(n)
-    sym = np.empty((2 * n, 2 * n))
-    sym[0::2, 0::2] = M2.real + K.real + half
-    sym[1::2, 1::2] = -M2.real + K.real + half
-    sym[0::2, 1::2] = M2.imag + K.imag
-    sym[1::2, 0::2] = M2.imag - K.imag
-    V = 2.0 * sym - 2.0 * np.outer(mean, mean)
-    return mean, V
-
-
 def total_noise(psi: FockPureState) -> float:
     """Sum of the variances of all 2n quadratures, Tr V / 2.
 
     Computed as sum_i (2 <N_i> + 1 - 2 |<a_i>|^2) from the photon numbers
     and first moments; for states with zero mean this is 2 <N> + n.
     <N_i> = ||a_i psi||^2 and <a_i> = <psi|a_i psi> come from one lowered
-    tensor, freed before the next mode's is made.  The diagonal of V sums to
-    this term by term, so it equals half the trace of quadrature_moments' V.
+    tensor, freed before the next mode's is made.
     """
     amps = psi.amps
 
@@ -836,14 +799,15 @@ def fock_from_dict(data: dict) -> FockPureState:
     for field in ("n", "cutoffs", "amps"):
         if field not in data:
             raise SchemaError(f"missing field '{field}'")
+    # type(x) is int, not isinstance: JSON true and false load as bool, an int.
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError("field 'n' must be a positive integer")
     cutoffs = data["cutoffs"]
     if (
         not isinstance(cutoffs, list)
         or len(cutoffs) != n
-        or not all(isinstance(c, int) and c >= 1 for c in cutoffs)
+        or not all(type(c) is int and c >= 1 for c in cutoffs)
     ):
         raise SchemaError(f"field 'cutoffs' must list {n} positive integers")
     _check_budget(tuple(cutoffs), "fock state file")
@@ -855,18 +819,20 @@ def fock_from_dict(data: dict) -> FockPureState:
         if not isinstance(row, list) or len(row) != n + 2:
             raise SchemaError(f"field 'amps' row {rownum} must have {n + 2} entries")
         idx = row[:n]
-        if not all(isinstance(x, int) and 0 <= x < c for x, c in zip(idx, cutoffs)):
-            raise SchemaError(f"field 'amps' row {rownum} has indices outside cutoffs")
+        if not all(type(x) is int and 0 <= x < c for x, c in zip(idx, cutoffs)):
+            raise SchemaError(f"field 'amps' row {rownum} needs integer indices inside cutoffs")
         try:
+            if not all(type(v) in (int, float) for v in row[n:]):
+                raise TypeError("an amplitude must be a JSON number")
             re, im = float(row[n]), float(row[n + 1])
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             raise SchemaError(f"field 'amps' row {rownum} has non-numeric amplitude")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise SchemaError(f"field 'amps' row {rownum} has a non-finite amplitude")
         amps[tuple(idx)] = complex(re, im)
     tail = data.get("tail_mass", 0.0)
     try:
-        tail = float(tail) if isinstance(tail, (int, float)) else math.nan
+        tail = float(tail) if type(tail) in (int, float) else math.nan
     except OverflowError:
         tail = math.inf
     if not 0.0 <= tail < math.inf:

@@ -23,7 +23,6 @@ from .symplectic import (
     Bipartition,
     check_physicality,
     default_bipartition,
-    omega,
     partial_transpose,
     symplectic_eigenvalues,
     validate_covariance,
@@ -41,7 +40,6 @@ __all__ = [
     "purity",
     "apply_beam_splitter",
     "qcs2_gaussian",
-    "qcs2_gaussian_char_oracle",
     "log_negativity_gaussian",
     "entanglement_entropy_gaussian",
     "gaussian_measures",
@@ -188,20 +186,6 @@ def qcs2_gaussian(st: GaussianState) -> float:
     V = st.cov
     n = st.n
     return float(np.trace(_inverse(V)) / (2.0 * n))
-
-
-def qcs2_gaussian_char_oracle(st: GaussianState) -> float:
-    """Same quantity from the characteristic-function second moments.
-
-    The squared coherence scale is Tr Sigma / n with
-    Sigma = Omega V^{-1} Omega^T / 2, the covariance of |chi(xi)|^2 seen as a
-    (Gaussian) distribution over phase space.  Used as an independent route
-    to cross-check :func:`qcs2_gaussian`.
-    """
-    n = st.n
-    w = omega(n)
-    sigma = 0.5 * w @ _inverse(st.cov) @ w.T
-    return float(np.trace(sigma) / n)
 
 
 def log_negativity_gaussian(st: GaussianState, bp: Bipartition) -> tuple[float, int]:
@@ -452,7 +436,7 @@ def gaussian_from_dict(data: dict) -> GaussianState:
         if field not in data:
             raise SchemaError(f"missing field '{field}'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # not isinstance: JSON true loads as bool, an int
         raise SchemaError("field 'n' must be a positive integer")
     try:
         mean = np.asarray(data["mean"], dtype=float)

@@ -22,7 +22,6 @@ __all__ = [
     "omega",
     "validate_covariance",
     "symplectic_eigenvalues",
-    "symplectic_trace",
     "partial_transpose",
     "check_physicality",
 ]
@@ -151,14 +150,6 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     lt_omega[:, 1::2] = L[0::2].T
     np.negative(L[1::2].T, out=lt_omega[:, 0::2])
     return np.linalg.eigvalsh((1j * lt_omega) @ L)[n:]
-
-
-def symplectic_trace(V) -> float:
-    """Twice the sum of the symplectic eigenvalues of V.
-
-    Always <= Tr V, with equality iff V is symplectically diagonal.
-    """
-    return float(2.0 * np.sum(symplectic_eigenvalues(V)))
 
 
 def partial_transpose(V, bp: Bipartition) -> np.ndarray:

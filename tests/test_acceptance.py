@@ -36,7 +36,6 @@ from bosonic_bounds import (
     na_star_asymptotic,
     qcs2_fock,
     qcs2_gaussian,
-    qcs2_gaussian_char_oracle,
     random_audit,
     random_gaussian_state,
     solve_na_star,
@@ -45,6 +44,7 @@ from bosonic_bounds import (
     tensor,
 )
 from bosonic_bounds.fock import FockPureState
+from oracles import qcs2_gaussian_char_oracle
 
 _T0 = time.perf_counter()
 _BP = Bipartition(1, 1)

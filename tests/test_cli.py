@@ -463,6 +463,14 @@ _HUGE_FOCK_AMP = {"n": 1, "cutoffs": [2], "amps": [[0, _HUGE, 0.0]]}
 _HUGE_FOCK_TAIL = {"n": 1, "cutoffs": [2], "amps": [[0, 1.0, 0.0]], "tail_mass": _HUGE}
 _HUGE_GAUSS_MEAN = {"n": 1, "mean": [0.0, _HUGE], "cov": [[1.0, 0.0], [0.0, 1.0]]}
 _HUGE_GAUSS_COV = {"n": 1, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, _HUGE]]}
+# JSON true loads as Python True, which is an int equal to 1.
+_BOOL_FOCK_N = {"n": True, "cutoffs": [2], "amps": [[0, 1.0, 0.0]]}
+_BOOL_FOCK_CUTOFF = {"n": 2, "cutoffs": [2, True], "amps": [[0, 0, 1.0, 0.0]]}
+_BOOL_FOCK_INDEX = {"n": 1, "cutoffs": [3], "amps": [[True, 1.0, 0.0]]}
+_BOOL_FOCK_RE = {"n": 1, "cutoffs": [2], "amps": [[0, True, 0.0]]}
+_BOOL_FOCK_IM = {"n": 1, "cutoffs": [2], "amps": [[0, 0.0, True]]}
+_BOOL_FOCK_TAIL = {"n": 1, "cutoffs": [2], "amps": [[0, 1.0, 0.0]], "tail_mass": True}
+_BOOL_GAUSS_N = {"n": True, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
 
 
 @pytest.mark.parametrize(
@@ -476,6 +484,13 @@ _HUGE_GAUSS_COV = {"n": 1, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, _HUGE]]
         ("--fock", _HUGE_FOCK_TAIL, "field 'tail_mass' must be a finite"),
         ("--gaussian", _HUGE_GAUSS_MEAN, "field 'mean' is not numeric"),
         ("--gaussian", _HUGE_GAUSS_COV, "field 'cov' is not numeric"),
+        ("--fock", _BOOL_FOCK_N, "field 'n' must be a positive integer"),
+        ("--fock", _BOOL_FOCK_CUTOFF, "field 'cutoffs' must list 2 positive integers"),
+        ("--fock", _BOOL_FOCK_INDEX, "field 'amps' row 0 needs integer indices"),
+        ("--fock", _BOOL_FOCK_RE, "field 'amps' row 0 has non-numeric"),
+        ("--fock", _BOOL_FOCK_IM, "field 'amps' row 0 has non-numeric"),
+        ("--fock", _BOOL_FOCK_TAIL, "field 'tail_mass' must be a finite"),
+        ("--gaussian", _BOOL_GAUSS_N, "field 'n' must be a positive integer"),
     ],
 )
 def test_non_finite_state_file_names_the_field(kind, data, field, tmp_path, capsys):

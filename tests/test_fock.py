@@ -40,7 +40,6 @@ from bosonic_bounds import (
     number_preserving_permutation,
     number_preserving_phases,
     qcs2_fock,
-    quadrature_moments,
     saturating_family,
     save_fock,
     schmidt_coefficients,
@@ -50,6 +49,7 @@ from bosonic_bounds import (
     total_noise,
 )
 from bosonic_bounds.tolerances import TAU_TRUNC
+from oracles import quadrature_moments
 
 
 def test_number_state_moments():

@@ -28,13 +28,13 @@ from bosonic_bounds import (
     make_vacuum,
     purity,
     qcs2_gaussian,
-    qcs2_gaussian_char_oracle,
     random_classical_state,
     random_gaussian_state,
     random_symplectic,
     save_gaussian,
     tensor,
 )
+from oracles import qcs2_gaussian_char_oracle
 
 
 def test_vacuum_covariance_is_identity():

@@ -31,6 +31,14 @@ TMSV_FILE = "tmsv-0.8.json"
 # Cutoff 10 and tail 1.9e-11; the beam splitter widens it to 19.
 FOCK_FILE = "fock-tmsv-0.3.json"
 FOCK_SPECS = ("N=3,7", "N=2,2", "N=40,0")
+# (N, nA, nB): an ordinary split, then N = 0 and a power past the float range,
+# where the closed forms give a null split and a reason.
+NASTAR_SPLITS = (("100", "1", "3"), ("0", "1", "2"), ("1", "1000", "1"))
+# The output options the commands above leave at their defaults.
+OPTION_ARGVS = (
+    ["measure", "--fock", "N=3,7", "--format", "csv"],
+    ["beamsplitter", "--fock", "N=40,0", "--ebits"],
+)
 
 
 def commands() -> list[tuple[str, list[str], int]]:
@@ -48,6 +56,10 @@ def commands() -> list[tuple[str, list[str], int]]:
         cmds.append((" ".join(argv) + " [exit code, stderr]", argv, 2))
         if sub != "beamsplitter":  # the beam splitter takes Fock input only
             cmds.append((f"{sub} --gaussian {TMSV_FILE}", [sub, "--gaussian", TMSV_FILE], 0))
+    for n, n_a, n_b in NASTAR_SPLITS:
+        argv = ["nastar", "--N", n, "--nA", n_a, "--nB", n_b, "--method", "all"]
+        cmds.append((" ".join(argv), argv, 0))
+    cmds += [(" ".join(argv), argv, 0) for argv in OPTION_ARGVS]
     cmds.append(("counterexample", ["counterexample"], 0))
     return cmds
 
