@@ -28,18 +28,11 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import __version__
-from .bounds import (
-    coherence_scale_checks,
-    entanglement_check,
-    mtn_floor_from_entanglement,
-    na_star_asymptotic,
-    solve_na_star,
-)
+from .bounds import na_star_asymptotic, solve_na_star
 from .errors import AuditViolationError, SchemaError
 from .experiments import (
     beam_splitter_fock,
@@ -48,13 +41,12 @@ from .experiments import (
     counterexample_demo,
     random_audit,
     split_accuracy_sweep,
+    state_checks,
 )
 from .fock import (
-    entanglement_entropy,
     entanglement_measures_pure,
     load_fock,
     make_fock_number,
-    mtn_pure,
     qcs2_fock,
     total_noise,
 )
@@ -271,26 +263,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_bound_check(args) -> int:
     kind, state = _load_state(args)
-    bp = _bipartition(args, state.n)
-    tau_check = args.tau_check
-    if kind == "gaussian":
-        rep = gaussian_measures(state, bp)
-        payload = {"qcs2": rep.qcs2, "log_negativity": rep.log_negativity,
-                   "n_minus": rep.n_minus}
-        checks = coherence_scale_checks(
-            rep.log_negativity, rep.qcs2, state.n, rep.n_minus,
-            float(np.linalg.det(state.cov)), tau_check=tau_check,
-        )
-    else:
-        if bp is None:
-            raise SchemaError("bound-check on a Fock state needs >= 2 modes")
-        mtn = mtn_pure(state)
-        ef = entanglement_entropy(state, bp)
-        payload = {"mtn": mtn, "ef": ef}
-        checks = [entanglement_check(ef, mtn, bp.n_a, bp.n_b, tau_check=tau_check)]
-        floor = mtn_floor_from_entanglement(ef, state.n)
-        if floor is not None:
-            payload["mtn_floor"] = floor
+    payload, checks = state_checks(state, _bipartition(args, state.n), args.tau_check)
     payload["checks"] = [asdict(c) for c in checks]
     payload["all_hold"] = all(c.holds for c in checks)
     payload["config"] = _config_echo(args, kind=kind)
@@ -303,6 +276,18 @@ def _cmd_nastar(args) -> int:
         ["bisection", "leading", "refined"] if args.method == "all" else [args.method]
     )
     payload = {"N": args.N, "n_a": args.nA, "n_b": args.nB, "solutions": {}}
+    # The process's filters still decide which warnings show; each shown one
+    # is a single stderr line instead of Python's source-quoting format.
+    with warnings.catch_warnings(record=True) as caught:
+        _nastar_solutions(args, methods, payload["solutions"])
+    for w in caught:
+        sys.stderr.write(f"warning: {w.message}\n")
+    payload["config"] = _config_echo(args)
+    _emit(payload, args)
+    return 0
+
+
+def _nastar_solutions(args, methods, solutions: dict) -> None:
     for method in methods:
         reason = None
         if method == "bisection":
@@ -319,12 +304,9 @@ def _cmd_nastar(args) -> int:
                           "(e nu)^(1 - mu) or nu^mu over- or underflows")
             elif not 0.0 <= sol.na_star <= sol.total:  # no split of N photons
                 reason = f"closed form gives N_A* = {sol.na_star!r}, outside [0, N]"
-        entry = payload["solutions"][method] = asdict(sol)
+        entry = solutions[method] = asdict(sol)
         if reason is not None:
             entry.update(na_star=None, nb_star=None, residual=None, reason=reason)
-    payload["config"] = _config_echo(args)
-    _emit(payload, args)
-    return 0
 
 
 def _cmd_beamsplitter(args) -> int:

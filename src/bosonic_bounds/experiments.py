@@ -42,9 +42,10 @@ from .bounds import (
     entanglement_check,
     g,
     gaussian_pure_bound,
+    mtn_floor_from_entanglement,
     solve_na_star,
 )
-from .errors import AuditViolationError
+from .errors import AuditViolationError, SchemaError
 from .fock import (
     FockPureState,
     fock_to_dict,
@@ -76,6 +77,7 @@ __all__ = [
     "counterexample_demo",
     "write_sweep",
     "load_nastar_envelope",
+    "state_checks",
     "BS_FAMILIES",
 ]
 
@@ -492,15 +494,35 @@ def _drawn(sample, count):
         yield from sample(size=min(SAMPLE_BLOCK, count - start))
 
 
+def state_checks(state, bp: Bipartition | None, tau_check: float = TAU_CHECK) -> tuple:
+    """(measures, checks) of one state: its measures and every inequality that applies.
+
+    A GaussianState gives C^2, E_N and n_minus with the coherence-scale
+    checks.  A FockPureState gives M_TN, E_F and, once E_F >= 3n/4, the
+    noise floor mtn_floor, with its one total-noise check; it needs a split,
+    so bp None raises SchemaError.  The key order is the CSV column order.
+    """
+    if isinstance(state, GaussianState):
+        rep = gaussian_measures(state, bp)
+        measures = {"qcs2": rep.qcs2, "log_negativity": rep.log_negativity, "n_minus": rep.n_minus}
+        det_v = float(np.linalg.det(state.cov))
+        return measures, coherence_scale_checks(
+            rep.log_negativity, rep.qcs2, state.n, rep.n_minus, det_v, tau_check)
+    if bp is None:
+        raise SchemaError("bound-check on a Fock state needs >= 2 modes")
+    mtn, ef = mtn_pure(state), entanglement_entropy(state, bp)
+    measures = {"mtn": mtn, "ef": ef}
+    floor = mtn_floor_from_entanglement(ef, state.n)
+    if floor is not None:
+        measures["mtn_floor"] = floor
+    return measures, [entanglement_check(ef, mtn, bp.n_a, bp.n_b, tau_check)]
+
+
 def _audit_gaussian(rng, count, modes, tau_check, report):
     bp = default_bipartition(modes)
     for st in _drawn(partial(random_gaussian_state, modes, rng, squeeze_max=1.2), count):
-        rep = gaussian_measures(st, bp)
         inst = {"kind": "gaussian", "modes": modes, "state": st}
-        for chk in coherence_scale_checks(
-            rep.log_negativity, rep.qcs2, modes, rep.n_minus,
-            float(np.linalg.det(st.cov)), tau_check=tau_check,
-        ):
+        for chk in state_checks(st, bp, tau_check)[1]:
             report.record(chk, inst)
 
 
@@ -524,10 +546,9 @@ def _audit_fock(rng, count, tau_check, report):
         modes = 2 if idx % 2 == 0 else 3
         cutoff = 6 if modes == 2 else 4
         psi = _random_fock_pure(rng, modes, cutoff)
-        bp = default_bipartition(modes)
-        ef = entanglement_entropy(psi, bp)
         inst = {"kind": "fock", "modes": modes, "cutoff": cutoff, "state": psi}
-        report.record(entanglement_check(ef, mtn_pure(psi), bp.n_a, bp.n_b, tau_check), inst)
+        for chk in state_checks(psi, default_bipartition(modes), tau_check)[1]:
+            report.record(chk, inst)
 
 
 def random_audit(
@@ -590,12 +611,11 @@ def counterexample_demo(q: float = 0.5, k: int = 2) -> dict:
     """
     psi, psi_perm = make_counterexample_states(q, k)
     bp = Bipartition(1, 2)
-    mtn_base = mtn_pure(psi)
-    mtn_perm = mtn_pure(psi_perm)
-    ef_base = entanglement_entropy(psi, bp)
-    ef_perm = entanglement_entropy(psi_perm, bp)
+    base, _ = state_checks(psi, bp)
+    perm, (split,) = state_checks(psi_perm, bp)
+    mtn_base, ef_base = base["mtn"], base["ef"]
+    mtn_perm, ef_perm = perm["mtn"], perm["ef"]
     gauss = gaussian_pure_bound(mtn_perm, 1, 2)
-    split = entanglement_check(ef_perm, mtn_perm, bp.n_a, bp.n_b)
     return {
         "q": q,
         "k": k,

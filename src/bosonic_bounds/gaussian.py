@@ -6,6 +6,7 @@ interleaved quadrature order and vacuum covariance equal to the identity.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -428,6 +429,26 @@ def gaussian_to_dict(st: GaussianState) -> dict:
     return {"n": st.n, "mean": st.mean.tolist(), "cov": st.cov.tolist()}
 
 
+def _numeric_array(data: dict, field: str) -> np.ndarray:
+    """data[field] as a float array, refusing any entry that is not a JSON number.
+
+    numpy alone would read true as 1.0 and "0.5" as 0.5, so each entry must
+    be an int or a float, and not a bool (an int to isinstance).
+    """
+    value = data[field]
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"field '{field}' is not numeric: {exc}") from exc
+    # value is now a regular nesting of arr.ndim lists; a scalar is its own entry
+    entries = value if arr.ndim else [value]
+    for _ in range(arr.ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    if not set(map(type, entries)) <= {int, float}:
+        raise SchemaError(f"field '{field}' is not numeric")
+    return arr
+
+
 def gaussian_from_dict(data: dict) -> GaussianState:
     """Build a state from {"n", "mean", "cov"}, naming any offending field."""
     if not isinstance(data, dict):
@@ -438,18 +459,12 @@ def gaussian_from_dict(data: dict) -> GaussianState:
     n = data["n"]
     if type(n) is not int or n < 1:  # not isinstance: JSON true loads as bool, an int
         raise SchemaError("field 'n' must be a positive integer")
-    try:
-        mean = np.asarray(data["mean"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"field 'mean' is not numeric: {exc}") from exc
+    mean = _numeric_array(data, "mean")
     if mean.shape != (2 * n,):
         raise SchemaError(f"field 'mean' must have length {2 * n}, got shape {mean.shape}")
     if not np.all(np.isfinite(mean)):
         raise SchemaError("field 'mean' has a non-finite entry")
-    try:
-        cov = np.asarray(data["cov"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"field 'cov' is not numeric: {exc}") from exc
+    cov = _numeric_array(data, "cov")
     if cov.shape != (2 * n, 2 * n):
         raise SchemaError(f"field 'cov' must be {2 * n} x {2 * n}, got shape {cov.shape}")
     if not np.all(np.isfinite(cov)):

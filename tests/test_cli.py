@@ -147,6 +147,47 @@ def test_bound_check_fock_even_split_emits_the_inequality_once(capsys):
     assert chk["rhs"] == theorem_symmetric_bound(11.0, 2)
 
 
+def test_bound_check_fock_reports_the_noise_floor_of_a_strongly_entangled_state(
+    tmp_path, capsys
+):
+    path = tmp_path / "tmsv.json"
+    fock.save_fock(fock.make_fock_tmsv(1.2), path)
+    payload = run_json(["bound-check", "--fock", str(path)], capsys)
+    assert payload["ef"] == pytest.approx(2.016451148900509, rel=1e-12)
+    assert payload["mtn"] == pytest.approx(5.556947156764798, rel=1e-12)
+    # E_F >= 3n/4 = 1.5, so the floor 1 + 2 e^{(2/n) E_F - 2} applies
+    assert payload["mtn_floor"] == pytest.approx(3.0331744283397755, rel=1e-12)
+    assert payload["mtn_floor"] == 1.0 + 2.0 * math.exp(payload["ef"] - 2.0)
+    assert payload["mtn_floor"] <= payload["mtn"]
+    assert payload["all_hold"] and [c["provenance"] for c in payload["checks"]] == [_EVEN]
+    # CSV columns follow the measures' insertion order
+    code, out, err = run_cli(["bound-check", "--fock", str(path), "--format", "csv"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[0].split(",")[:5] == ["mtn", "ef", "mtn_floor", "checks", "all_hold"]
+
+
+def test_bound_check_on_a_one_mode_fock_state_is_refused(capsys):
+    code, out, err = run_cli(["bound-check", "--fock", "N=3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: bound-check on a Fock state needs >= 2 modes\n"
+
+
+def test_one_mode_gaussian_state_has_no_split(tmp_path, capsys):
+    from bosonic_bounds import make_squeezed
+
+    path = tmp_path / "squeezed.json"
+    save_gaussian(make_squeezed(0.5), path)
+    payload = run_json(["measure", "--gaussian", str(path)], capsys)
+    assert (payload["log_negativity"], payload["n_minus"]) == (0.0, 0)
+    assert payload["symplectic_spectrum_pt"] == payload["symplectic_spectrum"]
+    payload = run_json(["bound-check", "--gaussian", str(path)], capsys)
+    assert payload["checks"] == [] and payload["all_hold"]
+    code, out, err = run_cli(["bound-check", "--gaussian", str(path), "--format", "csv"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[0].split(",")[:5] == [
+        "qcs2", "log_negativity", "n_minus", "checks", "all_hold"]
+
+
 def test_coherent_product_rounding_below_unit_noise_is_accepted(tmp_path, capsys):
     # A product of coherent states has M_TN = 1; read from its truncated
     # amplitudes it rounds about 1e-14 below, inside the TAU_PHYS slack.
@@ -230,9 +271,11 @@ def _refuse_constant(name):
 
 def test_nastar_out_of_range_closed_forms_print_null(capsys):
     argv = ["nastar", "--N", "0.5", "--nA", "1", "--nB", "5", "--method", "all"]
-    with pytest.warns(UserWarning, match="asymptotic split"):
-        code, out, err = run_cli(argv, capsys)
+    code, out, err = run_cli(argv, capsys)
     assert code == 0, err
+    # nu = 0.5 < 10 warns, as one plain stderr line, not Python's warning format
+    assert set(err.splitlines()) == {
+        "warning: asymptotic split used at nu = 0.5 < 10; expect poor accuracy"}
     sols = json.loads(out, parse_constant=_refuse_constant)["solutions"]
     # leading gives N_A* = -0.597 and refined 0.805, both outside [0, 0.5]
     for method in ("leading", "refined"):
@@ -471,6 +514,11 @@ _BOOL_FOCK_RE = {"n": 1, "cutoffs": [2], "amps": [[0, True, 0.0]]}
 _BOOL_FOCK_IM = {"n": 1, "cutoffs": [2], "amps": [[0, 0.0, True]]}
 _BOOL_FOCK_TAIL = {"n": 1, "cutoffs": [2], "amps": [[0, 1.0, 0.0]], "tail_mass": True}
 _BOOL_GAUSS_N = {"n": True, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+# numpy reads true as 1.0 and the string "0.5" as 0.5, so these files load
+# as states unless the type of every entry is checked
+_MIXED_GAUSS = {"n": 1, "mean": [True, "0.5"], "cov": [["1", 0], [0, True]]}
+_BOOL_GAUSS_COV = {"n": 1, "mean": [0.0, 0.0], "cov": [[True, 0.0], [0.0, True]]}
+_STRING_GAUSS_MEAN = {"n": 1, "mean": ["0.5", 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
 
 
 @pytest.mark.parametrize(
@@ -491,6 +539,9 @@ _BOOL_GAUSS_N = {"n": True, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
         ("--fock", _BOOL_FOCK_IM, "field 'amps' row 0 has non-numeric"),
         ("--fock", _BOOL_FOCK_TAIL, "field 'tail_mass' must be a finite"),
         ("--gaussian", _BOOL_GAUSS_N, "field 'n' must be a positive integer"),
+        ("--gaussian", _MIXED_GAUSS, "field 'mean' is not numeric"),
+        ("--gaussian", _BOOL_GAUSS_COV, "field 'cov' is not numeric"),
+        ("--gaussian", _STRING_GAUSS_MEAN, "field 'mean' is not numeric"),
     ],
 )
 def test_non_finite_state_file_names_the_field(kind, data, field, tmp_path, capsys):

@@ -25,12 +25,16 @@ import tempfile
 
 from bosonic_bounds import cli
 from bosonic_bounds.fock import make_fock_tmsv, save_fock
-from bosonic_bounds.gaussian import make_tmsv, save_gaussian
+from bosonic_bounds.gaussian import make_squeezed, make_tmsv, save_gaussian
 
 TMSV_FILE = "tmsv-0.8.json"
 # Cutoff 10 and tail 1.9e-11; the beam splitter widens it to 19.
 FOCK_FILE = "fock-tmsv-0.3.json"
 FOCK_SPECS = ("N=3,7", "N=2,2", "N=40,0")
+# E_F = 2.02 >= 3n/4, so bound-check reports the noise floor mtn_floor.
+FLOOR_FILE = "fock-tmsv-1.2.json"
+# One mode: no split, so no log-negativity and no bound-check inequality.
+SQUEEZED_FILE = "squeezed-0.5.json"
 # (N, nA, nB): an ordinary split, then N = 0 and a power past the float range,
 # where the closed forms give a null split and a reason.
 NASTAR_SPLITS = (("100", "1", "3"), ("0", "1", "2"), ("1", "1000", "1"))
@@ -56,6 +60,12 @@ def commands() -> list[tuple[str, list[str], int]]:
         cmds.append((" ".join(argv) + " [exit code, stderr]", argv, 2))
         if sub != "beamsplitter":  # the beam splitter takes Fock input only
             cmds.append((f"{sub} --gaussian {TMSV_FILE}", [sub, "--gaussian", TMSV_FILE], 0))
+    cmds += [
+        (" ".join(argv), argv, 0)
+        for argv in (["bound-check", "--fock", FLOOR_FILE],
+                     ["measure", "--gaussian", SQUEEZED_FILE],
+                     ["bound-check", "--gaussian", SQUEEZED_FILE])
+    ]
     for n, n_a, n_b in NASTAR_SPLITS:
         argv = ["nastar", "--N", n, "--nA", n_a, "--nB", n_b, "--method", "all"]
         cmds.append((" ".join(argv), argv, 0))
@@ -68,6 +78,8 @@ def outputs():
     """Yield (label, bytes) for every output, run in the current directory."""
     save_gaussian(make_tmsv(0.8), TMSV_FILE)
     save_fock(make_fock_tmsv(0.3), FOCK_FILE)
+    save_fock(make_fock_tmsv(1.2), FLOOR_FILE)
+    save_gaussian(make_squeezed(0.5), SQUEEZED_FILE)
     for label, argv, want in commands():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
