@@ -29,7 +29,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from . import __version__
 from .bounds import na_star_asymptotic, solve_na_star
@@ -243,7 +243,7 @@ def _cmd_measure(args) -> int:
     bp = _bipartition(args, state.n)
     if kind == "gaussian":
         rep = gaussian_measures(state, bp)
-        payload = asdict(rep)
+        payload = dict(vars(rep))
     else:
         noise = total_noise(state)
         payload = {
@@ -264,7 +264,7 @@ def _cmd_measure(args) -> int:
 def _cmd_bound_check(args) -> int:
     kind, state = _load_state(args)
     payload, checks = state_checks(state, _bipartition(args, state.n), args.tau_check)
-    payload["checks"] = [asdict(c) for c in checks]
+    payload["checks"] = [dict(vars(c)) for c in checks]
     payload["all_hold"] = all(c.holds for c in checks)
     payload["config"] = _config_echo(args, kind=kind)
     _emit(payload, args)
@@ -304,7 +304,7 @@ def _nastar_solutions(args, methods, solutions: dict) -> None:
                           "(e nu)^(1 - mu) or nu^mu over- or underflows")
             elif not 0.0 <= sol.na_star <= sol.total:  # no split of N photons
                 reason = f"closed form gives N_A* = {sol.na_star!r}, outside [0, N]"
-        entry = solutions[method] = asdict(sol)
+        entry = solutions[method] = dict(vars(sol))
         if reason is not None:
             entry.update(na_star=None, nb_star=None, residual=None, reason=reason)
 

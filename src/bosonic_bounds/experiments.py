@@ -23,7 +23,6 @@ split_accuracy.csv:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -81,29 +80,29 @@ __all__ = [
     "BS_FAMILIES",
 ]
 
-_FLOAT_FMT = "%.17g"
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return _FLOAT_FMT % x
-    return str(x)
-
-
 def write_sweep(out_dir, name: str, columns, rows, params: dict) -> tuple[str, str]:
     """Write rows to <out_dir>/<name>.csv plus <name>.manifest.json.
 
+    Cells go unquoted, floats as %.17g; a cell holding ',', '"', CR or LF raises ValueError.
     The manifest echoes ``params`` and the tolerances every sweep runs with;
     its ``seed`` is null because no sweep draws random numbers.
     """
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(["%.17g" % v if isinstance(v, float) else str(v)
+                               for v in map(row.__getitem__, columns)]))
+    text = "\n".join(lines) + "\n"
+    if (text.count(",") != (len(columns) - 1) * len(lines) or text.count("\n") != len(lines)
+            or '"' in text or "\r" in text):  # one scan of the text, not one per cell
+        bad = next(c for row in (dict(zip(columns, columns)), *rows) for c in columns
+                   if any(ch in str(row[c]) for ch in ',"\r\n'))
+        raise ValueError(f"{name}.csv: column {bad!r} has a cell that CSV would quote")
+    del lines  # freed before the text is encoded, which lowers peak RSS
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     man_path = os.path.join(out_dir, f"{name}.manifest.json")
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        fh.write(text)
     with open(man_path, "w") as fh:
         manifest = {
             "version": _version,

@@ -9,12 +9,16 @@ library's own path, so a test that compares the two checks both:
 - ``qcs2_gaussian_char_oracle`` reads C^2 of a Gaussian state off the
   covariance of its characteristic function, against
   ``gaussian.qcs2_gaussian``'s Tr V^{-1} / (2n).
+- ``sweep_csv_oracle`` writes a sweep CSV through ``csv.writer`` with one
+  formatting call per cell, where ``experiments.write_sweep`` joins each
+  row itself.
 
 Tests import them as ``from oracles import ...``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -69,3 +73,21 @@ def qcs2_gaussian_char_oracle(st: GaussianState) -> float:
     w = omega(n)
     sigma = 0.5 * w @ _inverse(st.cov) @ w.T
     return float(np.trace(sigma) / n)
+
+
+_FLOAT_FMT = "%.17g"
+
+
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return _FLOAT_FMT % x
+    return str(x)
+
+
+def sweep_csv_oracle(path, columns, rows) -> None:
+    """Write ``rows`` to ``path`` as ``write_sweep`` writes its CSV, through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row[c]) for c in columns])

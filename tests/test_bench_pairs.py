@@ -59,3 +59,40 @@ def test_summary_of_one_pair_and_lower_is_better_metrics(tool):
     assert row["wins"] == 1 and row["gain"]
     with pytest.raises(ValueError):
         tool.summarize([], [], {"peak_rss_mb": "lower"})
+
+
+def test_worse_needs_the_median_to_lose_by_more_than_the_parent_iqr(tool):
+    parent = [100.0 + k for k in range(10)]  # median 104.5, IQR 4.5
+    for better, sign in (("higher", 1.0), ("lower", -1.0)):
+        def row(change):
+            runs = _runs([sign * p for p in parent]), _runs([sign * c for c in change])
+            return tool.summarize(*runs, {"items_per_s": better})["items_per_s"]
+
+        slightly = row([p - 4.0 for p in parent])  # worse by 4 < 4.5
+        assert slightly["wins"] == 0 and not slightly["worse"] and not slightly["gain"]
+        assert row([p - 5.0 for p in parent])["worse"]  # worse by 5 > 4.5
+        better_row = row([p + 20.0 for p in parent])
+        assert better_row["gain"] and not better_row["worse"]
+
+
+def test_cache_mismatch_names_the_tree_that_alone_holds_the_bytecode_cache(tool, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "src" / "bosonic_bounds").mkdir(parents=True)
+    assert tool.cache_mismatch(a, b) is None
+    (b / tool.BYTECODE_CACHE).mkdir()
+    assert tool.cache_mismatch(a, b) == b and tool.cache_mismatch(b, a) == b
+    (a / tool.BYTECODE_CACHE).mkdir()
+    assert tool.cache_mismatch(a, b) is None
+
+
+def test_main_refuses_trees_whose_caches_differ_before_any_run(tool, tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / tool.BYTECODE_CACHE).mkdir(parents=True)
+    (change / "src" / "bosonic_bounds").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(tool, "ROOT", str(change))
+    monkeypatch.setattr(tool, "run_bench", lambda *a: pytest.fail("a run started"))
+    argv = ["--parent", str(parent), "--workload", "cli-requests", "--seed", "1"]
+    assert tool.main(argv) == 2
+    assert f"{parent} holds {tool.BYTECODE_CACHE}" in capsys.readouterr().err

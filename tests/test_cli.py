@@ -7,16 +7,20 @@ import shlex
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from bosonic_bounds import (
+    Bipartition,
     cli,
     fock,
+    gaussian_measures,
+    make_fock_tmsv,
     make_tmsv,
     make_vacuum,
+    na_star_asymptotic,
     save_gaussian,
     solve_na_star,
     theorem_symmetric_bound,
@@ -283,6 +287,47 @@ def test_nastar_out_of_range_closed_forms_print_null(capsys):
         assert (entry["na_star"], entry["nb_star"], entry["residual"]) == (None, None, None)
         assert "outside [0, N]" in entry["reason"]
     assert sols["bisection"] == json.loads(json.dumps(asdict(solve_na_star(0.5, 1, 5))))
+
+
+def _payload_reports():
+    gaussian_checks = cli.state_checks(make_tmsv(0.8), Bipartition(1, 1))[1]
+    fock_checks = cli.state_checks(make_fock_tmsv(1.2), Bipartition(1, 1))[1]
+    return [gaussian_measures(make_tmsv(0.8), Bipartition(1, 1)), *gaussian_checks,
+            *fock_checks, solve_na_star(100.0, 1, 3), na_star_asymptotic(100.0, 1, 3, "refined")]
+
+
+@pytest.mark.parametrize("report", _payload_reports(), ids=lambda r: type(r).__name__)
+def test_payload_reports_are_flat_so_a_shallow_copy_equals_asdict(report):
+    # measure, bound-check and nastar copy these with dict(vars(x)); that is
+    # asdict's copy only while no field holds a dataclass, a list or a dict.
+    copy = dict(vars(report))
+    assert copy == asdict(report)
+    assert list(copy) == [f.name for f in fields(report)]  # the CSV column order
+    for name, value in copy.items():
+        items = value if isinstance(value, tuple) else (value,)
+        assert all(isinstance(v, (bool, int, float, str)) for v in items), name
+
+
+def test_nastar_null_split_leaves_the_solutions_unchanged(capsys, monkeypatch):
+    made = []
+
+    def recorded(solver):
+        def solve(*args):
+            sol = solver(*args)
+            made.append((sol, asdict(sol)))
+            return sol
+        return solve
+
+    monkeypatch.setattr(cli, "solve_na_star", recorded(solve_na_star))
+    monkeypatch.setattr(cli, "na_star_asymptotic", recorded(na_star_asymptotic))
+    code, out, err = run_cli(
+        ["nastar", "--N", "1", "--nA", "1000", "--nB", "1", "--method", "all"], capsys)
+    assert code == 0, err
+    sols = json.loads(out)["solutions"]
+    assert sols["leading"]["na_star"] is None and sols["refined"]["na_star"] is None
+    assert len(made) == 3
+    for sol, before in made:
+        assert asdict(sol) == before
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,7 @@ from bosonic_bounds import fock, gaussian, symplectic
 from bosonic_bounds.errors import AuditViolationError
 from bosonic_bounds.experiments import write_sweep
 from bosonic_bounds.tolerances import TAU_CHECK, TAU_TRUNC
+from oracles import sweep_csv_oracle
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -61,6 +62,55 @@ def test_write_sweep_emits_csv_and_manifest(tmp_path):
     manifest = json.loads(_read(man_path))
     assert set(manifest) >= {"version", "sweep", "params", "columns", "tolerances"}
     assert manifest["columns"] == ["a", "b"]
+
+
+def _assert_csv_matches_oracle(csv_path, columns, rows, tmp_path):
+    oracle = tmp_path / "oracle.csv"
+    sweep_csv_oracle(oracle, columns, rows)
+    assert _read(csv_path) == _read(oracle)
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs",
+    [(beam_splitter_sweep, {}),
+     (bound_profile_sweep, {}),
+     (split_accuracy_sweep, {}),
+     # float64 grid points; the grids are lists, since an array has no truth value
+     (beam_splitter_sweep, {"number_grid": list(np.arange(1.0, 41.0)),
+                            "squeeze_grid": list(np.linspace(0.05, 2.0, 9))})],
+    ids=["beamsplitter", "bound-profile", "split-accuracy", "beamsplitter-float64-grids"],
+)
+def test_sweep_csv_matches_the_csv_writer_oracle(sweep, kwargs, tmp_path):
+    rows = sweep(out_dir=tmp_path / "out", **kwargs)
+    (man_path,) = (tmp_path / "out").glob("*.manifest.json")
+    columns = json.loads(_read(man_path))["columns"]
+    _assert_csv_matches_oracle(str(man_path).replace(".manifest.json", ".csv"), columns, rows,
+                               tmp_path)
+
+
+def test_write_sweep_matches_the_oracle_on_special_cells(tmp_path):
+    columns = ["family", "x", "y", "k"]
+    cells = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, 1e300, 5e-324, np.float64(0.1),
+             np.float64(-0.0), np.float32(0.1), 3, -7, True, False, np.int64(12), np.bool_(True),
+             "", " padded ", "tab\there", None]
+    rows = [{"family": "f", "x": v, "y": cells[-1 - i], "k": i} for i, v in enumerate(cells)]
+    csv_path, _ = write_sweep(tmp_path / "out", "special", columns, rows, {})
+    _assert_csv_matches_oracle(csv_path, columns, rows, tmp_path)
+    # np.float64 is a float, so it takes 17 significant digits, not its short repr
+    assert _read(csv_path).decode().count("0.10000000000000001") == 4
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [("family", "a,b"), ("family", 'say "hi"'), ("family", "two\nlines"), ("family", "cr\rhere"),
+     ("a,b", "number-split")],
+    ids=["comma", "quote", "newline", "carriage-return", "comma-in-name"],
+)
+def test_write_sweep_refuses_a_cell_it_cannot_write_unquoted(column, cell, tmp_path):
+    rows = [{"param": 1.0, column: "number-split"}, {"param": 2.0, column: cell}]
+    with pytest.raises(ValueError, match=f"column '{column}'"):
+        write_sweep(tmp_path, "demo", ["param", column], rows, {})
+    assert not (tmp_path / "demo.csv").exists()
 
 
 def test_beam_splitter_sweep_small_grid(tmp_path):

@@ -4,10 +4,12 @@ Runs the unchanged ``bench/run.py`` of each tree alternately, for N pairs,
 and switches which side runs first on every pair.  For each end-to-end
 metric of BENCHMARK.json it prints each side's median and quartiles, how
 many pairs the change won (ties count for neither side), the parent's
-interquartile range, and whether a gain may be claimed: the change wins at
-least nine tenths of the pairs and the medians differ, in the better
-direction, by more than the parent's interquartile range.  Every run lasts
-BENCHMARK.json's ``run_seconds``, the same on both sides.
+interquartile range, whether a gain may be claimed (``gain``: the change
+wins at least nine tenths of the pairs and the medians differ, in the better
+direction, by more than the parent's interquartile range) and whether the
+metric got worse (``worse``: the change's median is worse than the parent's
+by more than that range).  Every run lasts BENCHMARK.json's
+``run_seconds``, the same on both sides.
 
 Run from the root of the changed checkout:
 
@@ -17,6 +19,13 @@ Run from the root of the changed checkout:
 The parent directory is a plain copy of the parent commit (``git archive``
 or ``git clone``).  Nothing under either tree's ``bench/`` is edited; each
 run leaves its record in that tree's ``.bench_runs/``.
+
+Each bench worker imports the package from ``src/``.  Where bytecode is not
+written (``PYTHONDONTWRITEBYTECODE``), a tree without
+``src/bosonic_bounds/__pycache__`` compiles it in every worker, which costs
+``setup_s`` and ``peak_rss_mb``; a cache left in one tree alone would fake a
+gain for it.  So the tool refuses, with exit code 2, to compare a tree that
+holds that cache with one that does not.  Compare both without it.
 """
 
 import argparse
@@ -28,6 +37,15 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
+BYTECODE_CACHE = os.path.join("src", "bosonic_bounds", "__pycache__")
+
+
+def cache_mismatch(root_a, root_b):
+    """The tree that holds the package's bytecode cache when the other does not, else None."""
+    has_a, has_b = (os.path.isdir(os.path.join(root, BYTECODE_CACHE)) for root in (root_a, root_b))
+    if has_a == has_b:
+        return None
+    return root_a if has_a else root_b
 
 
 def run_bench(root, workload, seed, seconds):
@@ -57,7 +75,8 @@ def summarize(parent_runs, change_runs, better):
     parent_runs and change_runs are lists of {metric: value}, pair i being
     (parent_runs[i], change_runs[i]); better maps each metric to "higher" or
     "lower".  Returns {metric: dict} with both sides' quartiles, the wins,
-    ties and pairs, the parent's IQR and whether a gain may be claimed.
+    ties and pairs, the parent's IQR, whether a gain may be claimed and
+    whether the change is worse.
     """
     if len(parent_runs) != len(change_runs) or not parent_runs:
         raise ValueError("need the same positive number of parent and change runs")
@@ -78,6 +97,7 @@ def summarize(parent_runs, change_runs, better):
             "pairs": len(gains),
             "parent_iqr": iqr,
             "gain": wins >= WIN_SHARE * len(gains) and sign * (c_q[1] - p_q[1]) > iqr,
+            "worse": sign * (c_q[1] - p_q[1]) < -iqr,
         }
     return out
 
@@ -98,6 +118,11 @@ def main(argv=None):
     better = {spec["name"]: spec["better"] for spec in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     sides = {"parent": os.path.abspath(opts.parent), "change": ROOT}
+    cached = cache_mismatch(sides["parent"], sides["change"])
+    if cached is not None:
+        print(f"{cached} holds {BYTECODE_CACHE} and the other tree does not; "
+              "remove it so both trees compile the package alike", file=sys.stderr)
+        return 2
     runs = {"parent": [], "change": []}
     for pair in range(opts.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -110,7 +135,8 @@ def main(argv=None):
     for name, row in summary.items():
         print(f"{name:16s} parent {_fmt(row['parent']):36s} change {_fmt(row['change']):36s} "
               f"wins {row['wins']}/{row['pairs']} ties {row['ties']} "
-              f"parent IQR {row['parent_iqr']:.6g} gain {'yes' if row['gain'] else 'no'}")
+              f"parent IQR {row['parent_iqr']:.6g} gain {'yes' if row['gain'] else 'no'} "
+              f"worse {'yes' if row['worse'] else 'no'}")
     print(json.dumps({"workload": opts.workload, "seed": opts.seed, "runs": runs}))
     return 0
 

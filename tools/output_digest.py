@@ -38,10 +38,15 @@ SQUEEZED_FILE = "squeezed-0.5.json"
 # (N, nA, nB): an ordinary split, then N = 0 and a power past the float range,
 # where the closed forms give a null split and a reason.
 NASTAR_SPLITS = (("100", "1", "3"), ("0", "1", "2"), ("1", "1000", "1"))
-# The output options the commands above leave at their defaults.
+# The output options the commands above leave at their defaults.  The CSV
+# rows flatten a report's tuple fields, a list of checks in converted units,
+# and nested solutions holding nulls.
 OPTION_ARGVS = (
     ["measure", "--fock", "N=3,7", "--format", "csv"],
     ["beamsplitter", "--fock", "N=40,0", "--ebits"],
+    ["measure", "--gaussian", TMSV_FILE, "--format", "csv"],
+    ["bound-check", "--gaussian", TMSV_FILE, "--format", "csv", "--ebits"],
+    ["nastar", "--N", "1", "--nA", "1000", "--nB", "1", "--method", "all", "--format", "csv"],
 )
 
 
