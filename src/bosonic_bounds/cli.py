@@ -10,12 +10,13 @@ figure          write a sweep CSV + manifest into a directory
 audit           randomized no-violation audit over seeded state families
 counterexample  three-mode noise-vs-entanglement counterexample
 
-Exit codes: 0 success, 2 validation or input errors, 3 audit found a
-bound violation.  Output is strict JSON (no NaN or Infinity), or one CSV
-row with --format csv, to stdout or --output.  Entropies are in nats;
---ebits on measure, bound-check, beamsplitter and counterexample divides
-entanglement quantities by ln 2.  BOSONIC_BOUNDS_SEED provides the seed
-when --seed is absent.
+Exit codes, mapped from the library's errors in ``main``: 0 success, 2
+validation or input errors, 3 audit found a bound violation.  Output is
+strict JSON (no NaN or Infinity), or one CSV row with --format csv, to
+stdout or --output.  Entropies are in nats; --ebits on measure,
+bound-check, beamsplitter and counterexample divides entanglement
+quantities by ln 2.  BOSONIC_BOUNDS_SEED provides the seed when --seed is
+absent.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .fock import (
     load_fock,
     make_fock_number,
     qcs2_fock,
-    total_noise,
 )
 from .gaussian import gaussian_measures, load_gaussian
 from .symplectic import Bipartition, default_bipartition
@@ -68,6 +68,9 @@ _EBIT_KEYS = {
     "split_bound",
     "split_bound_margin",
 }
+
+# The split solvers of nastar --method; "all" runs each in this order.
+_NASTAR_METHODS = ("bisection", "leading", "refined")
 
 
 def _bipartition(args, n: int) -> Bipartition | None:
@@ -135,7 +138,7 @@ def _parse_fock_arg(text: str):
             raise SchemaError(
                 f"inline Fock spec must look like 'N=10,0', got {text!r}"
             ) from exc
-        if not occ or any(k < 0 for k in occ):
+        if any(k < 0 for k in occ):
             raise SchemaError(f"occupation numbers must be >= 0, got {text!r}")
         return make_fock_number(occ)
     if not os.path.exists(text):
@@ -157,7 +160,9 @@ def _convert_units(payload, ebits: bool):
     return payload
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args, **echo) -> int:
+    """Attach the config echo, write the payload in --format, and return exit code 0."""
+    payload["config"] = _config_echo(args, **echo)
     payload = _convert_units(payload, getattr(args, "ebits", False))
     payload["unit"] = "ebits" if getattr(args, "ebits", False) else "nats"
     if args.format == "csv":
@@ -169,12 +174,12 @@ def _emit(payload: dict, args) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _flatten(payload: dict, prefix: str = "") -> dict:
@@ -245,20 +250,19 @@ def _cmd_measure(args) -> int:
         rep = gaussian_measures(state, bp)
         payload = dict(vars(rep))
     else:
-        noise = total_noise(state)
+        # A pure state's C^2 is its M_TN, so one computation gives both.
+        mtn = qcs2_fock(state)
         payload = {
             "modes": state.n,
             "cutoffs": list(state.cutoffs),
             "tail_mass": state.tail_mass,
-            "qcs2": qcs2_fock(state),
-            "total_noise": noise,
-            "mtn": noise / state.n,
+            "qcs2": mtn,
+            "total_noise": mtn * state.n,
+            "mtn": mtn,
         }
         if bp is not None:
             payload["ef"], payload["log_negativity"] = entanglement_measures_pure(state, bp)
-    payload["config"] = _config_echo(args, kind=kind)
-    _emit(payload, args)
-    return 0
+    return _emit(payload, args, kind=kind)
 
 
 def _cmd_bound_check(args) -> int:
@@ -266,111 +270,77 @@ def _cmd_bound_check(args) -> int:
     payload, checks = state_checks(state, _bipartition(args, state.n), args.tau_check)
     payload["checks"] = [dict(vars(c)) for c in checks]
     payload["all_hold"] = all(c.holds for c in checks)
-    payload["config"] = _config_echo(args, kind=kind)
-    _emit(payload, args)
-    return 0
+    return _emit(payload, args, kind=kind)
 
 
 def _cmd_nastar(args) -> int:
-    methods = (
-        ["bisection", "leading", "refined"] if args.method == "all" else [args.method]
-    )
-    payload = {"N": args.N, "n_a": args.nA, "n_b": args.nB, "solutions": {}}
+    solutions = {}
     # The process's filters still decide which warnings show; each shown one
     # is a single stderr line instead of Python's source-quoting format.
     with warnings.catch_warnings(record=True) as caught:
-        _nastar_solutions(args, methods, payload["solutions"])
+        for method in _NASTAR_METHODS if args.method == "all" else [args.method]:
+            reason = None
+            if method == "bisection":
+                sol = solve_na_star(args.N, args.nA, args.nB)
+            elif args.N == 0.0:
+                # The closed forms refuse N = 0, where the split (0, 0) still
+                # exists; solve_na_star checks the mode counts.
+                sol = replace(solve_na_star(0.0, args.nA, args.nB), method=f"asymptotic-{method}")
+                reason = "closed form is asymptotic in N and undefined at N = 0"
+            else:
+                sol = na_star_asymptotic(args.N, args.nA, args.nB, method)
+                if math.isnan(sol.na_star):
+                    reason = ("closed form leaves the float range: "
+                              "(e nu)^(1 - mu) or nu^mu over- or underflows")
+                elif not 0.0 <= sol.na_star <= sol.total:  # no split of N photons
+                    reason = f"closed form gives N_A* = {sol.na_star!r}, outside [0, N]"
+            entry = solutions[method] = dict(vars(sol))
+            if reason is not None:
+                entry.update(na_star=None, nb_star=None, residual=None, reason=reason)
     for w in caught:
         sys.stderr.write(f"warning: {w.message}\n")
-    payload["config"] = _config_echo(args)
-    _emit(payload, args)
-    return 0
-
-
-def _nastar_solutions(args, methods, solutions: dict) -> None:
-    for method in methods:
-        reason = None
-        if method == "bisection":
-            sol = solve_na_star(args.N, args.nA, args.nB)
-        elif args.N == 0.0:
-            # The closed forms refuse N = 0, where the split (0, 0) still
-            # exists; solve_na_star checks the mode counts.
-            sol = replace(solve_na_star(0.0, args.nA, args.nB), method=f"asymptotic-{method}")
-            reason = "closed form is asymptotic in N and undefined at N = 0"
-        else:
-            sol = na_star_asymptotic(args.N, args.nA, args.nB, method)
-            if math.isnan(sol.na_star):
-                reason = ("closed form leaves the float range: "
-                          "(e nu)^(1 - mu) or nu^mu over- or underflows")
-            elif not 0.0 <= sol.na_star <= sol.total:  # no split of N photons
-                reason = f"closed form gives N_A* = {sol.na_star!r}, outside [0, N]"
-        entry = solutions[method] = dict(vars(sol))
-        if reason is not None:
-            entry.update(na_star=None, nb_star=None, residual=None, reason=reason)
+    payload = {"N": args.N, "n_a": args.nA, "n_b": args.nB, "solutions": solutions}
+    return _emit(payload, args)
 
 
 def _cmd_beamsplitter(args) -> int:
     state = _load_fock(args)
-    payload = beam_splitter_fock(state)
-    payload["config"] = _config_echo(args)
-    _emit(payload, args)
-    return 0
+    return _emit(beam_splitter_fock(state), args)
+
+
+# Each figure's sweep driver and the CSV it writes; "all" runs them in this
+# order.  The lambdas look each driver up when called, so a rebound one runs.
+_FIGURES = {
+    "beamsplitter-sweep": (lambda d: beam_splitter_sweep(out_dir=d), "beam_splitter_sweep.csv"),
+    "bound-profile": (lambda d: bound_profile_sweep(out_dir=d), "bound_profile.csv"),
+    "split-accuracy": (lambda d: split_accuracy_sweep(out_dir=d), "split_accuracy.csv"),
+}
 
 
 def _cmd_figure(args) -> int:
     written = []
-    targets = (
-        ["beamsplitter-sweep", "bound-profile", "split-accuracy"]
-        if args.name == "all"
-        else [args.name]
-    )
-    for name in targets:
-        if name == "beamsplitter-sweep":
-            beam_splitter_sweep(out_dir=args.out)
-            written.append("beam_splitter_sweep.csv")
-        elif name == "bound-profile":
-            bound_profile_sweep(out_dir=args.out)
-            written.append("bound_profile.csv")
-        elif name == "split-accuracy":
-            split_accuracy_sweep(out_dir=args.out)
-            written.append("split_accuracy.csv")
-    _emit({"written": written, "out_dir": args.out, "config": _config_echo(args)}, args)
-    return 0
+    for name in _FIGURES if args.name == "all" else [args.name]:
+        sweep, csv_name = _FIGURES[name]
+        sweep(args.out)
+        written.append(csv_name)
+    return _emit({"written": written, "out_dir": args.out}, args)
 
 
 def _cmd_audit(args) -> int:
     seed = _seed_from(args)
-    try:
-        report = random_audit(
-            n_states=args.states,
-            modes=args.modes,
-            seed=seed,
-            fock_states=args.fock_states,
-            classical_states=args.classical_states,
-            tau_check=args.tau_check,
-        )
-    except AuditViolationError as exc:
-        sys.stderr.write(
-            json.dumps(
-                {"error": "bound violation", "seed": exc.seed, "instance": exc.instance},
-                indent=1,
-                sort_keys=True,
-                default=str,
-            )
-            + "\n"
-        )
-        return 3
-    payload = report.to_dict()
-    payload["config"] = _config_echo(args, seed=seed)
-    _emit(payload, args)
-    return 0
+    report = random_audit(
+        n_states=args.states,
+        modes=args.modes,
+        seed=seed,
+        fock_states=args.fock_states,
+        classical_states=args.classical_states,
+        tau_check=args.tau_check,
+    )
+    return _emit(report.to_dict(), args, seed=seed)
 
 
 def _cmd_counterexample(args) -> int:
-    payload = counterexample_demo(args.q, args.k)
-    payload["config"] = _config_echo(args)
-    _emit(payload, args)
-    return 0
+    return _emit(counterexample_demo(args.q, args.k), args)
 
 
 def _config_echo(args, **extra) -> dict:
@@ -397,52 +367,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, state=False, checks=False):
-        p.add_argument("--output", help="write JSON/CSV here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        if state:
-            p.add_argument("--gaussian", help="Gaussian state JSON file")
-            p.add_argument("--bipartition", help="mode split like '1:1'")
-        if checks:
-            p.add_argument("--tau-check", type=_tolerance, default=TAU_CHECK,
-                           dest="tau_check", help="bound-violation tolerance")
+    # Option groups, each declared once; a command lists them in usage-line order.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write JSON/CSV here instead of stdout")
+    output.add_argument("--format", choices=["json", "csv"], default="json")
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--gaussian", help="Gaussian state JSON file")
+    state.add_argument("--bipartition", help="mode split like '1:1'")
+    checks = argparse.ArgumentParser(add_help=False)
+    checks.add_argument("--tau-check", type=_tolerance, default=TAU_CHECK,
+                        dest="tau_check", help="bound-violation tolerance")
+    fock = argparse.ArgumentParser(add_help=False)
+    fock.add_argument("--fock", help="Fock state JSON file or inline number state 'N=10,0'")
+    # None until a Fock state is loaded, so --gaussian can refuse it.
+    fock.add_argument("--tau-trunc", type=_budget, dest="tau_trunc",
+                      help=f"Fock truncation tail budget (default {TAU_TRUNC:g})")
+    # Only the outputs of the commands that take it hold an _EBIT_KEYS value.
+    ebits = argparse.ArgumentParser(add_help=False)
+    ebits.add_argument("--ebits", action="store_true",
+                       help="report entanglement in ebits instead of nats")
 
-    p = sub.add_parser("measure", help="measures of one state")
-    common(p, state=True)
+    p = sub.add_parser("measure", help="measures of one state",
+                       parents=[output, state, fock, ebits])
     p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("bound-check", help="evaluate every applicable inequality")
-    common(p, state=True, checks=True)
+    p = sub.add_parser("bound-check", help="evaluate every applicable inequality",
+                       parents=[output, state, checks, fock, ebits])
     p.set_defaults(func=_cmd_bound_check)
 
-    p = sub.add_parser("nastar", help="equal-entropy photon split")
-    common(p)
+    p = sub.add_parser("nastar", help="equal-entropy photon split", parents=[output])
     p.add_argument("--N", type=_budget, required=True, help="total photon budget")
     p.add_argument("--nA", type=int, required=True, help="modes in group A")
     p.add_argument("--nB", type=int, required=True, help="modes in group B")
-    p.add_argument(
-        "--method",
-        choices=["bisection", "leading", "refined", "all"],
-        default="bisection",
-    )
+    p.add_argument("--method", choices=[*_NASTAR_METHODS, "all"], default="bisection")
     p.set_defaults(func=_cmd_nastar)
 
-    p = sub.add_parser("beamsplitter", help="balanced beam splitter on a Fock state")
-    common(p)
+    p = sub.add_parser("beamsplitter", help="balanced beam splitter on a Fock state",
+                       parents=[output, fock, ebits])
     p.set_defaults(func=_cmd_beamsplitter)
 
-    p = sub.add_parser("figure", help="write sweep CSV + manifest")
-    common(p)
-    p.add_argument(
-        "--name",
-        choices=["beamsplitter-sweep", "bound-profile", "split-accuracy", "all"],
-        required=True,
-    )
+    p = sub.add_parser("figure", help="write sweep CSV + manifest", parents=[output])
+    p.add_argument("--name", choices=[*_FIGURES, "all"], required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_figure)
 
-    p = sub.add_parser("audit", help="randomized no-violation audit")
-    common(p, checks=True)
+    p = sub.add_parser("audit", help="randomized no-violation audit", parents=[output, checks])
     p.add_argument("--states", type=_count, default=1000, help="Gaussian draws")
     p.add_argument("--modes", type=int, default=2)
     p.add_argument("--fock-states", type=_count, default=200, dest="fock_states")
@@ -450,25 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="falls back to BOSONIC_BOUNDS_SEED, then 0")
     p.set_defaults(func=_cmd_audit)
 
+    # A group of its own only so that --q and --k come before --ebits.
+    demo = argparse.ArgumentParser(add_help=False)
+    demo.add_argument("--q", type=float, default=0.5)
+    demo.add_argument("--k", type=int, default=2)
     p = sub.add_parser(
         "counterexample",
         help="three-mode demonstration that entanglement is not monotone in total noise",
+        parents=[output, demo, ebits],
     )
-    common(p)
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--k", type=int, default=2)
     p.set_defaults(func=_cmd_counterexample)
-
-    for name in ("measure", "bound-check", "beamsplitter"):
-        sub.choices[name].add_argument(
-            "--fock", help="Fock state JSON file or inline number state 'N=10,0'")
-        # None until a Fock state is loaded, so --gaussian can refuse it.
-        sub.choices[name].add_argument("--tau-trunc", type=_budget, dest="tau_trunc",
-                                       help=f"Fock truncation tail budget (default {TAU_TRUNC:g})")
-    # Only the outputs of these commands hold an _EBIT_KEYS value.
-    for name in ("measure", "bound-check", "beamsplitter", "counterexample"):
-        sub.choices[name].add_argument("--ebits", action="store_true",
-                                       help="report entanglement in ebits instead of nats")
 
     return parser
 
@@ -488,6 +448,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except AuditViolationError as exc:
+        detail = {"error": "bound violation", "seed": exc.seed, "instance": exc.instance}
+        sys.stderr.write(json.dumps(detail, indent=1, sort_keys=True, default=str) + "\n")
+        return 3
     except (ValueError, OSError) as exc:  # SchemaError and CutoffOverflowError included
         sys.stderr.write(f"error: {exc}\n")
         return 2

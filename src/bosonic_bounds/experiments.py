@@ -80,6 +80,13 @@ __all__ = [
     "BS_FAMILIES",
 ]
 
+def _plain(obj):
+    """json.dump's fallback: a numpy scalar or array as the Python value it holds."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_sweep(out_dir, name: str, columns, rows, params: dict) -> tuple[str, str]:
     """Write rows to <out_dir>/<name>.csv plus <name>.manifest.json.
 
@@ -112,7 +119,7 @@ def write_sweep(out_dir, name: str, columns, rows, params: dict) -> tuple[str, s
             "tolerances": {"tau_check": TAU_CHECK, "tau_trunc": TAU_TRUNC},
             "columns": list(columns),
         }
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+        json.dump(manifest, fh, indent=1, sort_keys=True, default=_plain)
         fh.write("\n")
     return csv_path, man_path
 
@@ -273,13 +280,17 @@ def beam_splitter_sweep(
     s raises ValueError.  Nothing is truncated, so every row has cutoff 0
     and tail_mass 0.  Every row re-checks E_F <= g((M_TN - 1)/2).
     """
-    families = tuple(families) if families else BS_FAMILIES
+    families = tuple(families) if families is not None else BS_FAMILIES
     for f in families:
         if f not in BS_FAMILIES:
             raise ValueError(f"unknown family {f!r}; choose from {BS_FAMILIES}")
-    number_grid = list(number_grid) if number_grid else [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40]
+    number_grid = (
+        list(number_grid) if number_grid is not None else [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40]
+    )
     squeeze_grid = (
-        list(squeeze_grid) if squeeze_grid else [0.1, 0.25, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5]
+        list(squeeze_grid)
+        if squeeze_grid is not None
+        else [0.1, 0.25, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5]
     )
     rows = []
     for family in families:
@@ -342,7 +353,7 @@ def bound_profile_sweep(pairs=None, nu_grid=None, out_dir=None) -> list[dict]:
     gaussian_per_na = g(nu/2) is the pure-Gaussian version (equal to the
     exact column when n_A = n_B).
     """
-    pairs = list(pairs) if pairs else [(3, 3), (3, 6), (3, 9), (3, 15)]
+    pairs = list(pairs) if pairs is not None else [(3, 3), (3, 6), (3, 9), (3, 15)]
     nu_grid = (
         list(nu_grid) if nu_grid is not None else list(np.geomspace(1.0, 100.0, 25))
     )
@@ -388,7 +399,7 @@ def split_accuracy_sweep(pairs=None, nu_grid=None, out_dir=None) -> list[dict]:
     """Equal-entropy split: the exact solve against both closed-form approximations."""
     pairs = (
         list(pairs)
-        if pairs
+        if pairs is not None
         else [(1, 1), (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (3, 9)]
     )
     nu_grid = (

@@ -96,3 +96,26 @@ def test_main_refuses_trees_whose_caches_differ_before_any_run(tool, tmp_path, m
     argv = ["--parent", str(parent), "--workload", "cli-requests", "--seed", "1"]
     assert tool.main(argv) == 2
     assert f"{parent} holds {tool.BYTECODE_CACHE}" in capsys.readouterr().err
+
+
+def test_siblings_holds_only_for_trees_in_one_directory(tool, tmp_path):
+    a, b, deeper = tmp_path / "a", tmp_path / "b", tmp_path / "sub" / "b"
+    for root in (a, b, deeper):
+        root.mkdir(parents=True)
+    assert tool.siblings(a, b) and tool.siblings(f"{a}/", str(b))
+    assert not tool.siblings(a, deeper) and not tool.siblings(deeper, a)
+
+
+def test_main_refuses_trees_in_different_directories_before_any_run(
+    tool, tmp_path, monkeypatch, capsys
+):
+    parent, change = tmp_path / "parent", tmp_path / "sub" / "change"
+    for root in (parent, change):
+        (root / "src" / "bosonic_bounds").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(tool, "ROOT", str(change))
+    monkeypatch.setattr(tool, "run_bench", lambda *a: pytest.fail("a run started"))
+    argv = ["--parent", str(parent), "--workload", "cli-requests", "--seed", "1"]
+    assert tool.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{parent} and {change} are not in the same directory" in err

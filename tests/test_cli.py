@@ -25,7 +25,7 @@ from bosonic_bounds import (
     solve_na_star,
     theorem_symmetric_bound,
 )
-from bosonic_bounds.tolerances import TAU_ROOT, TAU_TRUNC
+from bosonic_bounds.tolerances import TAU_CHECK, TAU_ROOT, TAU_TRUNC
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -89,6 +89,22 @@ def test_fock_request_takes_one_schmidt_decomposition(argv, capsys, monkeypatch)
     payload = run_json(argv, capsys)
     assert len(calls) == 1
     assert {"ef", "log_negativity"} <= set(payload)
+
+
+def test_measure_fock_computes_the_total_noise_once(capsys, monkeypatch):
+    calls = []
+    original = fock.total_noise
+
+    def counted(psi):
+        calls.append(psi)
+        return original(psi)
+
+    monkeypatch.setattr(fock, "total_noise", counted)
+    # Patched on cli too, so a call through a name the front end imported counts.
+    monkeypatch.setattr(cli, "total_noise", counted, raising=False)
+    payload = run_json(["measure", "--fock", "N=3,7"], capsys)
+    assert len(calls) == 1
+    assert payload["qcs2"] == payload["mtn"] == 11.0 and payload["total_noise"] == 22.0
 
 
 def test_beamsplitter_reports_the_shared_fock_route(capsys):
@@ -449,6 +465,18 @@ def test_figure_writes_deterministic_csv(tmp_path, capsys):
     assert header.startswith("n_a,n_b,mu,nu")
 
 
+def test_figure_runs_the_sweep_drivers_bound_in_the_cli_module(tmp_path, capsys, monkeypatch):
+    """A driver rebound on cli, as a tracing wrapper is, is the one that runs."""
+    calls = []
+    for name in ("beam_splitter_sweep", "bound_profile_sweep", "split_accuracy_sweep"):
+        monkeypatch.setattr(cli, name, lambda out_dir, name=name: calls.append((name, out_dir)))
+    payload = run_json(["figure", "--name", "all", "--out", str(tmp_path)], capsys)
+    assert calls == [(name, str(tmp_path)) for name in
+                     ("beam_splitter_sweep", "bound_profile_sweep", "split_accuracy_sweep")]
+    assert payload["written"] == ["beam_splitter_sweep.csv", "bound_profile.csv",
+                                  "split_accuracy.csv"]
+
+
 def test_audit_ok(capsys):
     payload = run_json(
         ["audit", "--states", "40", "--modes", "2", "--seed", "5",
@@ -521,6 +549,13 @@ def test_output_file_option(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["mtn"] == pytest.approx(3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("spec", ["N=", "N=1.5", "N=a,2", "N=-1,2"])
+def test_malformed_inline_fock_spec_is_a_usage_error(spec, capsys):
+    code, out, err = run_cli(["measure", "--fock", spec], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and repr(spec) in err
 
 
 def test_bad_inline_state_is_schema_error(capsys):
@@ -657,6 +692,38 @@ def test_readme_cli_commands_run_without_scipy(tmp_path):
     assert result["codes"] == [0] * len(argvs)
     assert result["scipy"] == []
     assert result["numpy.ma"] == []
+
+
+# Every option of every subcommand in usage order, as (flag, dest, default).
+_OUTPUT = [("--output", "output", None), ("--format", "format", "json")]
+_FOCK = [("--fock", "fock", None), ("--tau-trunc", "tau_trunc", None)]
+_STATE = [("--gaussian", "gaussian", None), ("--bipartition", "bipartition", None)]
+_EBITS = [("--ebits", "ebits", False)]
+_CHECK = [("--tau-check", "tau_check", TAU_CHECK)]
+_OPTIONS = {
+    "measure": _OUTPUT + _STATE + _FOCK + _EBITS,
+    "bound-check": _OUTPUT + _STATE + _CHECK + _FOCK + _EBITS,
+    "nastar": _OUTPUT + [("--N", "N", None), ("--nA", "nA", None), ("--nB", "nB", None),
+                         ("--method", "method", "bisection")],
+    "beamsplitter": _OUTPUT + _FOCK + _EBITS,
+    "figure": _OUTPUT + [("--name", "name", None), ("--out", "out", None)],
+    "audit": _OUTPUT + _CHECK + [("--states", "states", 1000), ("--modes", "modes", 2),
+                                 ("--fock-states", "fock_states", 200),
+                                 ("--classical-states", "classical_states", 200),
+                                 ("--seed", "seed", None)],
+    "counterexample": _OUTPUT + [("--q", "q", 0.5), ("--k", "k", 2)] + _EBITS,
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    parser = cli.build_parser()
+    assert [a.dest for a in parser._actions] == ["help", "version", "subcommand"]
+    sub = parser._actions[-1]
+    assert list(sub.choices) == list(_OPTIONS)
+    for name, p in sub.choices.items():
+        assert p._actions[0].dest == "help"
+        got = [(" ".join(a.option_strings), a.dest, a.default) for a in p._actions[1:]]
+        assert got == _OPTIONS[name], name
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

@@ -165,6 +165,35 @@ def test_sweep_output_is_deterministic(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "sweep, grids",
+    [(beam_splitter_sweep, {"number_grid": [1, 2, 40], "squeeze_grid": [0.1, 0.5]}),
+     (beam_splitter_sweep, {"families": ["number-split", "tmsv-direct"],
+                            "number_grid": [1.0, 2.0, 40.0], "squeeze_grid": [0.25]}),
+     (bound_profile_sweep, {"pairs": [(1, 2), (3, 3)], "nu_grid": [1.0, 5.0]}),
+     (split_accuracy_sweep, {"pairs": [(1, 2), (3, 3)], "nu_grid": [1.0, 5.0]})],
+    ids=["bs-int", "bs-float", "bound-profile", "split-accuracy"],
+)
+@pytest.mark.parametrize("to_disk", [False, True], ids=["rows", "files"])
+def test_sweeps_take_numpy_grids_as_they_take_lists(sweep, grids, to_disk, tmp_path):
+    arrays = {key: np.array(value) for key, value in grids.items()}
+    dirs = (tmp_path / "list", tmp_path / "array") if to_disk else (None, None)
+    rows = sweep(**grids, out_dir=dirs[0])
+    assert rows and sweep(**arrays, out_dir=dirs[1]) == rows
+    if to_disk:
+        names = sorted(os.listdir(dirs[0]))
+        assert names == sorted(os.listdir(dirs[1])) and len(names) == 2
+        for name in names:
+            assert _read(dirs[1] / name) == _read(dirs[0] / name)
+
+
+def test_an_empty_grid_gives_no_rows_of_its_kind():
+    rows = beam_splitter_sweep(number_grid=[], squeeze_grid=[0.5])
+    assert [row["family"] for row in rows] == [
+        "antisqueezed-vacuum", "orthogonal-squeezed", "tmsv-direct"]
+    assert bound_profile_sweep(pairs=[]) == [] and split_accuracy_sweep(pairs=()) == []
+
+
 def _fock_route(family, s, tau):
     """(E_F of the output, M_TN of the input) of a squeezed row in Fock space."""
     if family == "antisqueezed-vacuum":

@@ -11,7 +11,7 @@ metric got worse (``worse``: the change's median is worse than the parent's
 by more than that range).  Every run lasts BENCHMARK.json's
 ``run_seconds``, the same on both sides.
 
-Run from the root of the changed checkout:
+Run from the root of a copy of the changed checkout, next to the parent copy:
 
     python tools/bench_pairs.py --parent ../parent --workload gaussian-audit \\
         --pairs 10 --seed 9
@@ -26,6 +26,11 @@ written (``PYTHONDONTWRITEBYTECODE``), a tree without
 ``setup_s`` and ``peak_rss_mb``; a cache left in one tree alone would fake a
 gain for it.  So the tool refuses, with exit code 2, to compare a tree that
 holds that cache with one that does not.  Compare both without it.
+
+A worker's ``peak_rss_mb`` also moved with the directory a tree sits in, so
+the tool refuses, with exit code 2, two trees that are not in the same
+parent directory: copy both, for example to ``../parent`` and ``../change``,
+and run the change copy's tool.
 """
 
 import argparse
@@ -46,6 +51,11 @@ def cache_mismatch(root_a, root_b):
     if has_a == has_b:
         return None
     return root_a if has_a else root_b
+
+
+def siblings(root_a, root_b):
+    """Whether both trees sit in the same parent directory, as the tool requires."""
+    return os.path.dirname(os.path.abspath(root_a)) == os.path.dirname(os.path.abspath(root_b))
 
 
 def run_bench(root, workload, seed, seconds):
@@ -118,6 +128,10 @@ def main(argv=None):
     better = {spec["name"]: spec["better"] for spec in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     sides = {"parent": os.path.abspath(opts.parent), "change": ROOT}
+    if not siblings(sides["parent"], sides["change"]):
+        print(f"{sides['parent']} and {sides['change']} are not in the same directory; "
+              "copy both trees into one so that only their code differs", file=sys.stderr)
+        return 2
     cached = cache_mismatch(sides["parent"], sides["change"])
     if cached is not None:
         print(f"{cached} holds {BYTECODE_CACHE} and the other tree does not; "

@@ -2,11 +2,12 @@
 
 Runs each command in-process, in a temporary working directory so every
 path it echoes is the same relative name on every run, and prints
-``<sha256>  <label>`` lines: one per command's stdout, or for a command
-that must fail, its exit code and stderr, plus one per file that
-``figure --name all`` writes.  Two trees give the same outputs exactly
-when they print the same lines, so diff the listings of a parent and a
-change:
+``<sha256>  <label>`` lines: one per command's stdout (its ``--output``
+file where it names one), or for a command that must fail, its exit code
+and stderr, plus one per file that ``figure --name all`` writes.  The
+commands run with BOSONIC_BOUNDS_SEED removed from the environment.  Two
+trees give the same outputs exactly when they print the same lines, so diff
+the listings of a parent and a change:
 
     PYTHONPATH=src python tools/output_digest.py > change.txt
     PYTHONPATH=<parent checkout>/src python tools/output_digest.py > parent.txt
@@ -47,6 +48,13 @@ OPTION_ARGVS = (
     ["measure", "--gaussian", TMSV_FILE, "--format", "csv"],
     ["bound-check", "--gaussian", TMSV_FILE, "--format", "csv", "--ebits"],
     ["nastar", "--N", "1", "--nA", "1000", "--nB", "1", "--method", "all", "--format", "csv"],
+    ["bound-check", "--fock", "N=2,2", "--format", "csv"],  # the `kind` echo as a column
+    ["counterexample", "--format", "csv", "--ebits"],
+    # --output holds the row, so the file is digested, not the empty stdout.
+    ["figure", "--name", "bound-profile", "--out", "figs", "--format", "csv",
+     "--output", "fig.csv"],
+    # Three modes, so total_noise = M_TN * n is not an exact power-of-two scaling.
+    ["measure", "--fock", "N=1,2,3"],
 )
 
 
@@ -56,6 +64,13 @@ def commands() -> list[tuple[str, list[str], int]]:
     for modes in (2, 3, 4):
         argv = ["audit", "--states", "1000", "--modes", str(modes), "--seed", "11"]
         cmds.append((" ".join(argv), argv, 0))
+    # A negative tolerance makes some check fail: the exit-3 report on stderr.
+    argv = ["audit", "--states", "20", "--seed", "3", "--fock-states", "4",
+            "--classical-states", "4", "--tau-check", "-0.1"]
+    cmds.append((" ".join(argv) + " [exit code, stderr]", argv, 3))
+    # No --seed and no BOSONIC_BOUNDS_SEED: the seed 0 the command chose is echoed.
+    argv = ["audit", "--states", "50", "--format", "csv"]
+    cmds.append((" ".join(argv), argv, 0))
     for sub in ("measure", "bound-check", "beamsplitter"):
         for spec in FOCK_SPECS:
             cmds.append((f"{sub} --fock {spec}", [sub, "--fock", spec], 0))
@@ -91,8 +106,15 @@ def outputs():
             code = cli.main(argv)
         if code != want:
             raise SystemExit(f"{label}: exit code {code}, expected {want}: {err.getvalue()}")
-        yield label, (out.getvalue() if want == 0 else f"exit {code}\n{err.getvalue()}").encode()
-        if argv[0] == "figure":
+        if want != 0:
+            yield label, f"exit {code}\n{err.getvalue()}".encode()
+        elif "--output" in argv:
+            path = argv[argv.index("--output") + 1]
+            with open(path, "rb") as fh:
+                yield f"{label}: {path}", fh.read()
+        else:
+            yield label, out.getvalue().encode()
+        if argv[:3] == ["figure", "--name", "all"]:
             for name in sorted(os.listdir("figures")):
                 with open(os.path.join("figures", name), "rb") as fh:
                     yield f"{label}: {name}", fh.read()
@@ -100,6 +122,7 @@ def outputs():
 
 def main() -> int:
     cwd = os.getcwd()
+    env_seed = os.environ.pop("BOSONIC_BOUNDS_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
@@ -107,6 +130,8 @@ def main() -> int:
                 print(f"{hashlib.sha256(data).hexdigest()}  {label}")
         finally:
             os.chdir(cwd)
+            if env_seed is not None:
+                os.environ["BOSONIC_BOUNDS_SEED"] = env_seed
     return 0
 
 
