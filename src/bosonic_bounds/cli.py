@@ -141,8 +141,6 @@ def _parse_fock_arg(text: str):
         if any(k < 0 for k in occ):
             raise SchemaError(f"occupation numbers must be >= 0, got {text!r}")
         return make_fock_number(occ)
-    if not os.path.exists(text):
-        raise SchemaError(f"no such Fock state file: {text}")
     return load_fock(text)
 
 

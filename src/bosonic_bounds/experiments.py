@@ -33,6 +33,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__ as _version
+from . import fock
 from .bounds import (
     BoundCheck,
     _closed_form_root,
@@ -178,6 +179,8 @@ def _number_law_entropy(N: int, twin: bool) -> float:
 def _bs_row(family: str, param: float) -> dict:
     # ref is the large-input asymptote of E_F; None means the ratio itself
     # tends to 1, so the gap is measured there.
+    if isinstance(param, np.generic):  # so a refusal quotes 1.5, not np.float64(1.5)
+        param = param.item()
     if family in _NUMBER_FAMILIES:
         if not (0 <= param <= _NUMBER_ROW_MAX_N and param == int(param)):
             raise ValueError(
@@ -496,12 +499,23 @@ def _serialized(instance: dict) -> dict:
 # matrix (checked by the tier-1 tests); bounding it keeps the stack's memory
 # flat in the slice's count.
 SAMPLE_BLOCK = 128
+# A block is also held to fock.AMPLITUDE_BUDGET_BYTES.  The tracemalloc peak of
+# an audit slice is 6.5 times the bytes of its states' 2n x 2n covariances
+# (Gaussian slice; 3.0 for the classical one), measured on 128-state blocks
+# at 16, 32 and 64 modes with BLAS on one thread.
+_DRAW_PEAK_FACTOR = 7
 
 
-def _drawn(sample, count):
-    """Yield count states from sample(size=k), drawn in blocks of SAMPLE_BLOCK."""
-    for start in range(0, count, SAMPLE_BLOCK):
-        yield from sample(size=min(SAMPLE_BLOCK, count - start))
+def _state_bytes(modes: int) -> int:
+    """Peak bytes one state of a stacked audit draw holds."""
+    return _DRAW_PEAK_FACTOR * np.dtype(float).itemsize * (2 * modes) ** 2
+
+
+def _drawn(sample, count, modes):
+    """Yield count states from sample(size=k), in blocks that fit the byte budget."""
+    block = min(SAMPLE_BLOCK, fock.AMPLITUDE_BUDGET_BYTES // _state_bytes(modes))
+    for start in range(0, count, block):
+        yield from sample(size=min(block, count - start))
 
 
 def state_checks(state, bp: Bipartition | None, tau_check: float = TAU_CHECK) -> tuple:
@@ -530,7 +544,7 @@ def state_checks(state, bp: Bipartition | None, tau_check: float = TAU_CHECK) ->
 
 def _audit_gaussian(rng, count, modes, tau_check, report):
     bp = default_bipartition(modes)
-    for st in _drawn(partial(random_gaussian_state, modes, rng, squeeze_max=1.2), count):
+    for st in _drawn(partial(random_gaussian_state, modes, rng, squeeze_max=1.2), count, modes):
         inst = {"kind": "gaussian", "modes": modes, "state": st}
         for chk in state_checks(st, bp, tau_check)[1]:
             report.record(chk, inst)
@@ -538,7 +552,7 @@ def _audit_gaussian(rng, count, modes, tau_check, report):
 
 def _audit_classical(rng, count, modes, tau_check, report):
     bp = default_bipartition(modes)
-    for st in _drawn(partial(random_classical_state, modes, rng), count):
+    for st in _drawn(partial(random_classical_state, modes, rng), count, modes):
         inst = {"kind": "classical", "modes": modes, "state": st}
         en, _ = log_negativity_gaussian(st, bp)
         for chk in classical_checks(qcs2_gaussian(st), en, tau_check):
@@ -578,13 +592,21 @@ def random_audit(
     counts): the Gaussian, classical and Fock slices each draw from their
     own generator spawned from ``seed``, so one slice's count does not move
     another slice's states.  The Gaussian and classical slices draw their
-    states in stacked blocks of SAMPLE_BLOCK.  The random stream does not
+    states in stacked blocks of at most SAMPLE_BLOCK, fewer where the block
+    would pass fock.AMPLITUDE_BUDGET_BYTES; a mode count at which one state
+    does not fit raises ValueError before any draw.  The random stream does not
     depend on the block size; the report does not either as long as numpy
     sends each slice of a stacked QR and matmul to the same BLAS and LAPACK
     routine as a lone matrix, which the tier-1 tests check.
     """
     if modes < 2:
         raise ValueError(f"the audit splits states in two, so it needs modes >= 2, got {modes}")
+    need = _state_bytes(modes)
+    if need > fock.AMPLITUDE_BUDGET_BYTES:
+        raise ValueError(
+            f"the audit at {modes} modes draws {need} bytes per state, "
+            f"over the budget of {fock.AMPLITUDE_BUDGET_BYTES} bytes"
+        )
     counts = {"gaussian": n_states, "classical": classical_states, "fock": fock_states}
     for kind, count in counts.items():
         if count < 0:

@@ -447,24 +447,6 @@ def test_removed_option_is_a_usage_error(argv, flag, capsys, tmp_path, monkeypat
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_figure_writes_deterministic_csv(tmp_path, capsys):
-    d1 = tmp_path / "a"
-    d2 = tmp_path / "b"
-    for d in (d1, d2):
-        code, _, err = run_cli(["figure", "--name", "all", "--out", str(d)], capsys)
-        assert code == 0, err
-    names = sorted(p.name for p in d1.iterdir())
-    assert names == sorted(
-        f"{sweep}.{ext}"
-        for sweep in ("beam_splitter_sweep", "bound_profile", "split_accuracy")
-        for ext in ("csv", "manifest.json")
-    )
-    for name in names:
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-    header = (d1 / "split_accuracy.csv").read_text().splitlines()[0]
-    assert header.startswith("n_a,n_b,mu,nu")
-
-
 def test_figure_runs_the_sweep_drivers_bound_in_the_cli_module(tmp_path, capsys, monkeypatch):
     """A driver rebound on cli, as a tracing wrapper is, is the one that runs."""
     calls = []
@@ -485,6 +467,15 @@ def test_audit_ok(capsys):
     )
     assert payload["violations"] == []
     assert payload["checks"] > 0
+
+
+def test_audit_refuses_modes_past_the_byte_budget(monkeypatch, capsys):
+    from bosonic_bounds import experiments
+
+    monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", experiments._state_bytes(3) - 1)
+    code, out, err = run_cli(["audit", "--modes", "3", "--states", "4"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the audit at 3 modes draws")
 
 
 def test_audit_violation_exit_code(capsys):
@@ -564,10 +555,11 @@ def test_bad_inline_state_is_schema_error(capsys):
     assert "error:" in err
 
 
-def test_missing_file_is_reported(capsys):
-    code, _, err = run_cli(["measure", "--gaussian", "/nonexistent/state.json"], capsys)
+@pytest.mark.parametrize("flag", ["--gaussian", "--fock"])
+def test_missing_file_is_reported(flag, capsys):
+    code, _, err = run_cli(["measure", flag, "/nonexistent/state.json"], capsys)
     assert code == 2
-    assert "error:" in err
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent/state.json'\n"
 
 
 def test_malformed_json_file(tmp_path, capsys):

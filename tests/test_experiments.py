@@ -152,19 +152,6 @@ def test_beam_splitter_sweep_single_photon_exact(tmp_path):
     assert rows[0]["ef"] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_sweep_output_is_deterministic(tmp_path):
-    d1 = tmp_path / "one"
-    d2 = tmp_path / "two"
-    for d in (d1, d2):
-        beam_splitter_sweep(
-            families=("twin-number",), number_grid=[1, 2], out_dir=d
-        )
-    assert _read(d1 / "beam_splitter_sweep.csv") == _read(d2 / "beam_splitter_sweep.csv")
-    assert _read(d1 / "beam_splitter_sweep.manifest.json") == _read(
-        d2 / "beam_splitter_sweep.manifest.json"
-    )
-
-
 @pytest.mark.parametrize(
     "sweep, grids",
     [(beam_splitter_sweep, {"number_grid": [1, 2, 40], "squeeze_grid": [0.1, 0.5]}),
@@ -185,6 +172,21 @@ def test_sweeps_take_numpy_grids_as_they_take_lists(sweep, grids, to_disk, tmp_p
         assert names == sorted(os.listdir(dirs[1])) and len(names) == 2
         for name in names:
             assert _read(dirs[1] / name) == _read(dirs[0] / name)
+
+
+@pytest.mark.parametrize(
+    "family, key, value",
+    [("number-split", "number_grid", 1.5), ("number-split", "number_grid", -1),
+     ("tmsv-direct", "squeeze_grid", 400.0), ("tmsv-direct", "squeeze_grid", 400)],
+    ids=["number-float64", "number-int64", "squeezed-float64", "squeezed-int64"],
+)
+def test_sweep_refusals_quote_a_numpy_grid_as_its_list(family, key, value):
+    messages = []
+    for grid in ([value], np.array([value])):
+        with pytest.raises(ValueError) as exc:
+            beam_splitter_sweep(families=[family], **{key: grid})
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and "np." not in messages[1]
 
 
 def test_an_empty_grid_gives_no_rows_of_its_kind():
@@ -572,6 +574,38 @@ def test_random_audit_report_does_not_depend_on_the_block_size(monkeypatch):
     for block in (1, 7):
         monkeypatch.setattr(experiments, "SAMPLE_BLOCK", block)
         assert audit() == default, block
+
+
+def test_random_audit_blocks_fit_the_byte_budget(monkeypatch):
+    from bosonic_bounds import experiments
+
+    def audit():
+        return random_audit(n_states=40, modes=3, seed=8, fock_states=0,
+                            classical_states=40).to_dict()
+
+    default = audit()
+    sizes = []
+    for name in ("random_gaussian_state", "random_classical_state"):
+        sampler = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name, lambda *args, sampler=sampler, **kwargs: (
+            sizes.append(kwargs["size"]) or sampler(*args, **kwargs)))
+    monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", 7 * experiments._state_bytes(3))
+    assert audit() == default
+    assert sizes == 2 * ([7] * 5 + [5])
+
+
+def test_random_audit_refuses_a_state_past_the_byte_budget_before_drawing(monkeypatch):
+    from bosonic_bounds import experiments
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a state")
+
+    for name in ("random_gaussian_state", "random_classical_state"):
+        monkeypatch.setattr(experiments, name, no_draw)
+    need = experiments._state_bytes(3)
+    monkeypatch.setattr(fock, "AMPLITUDE_BUDGET_BYTES", need - 1)
+    with pytest.raises(ValueError, match=f"at 3 modes draws {need} bytes per state"):
+        random_audit(n_states=4, modes=3, seed=0)
 
 
 def _audit_peak(n_states):

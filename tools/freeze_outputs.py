@@ -1,32 +1,31 @@
-"""Print one SHA-256 per output of the documented CLI commands.
+"""Regenerate tests/golden/: one file per output of the documented CLI commands.
 
 Runs each command in-process, in a temporary working directory so every
-path it echoes is the same relative name on every run, and prints
-``<sha256>  <label>`` lines: one per command's stdout (its ``--output``
-file where it names one), or for a command that must fail, its exit code
-and stderr, plus one per file that ``figure --name all`` writes.  The
-commands run with BOSONIC_BOUNDS_SEED removed from the environment.  Two
-trees give the same outputs exactly when they print the same lines, so diff
-the listings of a parent and a change:
+path it echoes is the same relative name on every run, with
+BOSONIC_BOUNDS_SEED removed from the environment.  An output is a command's
+stdout (its ``--output`` file where it names one), or for a command that
+must fail, its exit code and stderr, plus each file ``figure --name all``
+writes.  It goes to ``tests/golden/<name>``, ``<name>`` being its label with
+every run of characters outside ``[A-Za-z0-9=.,-]`` replaced by ``_``.  Files
+no command writes are removed; if a command exits with an unexpected code,
+nothing is written.  tests/test_golden_outputs.py compares the same outputs
+with these files.  Run from the repository root:
 
-    PYTHONPATH=src python tools/output_digest.py > change.txt
-    PYTHONPATH=<parent checkout>/src python tools/output_digest.py > parent.txt
-    diff parent.txt change.txt
-
-The bosonic_bounds package is taken from the import path, so PYTHONPATH
-picks the tree under test.
+    python tools/freeze_outputs.py
 """
 
 import contextlib
-import hashlib
 import io
 import os
-import sys
+import pathlib
+import re
 import tempfile
 
 from bosonic_bounds import cli
 from bosonic_bounds.fock import make_fock_tmsv, save_fock
 from bosonic_bounds.gaussian import make_squeezed, make_tmsv, save_gaussian
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 
 TMSV_FILE = "tmsv-0.8.json"
 # Cutoff 10 and tail 1.9e-11; the beam splitter widens it to 19.
@@ -50,7 +49,7 @@ OPTION_ARGVS = (
     ["nastar", "--N", "1", "--nA", "1000", "--nB", "1", "--method", "all", "--format", "csv"],
     ["bound-check", "--fock", "N=2,2", "--format", "csv"],  # the `kind` echo as a column
     ["counterexample", "--format", "csv", "--ebits"],
-    # --output holds the row, so the file is digested, not the empty stdout.
+    # --output holds the row, so the file is kept, not the empty stdout.
     ["figure", "--name", "bound-profile", "--out", "figs", "--format", "csv",
      "--output", "fig.csv"],
     # Three modes, so total_noise = M_TN * n is not an exact power-of-two scaling.
@@ -59,7 +58,7 @@ OPTION_ARGVS = (
 
 
 def commands() -> list[tuple[str, list[str], int]]:
-    """(label, argv, exit code) of every digested command, in output order."""
+    """(label, argv, exit code) of every golden command, in output order."""
     cmds = [("figure --name all", ["figure", "--name", "all", "--out", "figures"], 0)]
     for modes in (2, 3, 4):
         argv = ["audit", "--states", "1000", "--modes", str(modes), "--seed", "11"]
@@ -86,6 +85,9 @@ def commands() -> list[tuple[str, list[str], int]]:
                      ["measure", "--gaussian", SQUEEZED_FILE],
                      ["bound-check", "--gaussian", SQUEEZED_FILE])
     ]
+    for flag in ("--gaussian", "--fock"):  # a missing file reads alike for both kinds
+        argv = ["measure", flag, "nope.json"]
+        cmds.append((" ".join(argv) + " [exit code, stderr]", argv, 2))
     for n, n_a, n_b in NASTAR_SPLITS:
         argv = ["nastar", "--N", n, "--nA", n_a, "--nB", n_b, "--method", "all"]
         cmds.append((" ".join(argv), argv, 0))
@@ -120,20 +122,31 @@ def outputs():
                     yield f"{label}: {name}", fh.read()
 
 
-def main() -> int:
+def golden_outputs() -> dict[str, tuple[str, bytes]]:
+    """{golden file name: (label, bytes)} of every output, run in the current directory."""
+    got = {}
+    for label, data in outputs():
+        name = re.sub(r"[^A-Za-z0-9=.,-]+", "_", label)
+        assert name not in got, f"{label!r} and {got[name][0]!r} share the name {name}"
+        got[name] = label, data
+    return got
+
+
+def main() -> None:
+    os.environ.pop("BOSONIC_BOUNDS_SEED", None)
     cwd = os.getcwd()
-    env_seed = os.environ.pop("BOSONIC_BOUNDS_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        try:
-            for label, data in outputs():
-                print(f"{hashlib.sha256(data).hexdigest()}  {label}")
-        finally:
-            os.chdir(cwd)
-            if env_seed is not None:
-                os.environ["BOSONIC_BOUNDS_SEED"] = env_seed
-    return 0
+        got = golden_outputs()  # raises before any write if a command exits unexpectedly
+        os.chdir(cwd)
+    GOLDEN.mkdir(exist_ok=True)
+    for path in GOLDEN.iterdir():
+        if path.name not in got:
+            path.unlink()
+    for name, (_, data) in got.items():
+        (GOLDEN / name).write_bytes(data)
+    print(f"wrote {len(got)} files to {GOLDEN}")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
