@@ -349,8 +349,8 @@ def log_negativity_qcs_refined(
     For 1 + 1 mode states with E_N > 0; equality holds exactly on pure
     two-mode squeezed vacua (det V = 1).
     """
-    if det_v <= 0.0:
-        raise ValueError("det V must be positive")
+    if not det_v > 0.0:  # refuses NaN too
+        raise ValueError(f"det V must be positive, got {det_v!r}")
     rhs = 0.5 * (math.exp(en) + math.exp(-en) / math.sqrt(det_v))
     return _check("two-mode coherence-scale refinement", rhs, qcs2, tau_check)
 
@@ -399,9 +399,9 @@ def coherence_scale_checks(
 ) -> list[BoundCheck]:
     """Every coherence-scale inequality that applies to an n-mode state.
 
-    The mode-counting ceiling when n_minus >= 1, the two-mode refinement
-    (which needs det V) when also n = 2 and E_N > 0, then the threshold
-    implications of :func:`qcs_implication_report`.
+    The mode-counting ceiling when n_minus >= 1, the two-mode refinement when
+    also n = 2 and E_N > 0 (the one check that reads det_v, so NaN may stand
+    in for it otherwise), then the implications of :func:`qcs_implication_report`.
     """
     out = []
     if n_minus >= 1:

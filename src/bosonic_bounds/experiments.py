@@ -529,7 +529,7 @@ def state_checks(state, bp: Bipartition | None, tau_check: float = TAU_CHECK) ->
     if isinstance(state, GaussianState):
         rep = gaussian_measures(state, bp)
         measures = {"qcs2": rep.qcs2, "log_negativity": rep.log_negativity, "n_minus": rep.n_minus}
-        det_v = float(np.linalg.det(state.cov))
+        det_v = float(np.linalg.det(state.cov)) if state.n == 2 else math.nan
         return measures, coherence_scale_checks(
             rep.log_negativity, rep.qcs2, state.n, rep.n_minus, det_v, tau_check)
     if bp is None:

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .symplectic import (
     Bipartition,
+    _is_count,
     check_physicality,
     default_bipartition,
     partial_transpose,
@@ -184,9 +185,7 @@ def qcs2_gaussian(st: GaussianState) -> float:
     For Gaussian states this equals the total phase-space Fisher information
     per mode; it exceeds 1 exactly for nonclassical Gaussian states.
     """
-    V = st.cov
-    n = st.n
-    return float(np.trace(_inverse(V)) / (2.0 * n))
+    return float(_inverse(st.cov).trace() / (2.0 * st.n))
 
 
 def log_negativity_gaussian(st: GaussianState, bp: Bipartition) -> tuple[float, int]:
@@ -198,12 +197,10 @@ def log_negativity_gaussian(st: GaussianState, bp: Bipartition) -> tuple[float, 
         E_N = sum of -ln(nu) over partially transposed symplectic
         eigenvalues nu < 1, and the count n_minus of such eigenvalues.
     """
-    if st.n != bp.n:
-        raise ValueError(f"state has {st.n} modes, bipartition {bp.n}")
     nu = symplectic_eigenvalues(partial_transpose(st.cov, bp))
     below = nu < 1.0 - TAU_PHYS
     n_minus = int(np.count_nonzero(below))
-    en = float(-np.sum(np.log(nu[below]))) if n_minus else 0.0
+    en = float(-np.log(nu[below]).sum()) if n_minus else 0.0
     return en, n_minus
 
 
@@ -276,8 +273,8 @@ def gaussian_measures(st: GaussianState, bp: Bipartition | None = None) -> Measu
         ftot=qcs2,
         log_negativity=en,
         n_minus=nm,
-        symplectic_spectrum=tuple(float(x) for x in nu),
-        symplectic_spectrum_pt=tuple(float(x) for x in nu_pt),
+        symplectic_spectrum=tuple(nu.tolist()),
+        symplectic_spectrum_pt=tuple(nu_pt.tolist()),
     )
 
 
@@ -317,10 +314,6 @@ def _euler_symplectic(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     O = _orthogonal_symplectic(w)
     d = np.exp(s[..., None] * (-1.0, 1.0)).reshape(s.shape[:-1] + (2 * s.shape[-1],))
     return (O[..., 0, :, :] * d[..., None, :]) @ O[..., 1, :, :]
-
-
-def _is_count(value, least: int) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def _check_sampler(n, squeeze_max: float = 0.0, size=None) -> int:

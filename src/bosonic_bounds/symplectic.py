@@ -27,19 +27,20 @@ __all__ = [
 ]
 
 
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class Bipartition:
-    """Split of n = n_a + n_b modes into party A (first n_a modes) and party B.
-
-    Modes are zero-indexed; party A always takes the leading modes.
-    """
+    """Split of n = n_a + n_b modes, counts integers >= 1: A takes modes 0..n_a-1, B the rest."""
 
     n_a: int
     n_b: int
 
     def __post_init__(self):
-        if self.n_a < 1 or self.n_b < 1:
-            raise ValueError("both parties need at least one mode")
+        if not (_is_count(self.n_a, 1) and _is_count(self.n_b, 1)):
+            raise ValueError(f"both parties need an integer mode count >= 1, got {self!r}")
 
     @property
     def n(self) -> int:
@@ -94,15 +95,17 @@ def validate_covariance(V) -> np.ndarray:
     Raises
     ------
     ValueError
-        If V is not 2n x 2n or has a NaN or infinite entry.
+        If V is complex, is not 2n x 2n, or has a NaN or infinite entry.
     AsymmetricInputError
         If V deviates from its transpose by more than the tolerance.
     NonPositiveDefiniteError
         If V has an eigenvalue at or below the floor.
     """
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2 != 0 or V.shape[0] == 0:
-        raise ValueError(f"covariance matrix must be 2n x 2n, got shape {V.shape}")
+    V = np.asarray(V)
+    if (V.dtype.kind == "c" or V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2
+            or not V.size):
+        raise ValueError(f"covariance matrix must be real and 2n x 2n, got {V.dtype} {V.shape}")
+    V = V.astype(float, copy=False)
     peak = float(abs(V).max())
     if not math.isfinite(peak):
         raise ValueError("covariance matrix has a non-finite entry")
@@ -128,9 +131,9 @@ def symplectic_eigenvalues(V) -> np.ndarray:
 
     With the Cholesky factor V = L L^T, the Hermitian matrix L^T (i Omega) L
     is similar to i Omega V; its spectrum is +/- the symplectic eigenvalues.
-    L^T Omega is formed by a column permutation, with no Omega matrix: each
-    mode's pair of columns of L^T is swapped and the first negated, which is
-    exact, so the spectrum equals that of the dense product bit for bit.
+    L^T Omega is L^T with each mode's pair of columns swapped and the first
+    negated, and the real product (L^T Omega) L fills the imaginary part of a
+    zeroed complex matrix: tests check the spectrum is the dense form's bit for bit.
 
     Returns
     -------
@@ -138,7 +141,6 @@ def symplectic_eigenvalues(V) -> np.ndarray:
         The n positive values nu_1 <= ... <= nu_n.
     """
     V = validate_covariance(V)
-    n = V.shape[0] // 2
     try:
         L = np.linalg.cholesky(V)
     except np.linalg.LinAlgError as exc:
@@ -149,24 +151,28 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     lt_omega = np.empty_like(L)
     lt_omega[:, 1::2] = L[0::2].T
     np.negative(L[1::2].T, out=lt_omega[:, 0::2])
-    return np.linalg.eigvalsh((1j * lt_omega) @ L)[n:]
+    h = np.zeros(L.shape, dtype=complex)
+    h.imag = lt_omega @ L
+    return np.linalg.eigvalsh(h)[len(h) // 2 :]
 
 
 def partial_transpose(V, bp: Bipartition) -> np.ndarray:
     """Covariance matrix of the partial transpose over party B.
 
-    Flips the sign of every P quadrature belonging to a B mode; an exact
-    involution.
+    Flips the sign of every P quadrature belonging to a B mode, an exact
+    involution, by one product with the split's sign matrix, built once per split.
     """
     V = np.asarray(V, dtype=float)
     if V.shape[0] != 2 * bp.n:
         raise ValueError(f"covariance is for {V.shape[0] // 2} modes, bipartition has {bp.n}")
-    signs = np.ones(2 * bp.n)
-    signs[2 * bp.n_a + 1 :: 2] = -1.0  # the P quadrature of every B mode
-    return V * signs * signs[:, None]
+    signs = bp.__dict__.get("_pt_signs")
+    if signs is None:  # stored past the frozen dataclass's __setattr__
+        s = np.ones(2 * bp.n)
+        s[2 * bp.n_a + 1 :: 2] = -1.0  # the P quadrature of every B mode
+        signs = bp.__dict__["_pt_signs"] = s[:, None] * s
+    return V * signs
 
 
 def check_physicality(V) -> bool:
     """True iff every symplectic eigenvalue is >= 1 - TAU_PHYS."""
-    nu = symplectic_eigenvalues(V)
-    return bool(nu[0] >= 1.0 - TAU_PHYS)
+    return bool(symplectic_eigenvalues(V)[0] >= 1.0 - TAU_PHYS)

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import pathlib
 
 import pytest
@@ -64,14 +65,15 @@ def test_summary_of_one_pair_and_lower_is_better_metrics(tool):
 def test_worse_needs_the_median_to_lose_by_more_than_the_parent_iqr(tool):
     parent = [100.0 + k for k in range(10)]  # median 104.5, IQR 4.5
     for better, sign in (("higher", 1.0), ("lower", -1.0)):
-        def row(change):
-            runs = _runs([sign * p for p in parent]), _runs([sign * c for c in change])
-            return tool.summarize(*runs, {"items_per_s": better})["items_per_s"]
+        def row(shift):  # the change's values move by shift in the better direction
+            change = [p + sign * shift for p in parent]
+            return tool.summarize(_runs(parent), _runs(change), {"items_per_s": better})[
+                "items_per_s"]
 
-        slightly = row([p - 4.0 for p in parent])  # worse by 4 < 4.5
-        assert slightly["wins"] == 0 and not slightly["worse"] and not slightly["gain"]
-        assert row([p - 5.0 for p in parent])["worse"]  # worse by 5 > 4.5
-        better_row = row([p + 20.0 for p in parent])
+        slightly = row(-4.0)  # worse by 4 < 4.5
+        assert slightly["losses"] == 10 and not slightly["worse"] and not slightly["gain"]
+        assert row(-5.0)["worse"]  # worse by 5 > 4.5
+        better_row = row(20.0)
         assert better_row["gain"] and not better_row["worse"]
 
 
@@ -119,3 +121,50 @@ def test_main_refuses_trees_in_different_directories_before_any_run(
     assert tool.main(argv) == 2
     err = capsys.readouterr().err
     assert f"{parent} and {change} are not in the same directory" in err
+
+
+def test_sign_test_p_value_is_exact(tool):
+    assert tool.sign_test_p(9, 1) == 0.021484375  # 2 (1 + 10) / 2^10
+    assert tool.sign_test_p(1, 9) == 0.021484375
+    assert tool.sign_test_p(5, 5) == 1.0 and tool.sign_test_p(0, 0) == 1.0
+    assert tool.sign_test_p(5, 0) == 0.0625 and tool.sign_test_p(6, 0) == 0.03125
+
+
+# The host's speed drifts from pair to pair, and both runs of a pair share it.
+DRIFT = [1.0, 0.996, 1.004, 0.992, 1.006, 0.998, 0.994, 1.002, 0.997, 1.005]
+
+
+def _both_directions(tool, parent, change):
+    for better, flip in (("higher", 1.0), ("lower", -1.0)):
+        runs = [_runs([v ** flip for v in side]) for side in (parent, change)]
+        yield tool.summarize(*runs, {"items_per_s": better})["items_per_s"]
+
+
+def test_a_shared_drift_between_equal_trees_reads_not_worse(tool):
+    # Each side's own noise, in parts per thousand of the drifted value.
+    noise = {"parent": [1, -1, 2, 0, -2, 1, 1, -1, 0, 2],
+             "change": [0, 1, -1, 1, 1, -2, 0, 2, -1, 1]}
+    parent, change = ([5000.0 * d * (1.0 + 1e-3 * e) for d, e in zip(DRIFT, noise[side])]
+                      for side in ("parent", "change"))
+    for row in _both_directions(tool, parent, change):
+        assert abs(row["log_ratio_median"]) < 2e-3
+        assert row["p_value"] > 0.5 and not row["worse"] and not row["gain"]
+
+
+def test_a_median_gap_beyond_a_narrow_parent_iqr_is_not_worse_without_lost_pairs(tool):
+    # Three pairs: the change's median trails by 25 against a parent IQR of 5,
+    # but it loses two pairs and wins one, a split the sign test gives p = 1.
+    parent, change = [5500.0, 5505.0, 5510.0], [5470.0, 5480.0, 5520.0]
+    row = tool.summarize(_runs(parent), _runs(change), {"items_per_s": "higher"})["items_per_s"]
+    assert row["change"][1] - row["parent"][1] < -row["parent_iqr"]
+    assert (row["wins"], row["losses"], row["p_value"]) == (1, 2, 1.0) and not row["worse"]
+
+
+def test_a_five_percent_loss_in_nine_of_ten_pairs_reads_worse(tool):
+    parent = [5000.0 * d for d in DRIFT]
+    change = [p * (0.95 if k else 1.01) for k, p in enumerate(parent)]
+    for row in _both_directions(tool, parent, change):
+        assert (row["wins"], row["losses"], row["ties"]) == (1, 9, 0)
+        assert row["p_value"] == 0.021484375 and row["worse"] and not row["gain"]
+    higher, _ = _both_directions(tool, parent, change)
+    assert higher["log_ratio_median"] == pytest.approx(math.log(0.95))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bosonic_bounds import (
     bound_profile_sweep,
     classical_checks,
+    coherence_scale_checks,
     entanglement_check,
     g,
     g_prime,
@@ -380,6 +381,17 @@ def test_refined_bound_saturated_by_tmsv():
     assert chk.holds
     assert chk.saturated
     assert abs(chk.margin) <= 1e-9
+
+
+@pytest.mark.parametrize("det_v", [0.0, -1.0, math.nan])
+def test_refined_bound_refuses_a_det_v_that_is_not_positive(det_v):
+    with pytest.raises(ValueError, match="det V must be positive"):
+        log_negativity_qcs_refined(1.5, 0.3, det_v)
+    # Only the refinement reads det V: a state it does not apply to may pass NaN.
+    checks = coherence_scale_checks(0.3, 1.5, 3, 1, math.nan)
+    assert checks and "two-mode coherence-scale refinement" not in {c.provenance for c in checks}
+    with pytest.raises(ValueError, match="det V must be positive"):
+        coherence_scale_checks(0.3, 1.5, 2, 1, det_v)
 
 
 def test_saturation_flips_at_tau_sat():

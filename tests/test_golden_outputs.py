@@ -2,7 +2,14 @@ import csv
 import difflib
 import importlib.util
 import io
+import json
 import pathlib
+
+import pytest
+
+from bosonic_bounds import cli
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def _lines(label: str, data: bytes) -> list[str]:
@@ -33,3 +40,29 @@ def test_outputs_equal_the_golden_files(tmp_path, monkeypatch):
             diff = difflib.unified_diff(_lines(label, want), _lines(label, data), "golden", "now")
             problems.append(f"{label}:\n" + ("".join(diff) or "bytes differ, lines do not\n"))
     assert not problems, "outputs differ from tests/golden/:\n" + "\n".join(problems)
+
+
+@pytest.mark.parametrize("modes, instances", [(2, 6), (3, 4), (4, 4)])
+def test_audit_tightest_instances_replay_through_bound_check(modes, instances, tmp_path, capsys):
+    """bound-check on each Gaussian and Fock tightest instance gives its audit margin exactly.
+
+    Both evaluate the state with experiments.state_checks on the default split,
+    and a state file holds the floats of the audit report unchanged.  Classical
+    instances do not replay: their two checks come from bounds.classical_checks,
+    which applies only because the classical generator made the state, and
+    bound-check, given the same covariance, runs the coherence-scale checks of
+    a Gaussian state instead.
+    """
+    report = json.loads((GOLDEN / f"audit_--states_1000_--modes_{modes}_--seed_11").read_text())
+    replayed = 0
+    for provenance, entry in report["by_check"].items():
+        inst = entry["tightest"]
+        if inst["kind"] == "classical":
+            continue
+        path = tmp_path / f"{inst['kind']}.json"
+        path.write_text(json.dumps(inst["state"]))
+        assert cli.main(["bound-check", f"--{inst['kind']}", str(path)]) == 0
+        checks = {c["provenance"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks[provenance]["margin"] == entry["min_margin"], provenance
+        replayed += 1
+    assert replayed == instances

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -32,10 +34,10 @@ def test_bipartition_validates_counts():
     assert bp.n == 3
     assert tuple(bp.a_modes) == (0,)
     assert tuple(bp.b_modes) == (1, 2)
-    with pytest.raises(ValueError):
-        Bipartition(0, 2)
-    with pytest.raises(ValueError):
-        Bipartition(1, -1)
+    assert Bipartition(np.int64(1), np.int32(2)).n == 3
+    for counts in [(0, 2), (1, -1), (1.5, 1), (1, 2.0), (True, 1), (1, np.bool_(True)), ("1", 1)]:
+        with pytest.raises(ValueError, match="integer mode count"):
+            Bipartition(*counts)
 
 
 @pytest.mark.parametrize(
@@ -98,6 +100,14 @@ def test_validate_covariance_rejects_indefinite():
         NonPositiveDefiniteError, match=r"floor .*\(condition number of V 1\.000e\+00\)"
     ):
         validate_covariance(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("V", [np.eye(2, dtype=complex), [[1.0, 0.5j], [-0.5j, 1.0]]])
+def test_validate_covariance_rejects_a_complex_matrix_naming_its_dtype(V):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning, no imaginary part dropped
+        with pytest.raises(ValueError, match="must be real .* complex128"):
+            validate_covariance(V)
 
 
 def test_validate_covariance_rejects_odd_dimension():

@@ -1,15 +1,23 @@
 """Compare a parent checkout and this tree on one benchmark workload, in pairs.
 
 Runs the unchanged ``bench/run.py`` of each tree alternately, for N pairs,
-and switches which side runs first on every pair.  For each end-to-end
-metric of BENCHMARK.json it prints each side's median and quartiles, how
-many pairs the change won (ties count for neither side), the parent's
-interquartile range, whether a gain may be claimed (``gain``: the change
-wins at least nine tenths of the pairs and the medians differ, in the better
-direction, by more than the parent's interquartile range) and whether the
-metric got worse (``worse``: the change's median is worse than the parent's
-by more than that range).  Every run lasts BENCHMARK.json's
-``run_seconds``, the same on both sides.
+and switches which side runs first on every pair.  Every run lasts
+BENCHMARK.json's ``run_seconds``, the same on both sides.  For each
+end-to-end metric of BENCHMARK.json it prints:
+
+- each side's median and quartiles, and the parent's interquartile range;
+- the median of the per-pair log ratios ln(change / parent), which cancel
+  the drift that both runs of a pair share;
+- the pairs the change won and lost in the better direction (ties count for
+  neither) and the exact two-sided sign-test p-value of that split;
+- ``gain``: the change won at least nine tenths of the pairs and the medians
+  differ, in the better direction, by more than the parent's interquartile
+  range;
+- ``worse``: the change lost more pairs than it won, the sign test puts that
+  split at p <= 0.05, and the change's median trails the parent's by more
+  than the parent's interquartile range.  A median gap alone, which over a
+  few pairs can beat a narrow range on equal code, is not enough; with fewer
+  than six untied pairs no split reaches p <= 0.05, so ``worse`` reads no.
 
 Run from the root of a copy of the changed checkout, next to the parent copy:
 
@@ -35,6 +43,7 @@ and run the change copy's tool.
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -42,6 +51,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
+ALPHA = 0.05
 BYTECODE_CACHE = os.path.join("src", "bosonic_bounds", "__pycache__")
 
 
@@ -79,14 +89,22 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def sign_test_p(wins, losses):
+    """Exact two-sided sign-test p-value of a split of untied pairs; 1.0 when there is none."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1)) / 2**n
+    return min(1.0, 2.0 * tail)
+
+
 def summarize(parent_runs, change_runs, better):
     """Per-metric comparison of paired runs.
 
     parent_runs and change_runs are lists of {metric: value}, pair i being
     (parent_runs[i], change_runs[i]); better maps each metric to "higher" or
-    "lower".  Returns {metric: dict} with both sides' quartiles, the wins,
-    ties and pairs, the parent's IQR, whether a gain may be claimed and
-    whether the change is worse.
+    "lower".  Every value must be positive.  Returns {metric: dict} with both
+    sides' quartiles, the median per-pair ln(change / parent), the wins,
+    losses, ties and pairs, the sign-test p-value, the parent's IQR, whether
+    a gain may be claimed and whether the change is worse.
     """
     if len(parent_runs) != len(change_runs) or not parent_runs:
         raise ValueError("need the same positive number of parent and change runs")
@@ -95,19 +113,25 @@ def summarize(parent_runs, change_runs, better):
         sign = 1.0 if direction == "higher" else -1.0
         parent = [run[name] for run in parent_runs]
         change = [run[name] for run in change_runs]
-        gains = [sign * (c - p) for p, c in zip(parent, change)]
+        ratios = [math.log(c / p) for p, c in zip(parent, change)]
+        wins = sum(sign * r > 0 for r in ratios)
+        losses = sum(sign * r < 0 for r in ratios)
+        p_value = sign_test_p(wins, losses)
         p_q, c_q = quartiles(parent), quartiles(change)
         iqr = p_q[2] - p_q[0]
-        wins = sum(g > 0 for g in gains)
+        gap = sign * (c_q[1] - p_q[1])
         out[name] = {
             "parent": p_q,
             "change": c_q,
+            "log_ratio_median": statistics.median(ratios),
             "wins": wins,
-            "ties": sum(g == 0 for g in gains),
-            "pairs": len(gains),
+            "losses": losses,
+            "ties": len(ratios) - wins - losses,
+            "pairs": len(ratios),
+            "p_value": p_value,
             "parent_iqr": iqr,
-            "gain": wins >= WIN_SHARE * len(gains) and sign * (c_q[1] - p_q[1]) > iqr,
-            "worse": sign * (c_q[1] - p_q[1]) < -iqr,
+            "gain": wins >= WIN_SHARE * len(ratios) and gap > iqr,
+            "worse": losses > wins and p_value <= ALPHA and gap < -iqr,
         }
     return out
 
@@ -148,9 +172,10 @@ def main(argv=None):
           f"{seconds:g} s runs; median [first quartile, third quartile]")
     for name, row in summary.items():
         print(f"{name:16s} parent {_fmt(row['parent']):36s} change {_fmt(row['change']):36s} "
-              f"wins {row['wins']}/{row['pairs']} ties {row['ties']} "
-              f"parent IQR {row['parent_iqr']:.6g} gain {'yes' if row['gain'] else 'no'} "
-              f"worse {'yes' if row['worse'] else 'no'}")
+              f"ln ratio {row['log_ratio_median']:+.4f} "
+              f"wins {row['wins']}/{row['pairs']} losses {row['losses']} ties {row['ties']} "
+              f"p {row['p_value']:.4g} parent IQR {row['parent_iqr']:.6g} "
+              f"gain {'yes' if row['gain'] else 'no'} worse {'yes' if row['worse'] else 'no'}")
     print(json.dumps({"workload": opts.workload, "seed": opts.seed, "runs": runs}))
     return 0
 
