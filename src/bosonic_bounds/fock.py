@@ -536,9 +536,22 @@ def _split_dims(psi: FockPureState, bp: Bipartition) -> tuple[int, int]:
 
 
 def schmidt_coefficients(psi: FockPureState, bp: Bipartition) -> np.ndarray:
-    """Singular values of the amplitude tensor reshaped across the bipartition."""
+    """The min(da, db) singular values of the da x db amplitude matrix, descending.
+
+    A monomial support, at most one nonzero per row and column (number
+    states, their beam-splitter outputs, TMSV, the counterexample pair),
+    gives its moduli padded with zeros, sorted in Python: np.sort and
+    np.unique page in code (numpy.ma for np.unique) each process pays for.
+    Any other matrix, at once one with over min(da, db) nonzeros, takes an SVD.
+    """
     da, db = _split_dims(psi, bp)
-    return np.linalg.svd(psi.amps.reshape(da, db), compute_uv=False)
+    mat = psi.amps.reshape(da, db)
+    k = min(da, db)
+    nz = mat != 0
+    if np.count_nonzero(nz) <= k and nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1:
+        s = sorted(np.abs(mat[nz]).tolist(), reverse=True)
+        return np.array(s + [0.0] * (k - len(s)))
+    return np.linalg.svd(mat, compute_uv=False)
 
 
 def entanglement_measures_pure(psi: FockPureState, bp: Bipartition) -> tuple[float, float]:

@@ -57,13 +57,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean quadrature vector (length 2n) and covariance matrix (2n x 2n)."""
+    """Mean quadrature vector (length 2n) and covariance matrix (2n x 2n), both real."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
+        mean = np.asarray(self.mean)
+        if mean.dtype.kind == "c":
+            raise ValueError(f"mean vector must be real, got {mean.dtype}")
+        mean = np.array(mean, dtype=float)
         cov = validate_covariance(self.cov)
         if mean.shape != (cov.shape[0],):
             raise ValueError(f"mean shape {mean.shape} does not match covariance {cov.shape}")

@@ -161,8 +161,11 @@ def partial_transpose(V, bp: Bipartition) -> np.ndarray:
 
     Flips the sign of every P quadrature belonging to a B mode, an exact
     involution, by one product with the split's sign matrix, built once per split.
+    A complex V raises ValueError naming its dtype, as in validate_covariance.
     """
-    V = np.asarray(V, dtype=float)
+    V = np.asarray(V)
+    if V.dtype.kind == "c":
+        raise ValueError(f"covariance matrix must be real, got {V.dtype}")
     if V.shape[0] != 2 * bp.n:
         raise ValueError(f"covariance is for {V.shape[0] // 2} modes, bipartition has {bp.n}")
     signs = bp.__dict__.get("_pt_signs")

@@ -36,7 +36,8 @@ def test_summary_quartiles_and_parent_iqr(tool):
     assert row["parent"] == (11.0, 12.0, 13.0)
     assert row["change"] == (21.0, 22.0, 23.0)
     assert row["parent_iqr"] == 2.0
-    assert row["wins"] == 5 and row["gain"]
+    # five pairs won of five is p = 0.0625 on the sign test: no gain yet
+    assert row["wins"] == 5 and row["p_value"] == 0.0625 and not row["gain"]
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr(tool):
@@ -53,11 +54,25 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr(tool
     assert tool.summarize(parent, nine, {"items_per_s": "higher"})["items_per_s"]["gain"]
 
 
+def test_a_gain_needs_the_sign_test_as_well(tool):
+    # Three pairs all won, the medians 25 apart against a parent IQR of 5:
+    # the sign test gives 3 of 3 p = 0.25, which is no gain.
+    parent, change = [5500.0, 5505.0, 5510.0], [5530.0, 5531.0, 5540.0]
+    for row in _both_directions(tool, parent, change):
+        assert (row["wins"], row["losses"], row["p_value"]) == (3, 0, 0.25)
+        assert abs(row["change"][1] - row["parent"][1]) > row["parent_iqr"]
+        assert not row["gain"] and not row["worse"]
+    # Ten of ten, with the same gap beyond the parent's IQR, is a gain.
+    parent = [5000.0 * d for d in DRIFT]
+    for row in _both_directions(tool, parent, [1.02 * p for p in parent]):
+        assert (row["wins"], row["p_value"]) == (10, 0.001953125) and row["gain"]
+
+
 def test_summary_of_one_pair_and_lower_is_better_metrics(tool):
     row = tool.summarize(_runs([5.0], "peak_rss_mb"), _runs([4.0], "peak_rss_mb"),
                          {"peak_rss_mb": "lower"})["peak_rss_mb"]
     assert row["parent"] == (5.0, 5.0, 5.0) and row["parent_iqr"] == 0.0
-    assert row["wins"] == 1 and row["gain"]
+    assert row["wins"] == 1 and row["p_value"] == 1.0 and not row["gain"]
     with pytest.raises(ValueError):
         tool.summarize([], [], {"peak_rss_mb": "lower"})
 
@@ -168,3 +183,24 @@ def test_a_five_percent_loss_in_nine_of_ten_pairs_reads_worse(tool):
         assert row["p_value"] == 0.021484375 and row["worse"] and not row["gain"]
     higher, _ = _both_directions(tool, parent, change)
     assert higher["log_ratio_median"] == pytest.approx(math.log(0.95))
+
+
+def test_same_name_length_compares_the_trees_directory_names(tool, tmp_path):
+    assert tool.same_name_length(tmp_path / "parent", tmp_path / "change")
+    assert tool.same_name_length(f"{tmp_path}/parent/", tmp_path / "paren2")
+    assert not tool.same_name_length(tmp_path / "parent", tmp_path / "aa")
+
+
+def test_main_refuses_trees_whose_names_differ_in_length_before_any_run(
+    tool, tmp_path, monkeypatch, capsys
+):
+    parent, change = tmp_path / "parent", tmp_path / "aa"
+    for root in (parent, change):
+        (root / "src" / "bosonic_bounds").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(tool, "ROOT", str(change))
+    monkeypatch.setattr(tool, "run_bench", lambda *a: pytest.fail("a run started"))
+    argv = ["--parent", str(parent), "--workload", "cli-requests", "--seed", "1"]
+    assert tool.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{parent} and {change} have directory names of different lengths" in err

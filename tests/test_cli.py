@@ -91,6 +91,27 @@ def test_fock_request_takes_one_schmidt_decomposition(argv, capsys, monkeypatch)
     assert {"ef", "log_negativity"} <= set(payload)
 
 
+_FOCK_REQUESTS_MODULES = """
+import contextlib, io, json, sys
+from bosonic_bounds import cli
+for argv in (["measure", "--fock", "N=3,7"], ["bound-check", "--fock", "N=2,2"],
+             ["beamsplitter", "--fock", "N=40,0"], ["counterexample"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])))
+"""
+
+
+def test_fock_requests_never_load_numpy_ma():
+    """numpy.ma, which np.unique imports on its first call, costs each process ~1.7 MB."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FOCK_REQUESTS_MODULES],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_measure_fock_computes_the_total_noise_once(capsys, monkeypatch):
     calls = []
     original = fock.total_noise

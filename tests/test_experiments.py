@@ -40,7 +40,7 @@ from bosonic_bounds import (
 )
 from bosonic_bounds import fock, gaussian, symplectic
 from bosonic_bounds.errors import AuditViolationError
-from bosonic_bounds.experiments import write_sweep
+from bosonic_bounds.experiments import _number_law_entropy, write_sweep
 from bosonic_bounds.tolerances import TAU_CHECK, TAU_TRUNC
 from oracles import sweep_csv_oracle
 
@@ -324,6 +324,17 @@ def test_number_sweep_rows_agree_with_the_fock_route(family, occupations, N):
     assert row["mtn_in"] == (2 * N + 1 if family == "twin-number" else N + 1)
     assert row["mtn_in"] == pytest.approx(ref["mtn_in"], rel=1e-14)
     assert (row["cutoff"], row["tail_mass"]) == (0, 0.0)
+
+
+@pytest.mark.parametrize("occupations, twin", [((1000, 0), False), ((500, 500), True)],
+                         ids=["1000-0", "500-500"])
+def test_the_fock_route_meets_the_photon_law_entropy_at_block_1000(occupations, twin):
+    # Both inputs fill block M = 1000, so they share one cached eigensolve.
+    # The closed form sums cumulative log factorials, and its rounding error
+    # grows about linearly in N (ROADMAP item 14): the two routes differ by
+    # 2.8e-13 and 9.3e-13 here, where the small-N test above holds them to 1e-12.
+    ef = beam_splitter_fock(make_fock_number(occupations))["ef"]
+    assert ef == pytest.approx(_number_law_entropy(occupations[0], twin), rel=1e-11)
 
 
 def test_beam_splitter_fock_widens_the_output_and_keeps_the_input_tail():

@@ -563,6 +563,64 @@ def test_schmidt_product_state_is_rank_one():
     assert entanglement_entropy(psi, Bipartition(1, 1)) == 0.0
 
 
+_SVD = np.linalg.svd
+_EPS = np.finfo(float).eps
+_MONOMIAL_STATES = {
+    **{f"number-{N}-{M}": (lambda N=N, M=M: make_fock_number((N, M)), Bipartition(1, 1))
+       for N, M in [(0, 0), (1, 0), (40, 0), (300, 0), (7, 7), (300, 300)]},
+    "number-2-0-5": (lambda: make_fock_number((2, 0, 5)), Bipartition(1, 2)),
+    **{f"bs-{N}-{M}": (lambda N=N, M=M: apply_beam_splitter_fock(make_fock_number((N, M))),
+                       Bipartition(1, 1))
+       for N, M in [(1, 0), (2, 0), (40, 0), (300, 0), (1, 1), (40, 40), (300, 300)]},
+    "tmsv-0.8": (lambda: make_fock_tmsv(0.8), Bipartition(1, 1)),
+    "phased-tmsv": (lambda: _phased_tmsv(0.3, 1.1, 10), Bipartition(1, 1)),
+    "counterexample": (lambda: make_counterexample_states(0.5, 2)[0], Bipartition(1, 2)),
+    "counterexample-permuted": (lambda: make_counterexample_states(0.5, 2)[1], Bipartition(1, 2)),
+}
+
+
+def _svd_values(psi, bp):
+    da = int(np.prod(psi.cutoffs[: bp.n_a]))
+    return _SVD(psi.amps.reshape(da, -1), compute_uv=False)
+
+
+@pytest.mark.parametrize("name", list(_MONOMIAL_STATES))
+def test_monomial_supports_give_the_svd_values_without_an_svd(name, monkeypatch):
+    build, bp = _MONOMIAL_STATES[name]
+    psi = build()
+    ref = _svd_values(psi, bp)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("an SVD ran"))
+        s = schmidt_coefficients(psi, bp)
+        ef, en = entanglement_measures_pure(psi, bp)
+    assert s.shape == ref.shape and s.dtype == ref.dtype
+    assert np.all(s[:-1] >= s[1:])
+    assert np.max(np.abs(s - ref)) <= 4 * _EPS
+    monkeypatch.setattr(fock, "schmidt_coefficients", _svd_values)
+    ef_svd, en_svd = entanglement_measures_pure(psi, bp)
+    assert abs(ef - ef_svd) <= 4 * _EPS * ef_svd and abs(en - en_svd) <= 4 * _EPS * en_svd
+
+
+@pytest.mark.parametrize("shape, bp", [((5, 6), Bipartition(1, 1)), ((6, 5), Bipartition(1, 1)),
+                                       ((3, 4, 5), Bipartition(1, 2)),
+                                       ((3, 3, 2, 2), Bipartition(2, 2))])
+def test_dense_states_give_the_svd_values_bit_for_bit(shape, bp):
+    psi = _random_fock_state(np.random.default_rng(sum(shape)), shape)
+    assert np.array_equal(schmidt_coefficients(psi, bp), _svd_values(psi, bp))
+
+
+@pytest.mark.parametrize("where", [((0, 0), (0, 2)), ((0, 1), (2, 1))], ids=["row", "column"])
+def test_two_nonzeros_in_one_row_or_column_take_the_svd(where, monkeypatch):
+    amps = np.zeros((3, 3), dtype=complex)
+    amps[where[0]], amps[where[1]] = 0.6, 0.8j
+    psi = FockPureState(amps)
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or _SVD(*a, **k))
+    s = schmidt_coefficients(psi, Bipartition(1, 1))
+    assert len(calls) == 1
+    assert_allclose(s, [1.0, 0.0, 0.0], rtol=0, atol=4 * _EPS)
+
+
 @pytest.mark.parametrize("r", [0.2, 0.5, 0.8, 1.1])
 def test_tmsv_entropy_matches_thermal_entropy(r):
     # the Schmidt-value sum converges slowly, so give it extra headroom

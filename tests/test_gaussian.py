@@ -169,6 +169,17 @@ def test_gaussian_measures_rejects_unphysical():
         gaussian_measures(squeezed_below_vacuum)
 
 
+def test_gaussian_state_rejects_a_complex_mean_naming_its_dtype():
+    cov = make_tmsv(0.3).cov
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning, no imaginary part dropped
+        with pytest.raises(ValueError, match="mean vector must be real, got complex128"):
+            GaussianState(np.array([0.5j, 0, 0, 0]), cov)
+        with pytest.raises(ValueError, match="mean vector must be real, got complex128"):
+            GaussianState([0.0, 0.0, 0.0, 1.0 + 0j], cov)
+        assert GaussianState([0, 1, 0, 0], cov).mean.dtype == np.float64
+
+
 def test_high_squeezing_fails_only_with_library_errors():
     """Far past the envelope, every failure is a typed error quoting cond(V).
 

@@ -66,3 +66,22 @@ def test_audit_tightest_instances_replay_through_bound_check(modes, instances, t
         assert checks[provenance]["margin"] == entry["min_margin"], provenance
         replayed += 1
     assert replayed == instances
+
+
+def test_the_exit_3_audit_violation_replays_through_bound_check(tmp_path, capsys):
+    """bound-check at the audit's --tau-check gives the reported violation exactly.
+
+    The exit-3 report names one instance, the first check to fail: a two-mode
+    Gaussian state, whose floats the report holds unchanged.
+    """
+    (path,) = GOLDEN.glob("audit_*_--tau-check_-0.1_exit_code,_stderr_")
+    head, body = path.read_text().split("\n", 1)
+    assert head == "exit 3"
+    inst = json.loads(body)["instance"]
+    assert (inst["kind"], inst["modes"]) == ("gaussian", 2)
+    state = tmp_path / "violation.json"
+    state.write_text(json.dumps(inst["state"]))
+    assert cli.main(["bound-check", "--gaussian", str(state), "--tau-check", "-0.1"]) == 0
+    checks = {c["provenance"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks[inst["check"]]["margin"] == inst["margin"]
+    assert checks[inst["check"]]["holds"] is False

@@ -174,6 +174,15 @@ def test_partial_transpose_is_involution():
     assert_allclose(partial_transpose(pt, bp), st.cov)
 
 
+@pytest.mark.parametrize("V", [make_tmsv(0.3).cov + 1e-3j, make_tmsv(0.3).cov.astype(complex)],
+                         ids=["imaginary-part", "complex-dtype"])
+def test_partial_transpose_rejects_a_complex_matrix_naming_its_dtype(V):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning, no imaginary part dropped
+        with pytest.raises(ValueError, match="must be real, got complex128"):
+            partial_transpose(V, Bipartition(1, 1))
+
+
 def test_partial_transpose_tmsv_spectrum():
     r = 0.6
     pt = partial_transpose(make_tmsv(r).cov, Bipartition(1, 1))

@@ -10,9 +10,10 @@ end-to-end metric of BENCHMARK.json it prints:
   the drift that both runs of a pair share;
 - the pairs the change won and lost in the better direction (ties count for
   neither) and the exact two-sided sign-test p-value of that split;
-- ``gain``: the change won at least nine tenths of the pairs and the medians
-  differ, in the better direction, by more than the parent's interquartile
-  range;
+- ``gain``: the change won at least nine tenths of the pairs, the sign test
+  puts that split at p <= 0.05, and the medians differ, in the better
+  direction, by more than the parent's interquartile range; so 3 of 3 won
+  pairs (p = 0.25) are no gain, and a gain needs at least six pairs;
 - ``worse``: the change lost more pairs than it won, the sign test puts that
   split at p <= 0.05, and the change's median trails the parent's by more
   than the parent's interquartile range.  A median gap alone, which over a
@@ -35,10 +36,12 @@ written (``PYTHONDONTWRITEBYTECODE``), a tree without
 gain for it.  So the tool refuses, with exit code 2, to compare a tree that
 holds that cache with one that does not.  Compare both without it.
 
-A worker's ``peak_rss_mb`` also moved with the directory a tree sits in, so
-the tool refuses, with exit code 2, two trees that are not in the same
-parent directory: copy both, for example to ``../parent`` and ``../change``,
-and run the change copy's tool.
+A worker's metrics also moved with the directory a tree sits in, and with
+the length of its name alone (an A/A run of equal code in copies named
+``parent`` and ``aa`` read a throughput ``gain``), so the tool refuses, with
+exit code 2, two trees that are not in the same parent directory or whose
+directory names differ in length: copy both, for example to ``../parent``
+and ``../change``, and run the change copy's tool.
 """
 
 import argparse
@@ -66,6 +69,12 @@ def cache_mismatch(root_a, root_b):
 def siblings(root_a, root_b):
     """Whether both trees sit in the same parent directory, as the tool requires."""
     return os.path.dirname(os.path.abspath(root_a)) == os.path.dirname(os.path.abspath(root_b))
+
+
+def same_name_length(root_a, root_b):
+    """Whether both trees' directory names are equally long, as the tool requires."""
+    return len(os.path.basename(os.path.abspath(root_a))) == len(
+        os.path.basename(os.path.abspath(root_b)))
 
 
 def run_bench(root, workload, seed, seconds):
@@ -130,7 +139,7 @@ def summarize(parent_runs, change_runs, better):
             "pairs": len(ratios),
             "p_value": p_value,
             "parent_iqr": iqr,
-            "gain": wins >= WIN_SHARE * len(ratios) and gap > iqr,
+            "gain": wins >= WIN_SHARE * len(ratios) and p_value <= ALPHA and gap > iqr,
             "worse": losses > wins and p_value <= ALPHA and gap < -iqr,
         }
     return out
@@ -155,6 +164,10 @@ def main(argv=None):
     if not siblings(sides["parent"], sides["change"]):
         print(f"{sides['parent']} and {sides['change']} are not in the same directory; "
               "copy both trees into one so that only their code differs", file=sys.stderr)
+        return 2
+    if not same_name_length(sides["parent"], sides["change"]):
+        print(f"{sides['parent']} and {sides['change']} have directory names of different "
+              "lengths; rename one so that only their code differs", file=sys.stderr)
         return 2
     cached = cache_mismatch(sides["parent"], sides["change"])
     if cached is not None:
