@@ -14,6 +14,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
+from .symplectic import _is_count
 from .tolerances import TAU_CHECK, TAU_PHYS, TAU_SAT
 
 # cap on the balance evaluations of solve_na_star
@@ -82,7 +83,7 @@ def theorem_symmetric_bound(mtn: float, n: int) -> float:
     Valid for pure states of n modes split evenly; saturated by products of
     two-mode squeezed vacua and their number-preserving relatives.
     """
-    if n < 2 or n % 2:
+    if not (_is_count(n, 2) and n % 2 == 0):
         raise ValueError("n must be even and >= 2")
     mtn = _mtn_at_least_one(mtn)
     return (n / 2.0) * g((mtn - 1.0) / 2.0)
@@ -111,7 +112,7 @@ class NAStarSolution:
 
 
 def _check_mode_counts(n_a: int, n_b: int):
-    if n_a < 1 or n_b < 1:
+    if not (_is_count(n_a, 1) and _is_count(n_b, 1)):
         raise ValueError("mode counts must be >= 1")
     # _balance divides by them as floats
     if not max(n_a, n_b) <= sys.float_info.max:
@@ -217,14 +218,13 @@ def na_star_asymptotic(N: float, n_a: int, n_b: int, variant: str = "leading") -
 
 
 def theorem_split_bound(mtn: float, n_a: int, n_b: int) -> float:
-    """Entanglement bound n_A g(N_A*/n_A) for an uneven split of n modes.
+    """Entanglement bound n_A g(N_A*/n_A) for a split of n modes into n_A | n_B.
 
     N = (n/2)(M_TN - 1) is the total-noise photon budget; N_A* balances the
-    thermal entropies of the two parties.  When n_A = n_B it equals the
-    symmetric bound only up to rounding: over 16 000 draws (n_A = 1..8,
-    M_TN uniform in [1, 200], seed 0) 216 differ, by at most 3.95e-16
-    relative.  :func:`entanglement_check` takes the symmetric form there.
+    thermal entropies of the two parties.  At n_A = n_B it is :func:`theorem_symmetric_bound`.
     """
+    if n_a == n_b:
+        return theorem_symmetric_bound(mtn, n_a + n_b)
     mtn = _mtn_at_least_one(mtn)
     n = n_a + n_b
     N = 0.5 * n * (mtn - 1.0)
@@ -295,17 +295,10 @@ def entanglement_check(
     n_b: int,
     tau_check: float = TAU_CHECK,
 ) -> BoundCheck:
-    """E_F <= its total-noise bound for a pure state split into n_A | n_B modes.
-
-    An even split takes (n/2) g((M_TN - 1)/2) from
-    :func:`theorem_symmetric_bound`; any other split takes n_A g(N_A*/n_A)
-    from :func:`theorem_split_bound`.
-    """
-    if n_a == n_b:
-        rhs = theorem_symmetric_bound(mtn, n_a + n_b)
-        return _check("entanglement vs total noise (even split)", ef, rhs, tau_check)
+    """E_F <= :func:`theorem_split_bound` for a pure state; the provenance names the split."""
+    split = "even" if n_a == n_b else "uneven"
     rhs = theorem_split_bound(mtn, n_a, n_b)
-    return _check("entanglement vs total noise (uneven split)", ef, rhs, tau_check)
+    return _check(f"entanglement vs total noise ({split} split)", ef, rhs, tau_check)
 
 
 def classical_checks(qcs2: float, en: float, tau_check: float = TAU_CHECK) -> list[BoundCheck]:

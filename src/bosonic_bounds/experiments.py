@@ -64,7 +64,7 @@ from .gaussian import (
     random_classical_state,
     random_gaussian_state,
 )
-from .symplectic import Bipartition, default_bipartition
+from .symplectic import Bipartition, _is_count, default_bipartition
 from .tolerances import TAU_CHECK, TAU_TRUNC
 
 __all__ = [
@@ -599,7 +599,7 @@ def random_audit(
     sends each slice of a stacked QR and matmul to the same BLAS and LAPACK
     routine as a lone matrix, which the tier-1 tests check.
     """
-    if modes < 2:
+    if not _is_count(modes, 2):
         raise ValueError(f"the audit splits states in two, so it needs modes >= 2, got {modes}")
     need = _state_bytes(modes)
     if need > fock.AMPLITUDE_BUDGET_BYTES:
@@ -609,7 +609,7 @@ def random_audit(
         )
     counts = {"gaussian": n_states, "classical": classical_states, "fock": fock_states}
     for kind, count in counts.items():
-        if count < 0:
+        if not _is_count(count, 0):
             raise ValueError(f"{kind} state count must be >= 0, got {count}")
     if seed is None:
         seed = 0

@@ -22,14 +22,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import CutoffOverflowError, SchemaError, TruncationError
-from .symplectic import Bipartition
+from .symplectic import Bipartition, _is_count, _mode_pair
 from .tolerances import TAU_TRUNC
 
 __all__ = [
@@ -145,7 +144,7 @@ class FockDensityOperator:
     tail_mass: float = 0.0
 
     def __post_init__(self):
-        cutoffs = tuple(int(c) for c in self.cutoffs)
+        cutoffs = _integers(self.cutoffs, "cutoffs", "density operator")
         dim = math.prod(cutoffs)
         _check_budget((dim, dim), "density operator")
         mat = np.array(self.mat, dtype=complex)
@@ -252,7 +251,7 @@ def _family_cutoff(what, law, shape, cutoff, tau, first=1, bisect=True, bound=Fa
             mid = (lo + cutoff) // 2
             lo, cutoff = (lo, mid) if done(mid) else (mid, cutoff)
         what = f"{what}: default cutoff for tau = {tau:.1e}"
-    elif not (isinstance(cutoff, numbers.Integral) and cutoff >= 0):
+    elif not _is_count(cutoff, 0):
         raise ValueError(f"{what}: cutoff = {cutoff!r} must be an integer >= 0")
     _check_budget(shape(cutoff), what)
     if bound:  # the caller checks the tail it records
@@ -313,12 +312,10 @@ def thermal_cutoff(nbar: float, tau: float = TAU_TRUNC) -> int:
 def make_fock_number(occupations, cutoffs=None) -> FockPureState:
     """Product number state |k1, ..., kn>; the default cutoffs are k_i + 1.
 
-    Occupations and cutoffs must be integers (numbers.Integral); the beam
-    splitter widens the cutoffs it needs itself.
+    Occupations and cutoffs must be integers >= 0 (Python or numpy, not
+    bools); the beam splitter widens the cutoffs it needs itself.
     """
     occ = _integers(occupations, "occupations")
-    if any(k < 0 for k in occ):
-        raise ValueError("occupations must be >= 0")
     cutoffs = tuple(k + 1 for k in occ) if cutoffs is None else _integers(cutoffs, "cutoffs")
     if len(cutoffs) != len(occ):
         raise ValueError(f"cutoffs has {len(cutoffs)} entries for {len(occ)} modes")
@@ -330,11 +327,11 @@ def make_fock_number(occupations, cutoffs=None) -> FockPureState:
     return FockPureState(amps)
 
 
-def _integers(values, name: str) -> tuple[int, ...]:
+def _integers(values, name: str, what: str = "number state") -> tuple[int, ...]:
     values = tuple(values)
     for v in values:
-        if not isinstance(v, numbers.Integral):
-            raise ValueError(f"number state: {name} entry {v!r} is not an integer")
+        if not _is_count(v, 0):
+            raise ValueError(f"{what}: {name} entry {v!r} is not an integer >= 0")
     return tuple(int(v) for v in values)
 
 
@@ -610,9 +607,7 @@ def apply_beam_splitter_fock(psi: FockPureState, modes: tuple[int, int] = (0, 1)
     before it is allocated.  The map is unitary on the stored tensor, so
     the output's tail is the input's.
     """
-    i, j = modes
-    if i == j or not (0 <= i < psi.n and 0 <= j < psi.n):
-        raise ValueError(f"mode pair {modes} invalid for {psi.n} modes")
+    i, j = _mode_pair(modes, psi.n)
     di, dj = psi.cutoffs[i], psi.cutoffs[j]
     work = np.moveaxis(psi.amps, (i, j), (0, 1))
     batch = work.reshape(di, dj, -1)
@@ -732,7 +727,7 @@ def saturating_family(
     n_A g(sinh^2 r), saturating the bound.  Its tail is 1 - (1 - t^{2K})^{n_A};
     default cutoff up to |r| = 3.28 (n = 2), 1.19 (n = 4), 0.51 (n = 6).
     """
-    if n < 2 or n % 2:
+    if not (_is_count(n, 2) and n % 2 == 0):
         raise ValueError("n must be even and >= 2")
     n_a = n // 2
     _check_finite(r, "r", "saturating family")
@@ -771,7 +766,7 @@ def make_counterexample_states(
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    if not isinstance(k, numbers.Integral) or k < 2:
+    if not _is_count(k, 2):
         raise ValueError(f"k = {k!r} must be an integer >= 2 so the swap lowers the photon number")
     if cutoff is not None and k >= cutoff:
         raise ValueError(f"k = {k} outside cutoff {cutoff}")
@@ -812,15 +807,14 @@ def fock_from_dict(data: dict) -> FockPureState:
     for field in ("n", "cutoffs", "amps"):
         if field not in data:
             raise SchemaError(f"missing field '{field}'")
-    # type(x) is int, not isinstance: JSON true and false load as bool, an int.
     n = data["n"]
-    if type(n) is not int or n < 1:
+    if not _is_count(n, 1):
         raise SchemaError("field 'n' must be a positive integer")
     cutoffs = data["cutoffs"]
     if (
         not isinstance(cutoffs, list)
         or len(cutoffs) != n
-        or not all(type(c) is int and c >= 1 for c in cutoffs)
+        or not all(_is_count(c, 1) for c in cutoffs)
     ):
         raise SchemaError(f"field 'cutoffs' must list {n} positive integers")
     _check_budget(tuple(cutoffs), "fock state file")
@@ -832,7 +826,7 @@ def fock_from_dict(data: dict) -> FockPureState:
         if not isinstance(row, list) or len(row) != n + 2:
             raise SchemaError(f"field 'amps' row {rownum} must have {n + 2} entries")
         idx = row[:n]
-        if not all(type(x) is int and 0 <= x < c for x, c in zip(idx, cutoffs)):
+        if not all(_is_count(x, 0) and x < c for x, c in zip(idx, cutoffs)):
             raise SchemaError(f"field 'amps' row {rownum} needs integer indices inside cutoffs")
         try:
             if not all(type(v) in (int, float) for v in row[n:]):

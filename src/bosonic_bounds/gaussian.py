@@ -23,6 +23,7 @@ from .errors import (
 from .symplectic import (
     Bipartition,
     _is_count,
+    _mode_pair,
     check_physicality,
     default_bipartition,
     partial_transpose,
@@ -147,9 +148,7 @@ def beam_splitter_symplectic(n: int, modes: tuple[int, int]) -> np.ndarray:
     Convention: quadratures of the first mode map to (R_i + R_j)/sqrt(2) and
     those of the second to (R_j - R_i)/sqrt(2).
     """
-    i, j = modes
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"mode pair {modes} invalid for {n} modes")
+    i, j = _mode_pair(modes, n)
     M = np.eye(2 * n)
     inv = 1.0 / np.sqrt(2.0)
     for q in range(2):
@@ -453,7 +452,7 @@ def gaussian_from_dict(data: dict) -> GaussianState:
         if field not in data:
             raise SchemaError(f"missing field '{field}'")
     n = data["n"]
-    if type(n) is not int or n < 1:  # not isinstance: JSON true loads as bool, an int
+    if not _is_count(n, 1):
         raise SchemaError("field 'n' must be a positive integer")
     mean = _numeric_array(data, "mean")
     if mean.shape != (2 * n,):

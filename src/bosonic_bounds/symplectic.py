@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,16 @@ __all__ = [
 
 
 def _is_count(value, least: int) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+    """The library's one integer rule: a Python or numpy integer >= least, never a bool."""
+    return (type(value) is int or isinstance(value, np.integer)) and value >= least
+
+
+def _mode_pair(modes, n: int) -> tuple[int, int]:
+    """The two distinct mode indices of a pair, each an integer in 0..n-1."""
+    i, j = modes
+    if not (_is_count(i, 0) and _is_count(j, 0) and i < n and j < n and i != j):
+        raise ValueError(f"mode pair {modes} invalid for {n} modes")
+    return i, j
 
 
 @dataclass(frozen=True)
@@ -168,12 +178,16 @@ def partial_transpose(V, bp: Bipartition) -> np.ndarray:
         raise ValueError(f"covariance matrix must be real, got {V.dtype}")
     if V.shape[0] != 2 * bp.n:
         raise ValueError(f"covariance is for {V.shape[0] // 2} modes, bipartition has {bp.n}")
-    signs = bp.__dict__.get("_pt_signs")
-    if signs is None:  # stored past the frozen dataclass's __setattr__
-        s = np.ones(2 * bp.n)
-        s[2 * bp.n_a + 1 :: 2] = -1.0  # the P quadrature of every B mode
-        signs = bp.__dict__["_pt_signs"] = s[:, None] * s
-    return V * signs
+    return V * _pt_signs(bp.n_a, bp.n_b)
+
+
+@lru_cache(maxsize=16)
+def _pt_signs(n_a: int, n_b: int) -> np.ndarray:
+    """Read-only +/-1 matrix flipping the P quadrature of each of the last n_b modes."""
+    s = np.array([1.0, 1.0] * n_a + [1.0, -1.0] * n_b)
+    signs = s[:, None] * s
+    signs.setflags(write=False)
+    return signs
 
 
 def check_physicality(V) -> bool:

@@ -138,6 +138,25 @@ def test_main_refuses_trees_in_different_directories_before_any_run(
     assert f"{parent} and {change} are not in the same directory" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--pairs", "0"), ("--pairs", "-3"), ("--workload", "no-such-workload")]
+)
+def test_main_refuses_bad_pairs_and_unknown_workloads_before_any_run(
+    tool, tmp_path, monkeypatch, capsys, flag, value
+):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "src" / "bosonic_bounds").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(tool, "ROOT", str(change))
+    monkeypatch.setattr(tool, "run_bench", lambda *a: pytest.fail("a run started"))
+    opts = {"--parent": str(parent), "--workload": "cli-requests", "--seed": "1", flag: value}
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main([token for item in opts.items() for token in item])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_sign_test_p_value_is_exact(tool):
     assert tool.sign_test_p(9, 1) == 0.021484375  # 2 (1 + 10) / 2^10
     assert tool.sign_test_p(1, 9) == 0.021484375

@@ -332,6 +332,15 @@ def test_split_bound_reduces_to_symmetric_for_even_split():
     )
 
 
+def test_split_bound_is_the_symmetric_bound_bit_for_bit_on_an_even_split():
+    # 2000 draws of M_TN in [1, 200] per n_A = 1..8; the Newton solve's
+    # n_A g(N_A*/n_A) differed from (n/2) g((M_TN - 1)/2) by an ulp on 216.
+    rng = np.random.default_rng(0)
+    for n_a in range(1, 9):
+        for mtn in rng.uniform(1.0, 200.0, size=2000):
+            assert theorem_split_bound(mtn, n_a, n_a) == theorem_symmetric_bound(mtn, 2 * n_a)
+
+
 def test_split_bound_closed_form_approaches_exact():
     mtn = 200.0
     exact = theorem_split_bound(mtn, 1, 3)

@@ -88,7 +88,7 @@ def test_number_state_takes_integers_only(occupations, cutoffs, named):
 def test_number_state_cutoffs_default_to_one_above_each_occupation():
     assert make_fock_number((3, 7)).cutoffs == (4, 8)
     assert make_fock_number((0, 2, 3)).cutoffs == (1, 3, 4)
-    psi = make_fock_number((np.int64(2), True), cutoffs=(np.int32(3), 2))
+    psi = make_fock_number((np.int64(2), 1), cutoffs=(np.int32(3), 2))
     assert psi.cutoffs == (3, 2) and psi.amps[2, 1] == 1.0
 
 

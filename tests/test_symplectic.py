@@ -174,6 +174,16 @@ def test_partial_transpose_is_involution():
     assert_allclose(partial_transpose(pt, bp), st.cov)
 
 
+def test_partial_transpose_leaves_the_frozen_bipartition_as_it_was():
+    bp = Bipartition(1, 2)
+    before = dict(vars(bp))
+    partial_transpose(random_gaussian_state(3, np.random.default_rng(4)).cov, bp)
+    assert vars(bp) == before
+    from bosonic_bounds.symplectic import _pt_signs
+
+    assert not _pt_signs(1, 2).flags.writeable
+
+
 @pytest.mark.parametrize("V", [make_tmsv(0.3).cov + 1e-3j, make_tmsv(0.3).cov.astype(complex)],
                          ids=["imaginary-part", "complex-dtype"])
 def test_partial_transpose_rejects_a_complex_matrix_naming_its_dtype(V):

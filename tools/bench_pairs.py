@@ -25,6 +25,9 @@ Run from the root of a copy of the changed checkout, next to the parent copy:
     python tools/bench_pairs.py --parent ../parent --workload gaussian-audit \\
         --pairs 10 --seed 9
 
+``--workload`` takes one of BENCHMARK.json's workload names and ``--pairs``
+an integer of at least 1; anything else exits 2 before any run.
+
 The parent directory is a plain copy of the parent commit (``git archive``
 or ``git clone``).  Nothing under either tree's ``bench/`` is edited; each
 run leaves its record in that tree's ``.bench_runs/``.
@@ -149,15 +152,23 @@ def _fmt(q):
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="root of the parent checkout")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, required=True)
-    opts = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="root of the parent checkout")
+    parser.add_argument("--workload", required=True,
+                        choices=[spec["name"] for spec in benchmark["workloads"]])
+    parser.add_argument("--pairs", type=_positive_int, default=10)
+    parser.add_argument("--seed", type=int, required=True)
+    opts = parser.parse_args(argv)
     better = {spec["name"]: spec["better"] for spec in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     sides = {"parent": os.path.abspath(opts.parent), "change": ROOT}
