@@ -32,6 +32,7 @@ from .bounds import (
 from .errors import (
     AsymmetricInputError,
     AuditViolationError,
+    CovarianceOverflowError,
     CutoffOverflowError,
     MixedStateError,
     NonPositiveDefiniteError,

@@ -113,7 +113,7 @@ class NAStarSolution:
 
 def _check_mode_counts(n_a: int, n_b: int):
     if not (_is_count(n_a, 1) and _is_count(n_b, 1)):
-        raise ValueError("mode counts must be >= 1")
+        raise ValueError(f"mode counts must be integers >= 1, got {n_a!r} and {n_b!r}")
     # _balance divides by them as floats
     if not max(n_a, n_b) <= sys.float_info.max:
         raise ValueError(f"mode counts must be at most {sys.float_info.max:.6g}")
@@ -223,6 +223,7 @@ def theorem_split_bound(mtn: float, n_a: int, n_b: int) -> float:
     N = (n/2)(M_TN - 1) is the total-noise photon budget; N_A* balances the
     thermal entropies of the two parties.  At n_A = n_B it is :func:`theorem_symmetric_bound`.
     """
+    _check_mode_counts(n_a, n_b)
     if n_a == n_b:
         return theorem_symmetric_bound(mtn, n_a + n_b)
     mtn = _mtn_at_least_one(mtn)
@@ -259,6 +260,7 @@ def gaussian_pure_bound(mtn: float, n_a: int, n_b: int) -> float:
     split is even.  Saturated by n_A two-mode squeezed vacua padded with
     vacuum modes on the larger party.
     """
+    _check_mode_counts(n_a, n_b)
     mtn = _mtn_at_least_one(mtn)
     n = n_a + n_b
     return n_a * g((n / (4.0 * n_a)) * (mtn - 1.0))
@@ -318,13 +320,14 @@ def log_negativity_qcs_bound(
 ) -> BoundCheck:
     """E_N <= n_minus (ln C^2 + ln(n / n_minus)) for any n-mode state.
 
-    Requires n_minus >= 1; the n_minus = 0 case asserts E_N = 0 and is
-    reported by :func:`qcs_implication_report`.
+    Requires integers 1 <= n_minus <= n; the n_minus = 0 case asserts
+    E_N = 0 and is reported by :func:`qcs_implication_report`.
     """
-    if n_minus < 1:
-        raise ValueError("bound needs n_minus >= 1; with n_minus = 0, E_N must vanish")
-    if n_minus > n:
-        raise ValueError("n_minus cannot exceed the mode count")
+    if not (_is_count(n_minus, 1) and _is_count(n, n_minus)):
+        raise ValueError(
+            f"bound needs integers 1 <= n_minus <= n, got n_minus = {n_minus!r}, n = {n!r}; "
+            "with n_minus = 0, E_N must vanish"
+        )
     if qcs2 <= 0.0:
         raise ValueError("QCS^2 must be positive")
     rhs = n_minus * (math.log(qcs2) + math.log(n / n_minus))

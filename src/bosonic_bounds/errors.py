@@ -9,6 +9,14 @@ class AsymmetricInputError(ValueError):
     """A matrix that must be symmetric is not, beyond the relative tolerance."""
 
 
+class CovarianceOverflowError(ValueError):
+    """A covariance matrix cannot be symmetrized in float64: V + V^T overflows.
+
+    The message names the largest entry magnitude; rescaling the covariance
+    brings it back into range.
+    """
+
+
 class UnphysicalStateError(ValueError):
     """A covariance matrix violates the uncertainty bound (min symplectic eigenvalue < 1)."""
 

@@ -9,12 +9,13 @@ describes a physical state iff all symplectic eigenvalues are >= 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AsymmetricInputError, NonPositiveDefiniteError
+from .errors import AsymmetricInputError, CovarianceOverflowError, NonPositiveDefiniteError
 from .tolerances import TAU_PD, TAU_PHYS, TAU_SYM
 
 __all__ = [
@@ -89,8 +90,12 @@ def omega(n: int) -> np.ndarray:
 def validate_covariance(V) -> np.ndarray:
     """Check shape, symmetry, and positive definiteness of a covariance matrix.
 
-    The asymmetry may reach TAU_SYM times the largest entry magnitude (at
-    least 1); every eigenvalue must exceed the positivity floor TAU_PD.
+    The asymmetry max|V - V^T| may reach TAU_SYM times the largest entry
+    magnitude (at least 1); every eigenvalue must exceed the positivity
+    floor TAU_PD.  The asymmetry is measured first: an exactly symmetric V
+    (max|V - V^T| = 0, which no NaN or infinite entry gives) is finite and
+    within tolerance, so the largest entry is looked up only for a V that
+    is not.
 
     Parameters
     ----------
@@ -100,7 +105,10 @@ def validate_covariance(V) -> np.ndarray:
     Returns
     -------
     ndarray
-        The input as a float array (symmetrized copy).
+        A new float array that shares no memory with V, so callers may
+        freeze it: a copy of V when V is exactly symmetric, else the
+        symmetric part (V + V^T) / 2.  The two agree entrywise, since
+        (V + V) / 2 == V short of overflow.
 
     Raises
     ------
@@ -108,27 +116,41 @@ def validate_covariance(V) -> np.ndarray:
         If V is complex, is not 2n x 2n, or has a NaN or infinite entry.
     AsymmetricInputError
         If V deviates from its transpose by more than the tolerance.
+    CovarianceOverflowError
+        If V is within tolerance of symmetric, but not exactly, and has an
+        entry above half the largest float, so that V + V^T would overflow;
+        the message names that entry.  No non-finite matrix is returned.
     NonPositiveDefiniteError
-        If V has an eigenvalue at or below the floor.
+        If V has an eigenvalue at or below the floor (or a NaN one).
     """
     V = np.asarray(V)
     if (V.dtype.kind == "c" or V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2
             or not V.size):
         raise ValueError(f"covariance matrix must be real and 2n x 2n, got {V.dtype} {V.shape}")
     V = V.astype(float, copy=False)
-    peak = float(abs(V).max())
-    if not math.isfinite(peak):
-        raise ValueError("covariance matrix has a non-finite entry")
-    scale = max(1.0, peak)
+    # V - V^T is NaN or infinite wherever V is, so an exactly symmetric V is
+    # finite and needs neither a scale nor the symmetrizing sum
     asym = float(abs(V - V.T).max())
-    if asym > TAU_SYM * scale:
-        raise AsymmetricInputError(
-            f"covariance asymmetry {asym:.3e} exceeds {TAU_SYM:.1e} * {scale:.3e}"
-        )
-    V = V + V.T
-    V *= 0.5
+    if asym == 0.0:
+        V = V.copy()
+    else:
+        peak = float(abs(V).max())
+        if not math.isfinite(peak):
+            raise ValueError("covariance matrix has a non-finite entry")
+        scale = max(1.0, peak)
+        if asym > TAU_SYM * scale:
+            raise AsymmetricInputError(
+                f"covariance asymmetry {asym:.3e} exceeds {TAU_SYM:.1e} * {scale:.3e}"
+            )
+        if peak > sys.float_info.max / 2:
+            raise CovarianceOverflowError(
+                f"covariance entry of magnitude {peak:.3e} overflows V + V^T "
+                f"(limit {sys.float_info.max / 2:.3e}); rescale the covariance"
+            )
+        V = V + V.T
+        V *= 0.5
     evals = np.linalg.eigvalsh(V)
-    if evals[0] <= TAU_PD:
+    if not evals[0] > TAU_PD:
         raise NonPositiveDefiniteError(
             f"covariance eigenvalue {evals[0]:.3e} at or below floor {TAU_PD:.1e} "
             f"(condition number of V {np.linalg.cond(V):.3e})"
@@ -142,8 +164,9 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     With the Cholesky factor V = L L^T, the Hermitian matrix L^T (i Omega) L
     is similar to i Omega V; its spectrum is +/- the symplectic eigenvalues.
     L^T Omega is L^T with each mode's pair of columns swapped and the first
-    negated, and the real product (L^T Omega) L fills the imaginary part of a
-    zeroed complex matrix: tests check the spectrum is the dense form's bit for bit.
+    negated, built in one product from a cached permutation and sign vector,
+    and the real product (L^T Omega) L fills the imaginary part of a zeroed
+    complex matrix: tests check the spectrum is the dense form's bit for bit.
 
     Returns
     -------
@@ -158,12 +181,23 @@ def symplectic_eigenvalues(V) -> np.ndarray:
             f"covariance has no Cholesky factor: {exc} "
             f"(condition number of V {np.linalg.cond(V):.3e})"
         ) from exc
-    lt_omega = np.empty_like(L)
-    lt_omega[:, 1::2] = L[0::2].T
-    np.negative(L[1::2].T, out=lt_omega[:, 0::2])
+    perm, sign = _omega_columns(len(L))
     h = np.zeros(L.shape, dtype=complex)
-    h.imag = lt_omega @ L
+    h.imag = (L[perm].T * sign) @ L
     return np.linalg.eigvalsh(h)[len(h) // 2 :]
+
+
+@lru_cache(maxsize=16)
+def _omega_columns(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (perm, sign) with L^T Omega == L[perm].T * sign for dim = 2n.
+
+    perm swaps each mode's two indices; sign is -1 on X columns, +1 on P.
+    """
+    perm = np.arange(dim) ^ 1
+    sign = np.tile([-1.0, 1.0], dim // 2)
+    perm.setflags(write=False)
+    sign.setflags(write=False)
+    return perm, sign
 
 
 def partial_transpose(V, bp: Bipartition) -> np.ndarray:

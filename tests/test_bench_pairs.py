@@ -164,6 +164,21 @@ def test_sign_test_p_value_is_exact(tool):
     assert tool.sign_test_p(5, 0) == 0.0625 and tool.sign_test_p(6, 0) == 0.03125
 
 
+def test_median_interval_takes_the_order_statistics_binomial_coverage_allows(tool):
+    ratios = [0.05, -0.01, 0.03, 0.02, 0.08, 0.04, -0.02, 0.06, 0.01, 0.07]
+    # n = 10: P(B <= 0) = 1/1024, P(B <= 1) = 11/1024, P(B <= 2) = 56/1024, so the
+    # 2nd smallest and 2nd largest cover with 1 - 22/1024; the 3rd would give 1 - 112/1024
+    assert tool.median_interval(ratios) == (-0.01, 0.07, 1.0 - 22 / 1024)
+    assert tool.median_interval(ratios, alpha=0.25) == (0.01, 0.06, 1.0 - 112 / 1024)
+    # six values are the fewest whose extremes reach 95%: 1 - 2/64
+    assert tool.median_interval([3.0, 1.0, 2.0, 6.0, 5.0, 4.0]) == (1.0, 6.0, 0.96875)
+    assert tool.median_interval([1.0, 2.0, 3.0, 4.0, 5.0]) == (-math.inf, math.inf, 1.0)
+    row = tool.summarize(_runs([100.0] * 10), _runs([100.0 * math.exp(r) for r in ratios]),
+                         {"items_per_s": "higher"})["items_per_s"]
+    lo, hi, coverage = row["log_ratio_interval"]
+    assert (lo, hi) == pytest.approx((-0.01, 0.07)) and coverage == 1.0 - 22 / 1024
+
+
 # The host's speed drifts from pair to pair, and both runs of a pair share it.
 DRIFT = [1.0, 0.996, 1.004, 0.992, 1.006, 0.998, 0.994, 1.002, 0.997, 1.005]
 

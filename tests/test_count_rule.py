@@ -15,8 +15,11 @@ from bosonic_bounds import (
     SchemaError,
     apply_beam_splitter,
     apply_beam_splitter_fock,
+    entanglement_check,
     fock_from_dict,
     gaussian_from_dict,
+    gaussian_pure_bound,
+    log_negativity_qcs_bound,
     make_counterexample_states,
     make_fock_coherent,
     make_fock_number,
@@ -26,6 +29,7 @@ from bosonic_bounds import (
     random_gaussian_state,
     saturating_family,
     solve_na_star,
+    theorem_split_bound,
     theorem_symmetric_bound,
 )
 
@@ -86,6 +90,22 @@ ENTRY_POINTS = [
            "mode counts"),
     _entry("theorem_symmetric_bound-n", lambda v: theorem_symmetric_bound(3.0, v), 2, 2,
            "n must be"),
+    _entry("theorem_split_bound-n_a", lambda v: theorem_split_bound(1.0, v, 2), 1, 1,
+           "mode counts"),
+    _entry("theorem_split_bound-n_b", lambda v: theorem_split_bound(3.0, 2, v), 1, 3,
+           "mode counts"),
+    _entry("gaussian_pure_bound-n_a", lambda v: gaussian_pure_bound(3.0, v, 2), 1, 1,
+           "mode counts"),
+    _entry("gaussian_pure_bound-n_b", lambda v: gaussian_pure_bound(3.0, 1, v), 1, 2,
+           "mode counts"),
+    _entry("entanglement_check-n_a", lambda v: entanglement_check(0.0, 1.0, v, 2), 1, 1,
+           "mode counts"),
+    _entry("entanglement_check-n_b", lambda v: entanglement_check(0.0, 3.0, 1, v), 1, 2,
+           "mode counts"),
+    _entry("log_negativity_qcs_bound-n", lambda v: log_negativity_qcs_bound(0.1, 2.0, v, 1),
+           1, 2, "n_minus <= n"),
+    _entry("log_negativity_qcs_bound-n_minus",
+           lambda v: log_negativity_qcs_bound(0.1, 2.0, 3, v), 1, 2, "1 <= n_minus"),
 ]
 
 

@@ -180,6 +180,14 @@ def test_gaussian_state_rejects_a_complex_mean_naming_its_dtype():
         assert GaussianState([0, 1, 0, 0], cov).mean.dtype == np.float64
 
 
+def test_gaussian_state_freezes_its_own_copy_of_the_covariance():
+    cov = make_tmsv(0.3).cov.copy()
+    st = GaussianState(np.zeros(4), cov)
+    assert cov.flags.writeable and not st.cov.flags.writeable
+    cov[0, 0] = 5.0
+    assert st.cov[0, 0] == make_tmsv(0.3).cov[0, 0]
+
+
 def test_high_squeezing_fails_only_with_library_errors():
     """Far past the envelope, every failure is a typed error quoting cond(V).
 

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from bosonic_bounds import (
     AsymmetricInputError,
     Bipartition,
+    CovarianceOverflowError,
+    GaussianState,
     NonPositiveDefiniteError,
     check_physicality,
     default_bipartition,
@@ -87,12 +89,50 @@ def test_validate_covariance_positivity_floor():
 @pytest.mark.parametrize(
     "V",
     [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
-     [[np.inf, 0.0], [0.0, 1.0]], np.diag([np.nan] * 4)],
-    ids=["nan-diagonal", "nan-off-diagonal", "inf", "all-nan"],
+     [[np.inf, 0.0], [0.0, 1.0]], np.diag([np.nan] * 4),
+     [[1.0, np.inf], [np.inf, 1.0]], [[1.0, -np.inf], [0.0, 1.0]]],
+    ids=["nan-diagonal", "nan-off-diagonal", "inf", "all-nan", "inf-off-diagonal",
+         "one-sided-minus-inf"],
 )
 def test_validate_covariance_rejects_non_finite_entries(V):
     with pytest.raises(ValueError, match="non-finite entry"):
         validate_covariance(V)
+
+
+def test_validate_covariance_copies_an_exactly_symmetric_input():
+    for v in (make_tmsv(0.4).cov, np.diag([2.0, 1.0, 3.0, 1.0]), [[2.0, 0.5], [0.5, 1.0]]):
+        out = validate_covariance(v)
+        assert np.array_equal(out, v) and out.dtype == np.float64
+        assert not np.shares_memory(out, v) and out.flags.writeable
+
+
+def test_a_finite_matrix_whose_asymmetry_overflows_is_asymmetric():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # V - V^T overflows
+        with pytest.raises(AsymmetricInputError, match="asymmetry inf"):
+            validate_covariance([[1.0, 1e308], [-1e308, 1.0]])
+
+
+def test_entries_past_half_the_float_range_never_give_a_non_finite_result():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow on the way
+        # indefinite, eigenvalues 1 -/+ 1.7e308: the floor refuses it, no inf matrix
+        with pytest.raises(NonPositiveDefiniteError, match=r"eigenvalue -1\.700e\+308"):
+            validate_covariance([[1.0, 1.7e308], [1.7e308, 1.0]])
+        huge = np.diag([1e308, 1e308])
+        assert_allclose(symplectic_eigenvalues(huge), [1e308], rtol=1e-15)
+        assert np.array_equal(GaussianState(np.zeros(2), huge).cov, huge)
+        # symmetric within tolerance but not exactly: V + V^T would overflow
+        near = np.diag([1.7e308, 1.0])
+        near[1, 0] = 1e-300
+        with pytest.raises(CovarianceOverflowError, match=r"magnitude 1\.700e\+308"):
+            validate_covariance(near)
+
+
+def test_a_nan_eigenvalue_fails_the_positivity_floor(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda v: np.array([np.nan, 1.0]))
+    with pytest.raises(NonPositiveDefiniteError, match="eigenvalue nan"):
+        validate_covariance(np.eye(2))
 
 
 def test_validate_covariance_rejects_indefinite():
@@ -182,6 +222,16 @@ def test_partial_transpose_leaves_the_frozen_bipartition_as_it_was():
     from bosonic_bounds.symplectic import _pt_signs
 
     assert not _pt_signs(1, 2).flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_cached_columns_build_lt_omega_exactly(n):
+    from bosonic_bounds.symplectic import _omega_columns
+
+    perm, sign = _omega_columns(2 * n)
+    assert not perm.flags.writeable and not sign.flags.writeable
+    L = np.linalg.cholesky(random_gaussian_state(n, np.random.default_rng(n)).cov)
+    assert np.array_equal(L[perm].T * sign, L.T @ omega(n))
 
 
 @pytest.mark.parametrize("V", [make_tmsv(0.3).cov + 1e-3j, make_tmsv(0.3).cov.astype(complex)],

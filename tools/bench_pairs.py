@@ -7,7 +7,11 @@ end-to-end metric of BENCHMARK.json it prints:
 
 - each side's median and quartiles, and the parent's interquartile range;
 - the median of the per-pair log ratios ln(change / parent), which cancel
-  the drift that both runs of a pair share;
+  the drift that both runs of a pair share, and a distribution-free
+  confidence interval for it: the widest pair of order statistics whose
+  binomial(n, 1/2) coverage is at least 95% (the 2nd smallest to the 2nd
+  largest of 10 pairs, 97.85%), with its exact coverage; below six pairs no
+  such pair exists and the interval is unbounded;
 - the pairs the change won and lost in the better direction (ties count for
   neither) and the exact two-sided sign-test p-value of that split;
 - ``gain``: the change won at least nine tenths of the pairs, the sign test
@@ -108,13 +112,36 @@ def sign_test_p(wins, losses):
     return min(1.0, 2.0 * tail)
 
 
+def median_interval(values, alpha=ALPHA):
+    """(low, high, coverage): order statistics that bracket the median with coverage >= 1 - alpha.
+
+    With the values sorted, the k-th smallest and the k-th largest bracket
+    the median with probability 1 - 2 P(B < k), B ~ binomial(n, 1/2), for
+    any continuous distribution; k is the largest that keeps this at
+    1 - alpha or more.  With too few values for k = 1, the interval is
+    (-inf, inf) with coverage 1.
+    """
+    n = len(values)
+    k, tail = 0, 0.0  # tail = P(B < k)
+    while k < n // 2:
+        nxt = tail + math.comb(n, k) / 2**n
+        if 2.0 * nxt > alpha:
+            break
+        k, tail = k + 1, nxt
+    if k == 0:
+        return -math.inf, math.inf, 1.0
+    ordered = sorted(values)
+    return ordered[k - 1], ordered[n - k], 1.0 - 2.0 * tail
+
+
 def summarize(parent_runs, change_runs, better):
     """Per-metric comparison of paired runs.
 
     parent_runs and change_runs are lists of {metric: value}, pair i being
     (parent_runs[i], change_runs[i]); better maps each metric to "higher" or
     "lower".  Every value must be positive.  Returns {metric: dict} with both
-    sides' quartiles, the median per-pair ln(change / parent), the wins,
+    sides' quartiles, the median per-pair ln(change / parent) and its
+    :func:`median_interval` (low, high, coverage), the wins,
     losses, ties and pairs, the sign-test p-value, the parent's IQR, whether
     a gain may be claimed and whether the change is worse.
     """
@@ -136,6 +163,7 @@ def summarize(parent_runs, change_runs, better):
             "parent": p_q,
             "change": c_q,
             "log_ratio_median": statistics.median(ratios),
+            "log_ratio_interval": median_interval(ratios),
             "wins": wins,
             "losses": losses,
             "ties": len(ratios) - wins - losses,
@@ -195,8 +223,10 @@ def main(argv=None):
     print(f"workload {opts.workload}, seed {opts.seed}, {opts.pairs} pairs of "
           f"{seconds:g} s runs; median [first quartile, third quartile]")
     for name, row in summary.items():
+        lo, hi, coverage = row["log_ratio_interval"]
         print(f"{name:16s} parent {_fmt(row['parent']):36s} change {_fmt(row['change']):36s} "
               f"ln ratio {row['log_ratio_median']:+.4f} "
+              f"[{lo:+.4f}, {hi:+.4f}] ({100 * coverage:.2f}%) "
               f"wins {row['wins']}/{row['pairs']} losses {row['losses']} ties {row['ties']} "
               f"p {row['p_value']:.4g} parent IQR {row['parent_iqr']:.6g} "
               f"gain {'yes' if row['gain'] else 'no'} worse {'yes' if row['worse'] else 'no'}")
