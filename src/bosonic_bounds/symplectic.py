@@ -114,6 +114,12 @@ def validate_covariance(V) -> np.ndarray:
     ------
     ValueError
         If V is complex, is not 2n x 2n, or has a NaN or infinite entry.
+        An infinity on the diagonal, or facing the same infinity across it,
+        gives inf - inf in V - V^T, so numpy first warns "invalid value
+        encountered in subtract" (a RuntimeWarning, which warnings-as-errors
+        raises in place of the ValueError); an np.errstate guard on the
+        subtraction would take back about half of what the exact-symmetry
+        path saves on every call.
     AsymmetricInputError
         If V deviates from its transpose by more than the tolerance.
     CovarianceOverflowError
@@ -164,9 +170,8 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     With the Cholesky factor V = L L^T, the Hermitian matrix L^T (i Omega) L
     is similar to i Omega V; its spectrum is +/- the symplectic eigenvalues.
     L^T Omega is L^T with each mode's pair of columns swapped and the first
-    negated, built in one product from a cached permutation and sign vector,
-    and the real product (L^T Omega) L fills the imaginary part of a zeroed
-    complex matrix: tests check the spectrum is the dense form's bit for bit.
+    negated, and the real product (L^T Omega) L fills the imaginary part of a
+    zeroed complex matrix: tests check the spectrum is the dense form's bit for bit.
 
     Returns
     -------
@@ -181,23 +186,12 @@ def symplectic_eigenvalues(V) -> np.ndarray:
             f"covariance has no Cholesky factor: {exc} "
             f"(condition number of V {np.linalg.cond(V):.3e})"
         ) from exc
-    perm, sign = _omega_columns(len(L))
+    lt_omega = np.empty_like(L)
+    lt_omega[:, 1::2] = L[0::2].T
+    np.negative(L[1::2].T, out=lt_omega[:, 0::2])
     h = np.zeros(L.shape, dtype=complex)
-    h.imag = (L[perm].T * sign) @ L
+    h.imag = lt_omega @ L
     return np.linalg.eigvalsh(h)[len(h) // 2 :]
-
-
-@lru_cache(maxsize=16)
-def _omega_columns(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (perm, sign) with L^T Omega == L[perm].T * sign for dim = 2n.
-
-    perm swaps each mode's two indices; sign is -1 on X columns, +1 on P.
-    """
-    perm = np.arange(dim) ^ 1
-    sign = np.tile([-1.0, 1.0], dim // 2)
-    perm.setflags(write=False)
-    sign.setflags(write=False)
-    return perm, sign
 
 
 def partial_transpose(V, bp: Bipartition) -> np.ndarray:

@@ -169,7 +169,9 @@ def test_median_interval_takes_the_order_statistics_binomial_coverage_allows(too
     # n = 10: P(B <= 0) = 1/1024, P(B <= 1) = 11/1024, P(B <= 2) = 56/1024, so the
     # 2nd smallest and 2nd largest cover with 1 - 22/1024; the 3rd would give 1 - 112/1024
     assert tool.median_interval(ratios) == (-0.01, 0.07, 1.0 - 22 / 1024)
-    assert tool.median_interval(ratios, alpha=0.25) == (0.01, 0.06, 1.0 - 112 / 1024)
+    # n = 12: 2 P(B <= 2) = 158/4096 <= 0.05 < 2 P(B <= 3) = 598/4096, so the 3rd from each end
+    twelve = [7.0, 2.0, 11.0, 4.0, 9.0, 1.0, 12.0, 5.0, 3.0, 10.0, 6.0, 8.0]
+    assert tool.median_interval(twelve) == (3.0, 10.0, 1.0 - 158 / 4096)
     # six values are the fewest whose extremes reach 95%: 1 - 2/64
     assert tool.median_interval([3.0, 1.0, 2.0, 6.0, 5.0, 4.0]) == (1.0, 6.0, 0.96875)
     assert tool.median_interval([1.0, 2.0, 3.0, 4.0, 5.0]) == (-math.inf, math.inf, 1.0)

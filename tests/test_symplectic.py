@@ -87,16 +87,22 @@ def test_validate_covariance_positivity_floor():
 
 
 @pytest.mark.parametrize(
-    "V",
-    [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
-     [[np.inf, 0.0], [0.0, 1.0]], np.diag([np.nan] * 4),
-     [[1.0, np.inf], [np.inf, 1.0]], [[1.0, -np.inf], [0.0, 1.0]]],
+    "V, warns",
+    [([[np.nan, 0.0], [0.0, 1.0]], False), ([[1.0, np.nan], [np.nan, 1.0]], False),
+     ([[np.inf, 0.0], [0.0, 1.0]], True), (np.diag([np.nan] * 4), False),
+     ([[1.0, np.inf], [np.inf, 1.0]], True), ([[1.0, -np.inf], [0.0, 1.0]], False)],
     ids=["nan-diagonal", "nan-off-diagonal", "inf", "all-nan", "inf-off-diagonal",
          "one-sided-minus-inf"],
 )
-def test_validate_covariance_rejects_non_finite_entries(V):
-    with pytest.raises(ValueError, match="non-finite entry"):
-        validate_covariance(V)
+def test_validate_covariance_rejects_non_finite_entries(V, warns):
+    # an infinity facing the same infinity across the diagonal (or on it) gives
+    # inf - inf in V - V^T: numpy warns once, by design, before the ValueError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="non-finite entry"):
+            validate_covariance(V)
+    seen = [(w.category, str(w.message)) for w in caught]
+    assert seen == ([(RuntimeWarning, "invalid value encountered in subtract")] if warns else [])
 
 
 def test_validate_covariance_copies_an_exactly_symmetric_input():
@@ -222,16 +228,6 @@ def test_partial_transpose_leaves_the_frozen_bipartition_as_it_was():
     from bosonic_bounds.symplectic import _pt_signs
 
     assert not _pt_signs(1, 2).flags.writeable
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_the_cached_columns_build_lt_omega_exactly(n):
-    from bosonic_bounds.symplectic import _omega_columns
-
-    perm, sign = _omega_columns(2 * n)
-    assert not perm.flags.writeable and not sign.flags.writeable
-    L = np.linalg.cholesky(random_gaussian_state(n, np.random.default_rng(n)).cov)
-    assert np.array_equal(L[perm].T * sign, L.T @ omega(n))
 
 
 @pytest.mark.parametrize("V", [make_tmsv(0.3).cov + 1e-3j, make_tmsv(0.3).cov.astype(complex)],

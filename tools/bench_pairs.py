@@ -112,20 +112,20 @@ def sign_test_p(wins, losses):
     return min(1.0, 2.0 * tail)
 
 
-def median_interval(values, alpha=ALPHA):
-    """(low, high, coverage): order statistics that bracket the median with coverage >= 1 - alpha.
+def median_interval(values):
+    """(low, high, coverage): order statistics that bracket the median with coverage >= 1 - ALPHA.
 
     With the values sorted, the k-th smallest and the k-th largest bracket
     the median with probability 1 - 2 P(B < k), B ~ binomial(n, 1/2), for
     any continuous distribution; k is the largest that keeps this at
-    1 - alpha or more.  With too few values for k = 1, the interval is
+    1 - ALPHA or more.  With too few values for k = 1, the interval is
     (-inf, inf) with coverage 1.
     """
     n = len(values)
     k, tail = 0, 0.0  # tail = P(B < k)
     while k < n // 2:
         nxt = tail + math.comb(n, k) / 2**n
-        if 2.0 * nxt > alpha:
+        if 2.0 * nxt > ALPHA:
             break
         k, tail = k + 1, nxt
     if k == 0:
