@@ -92,8 +92,11 @@ def theorem_symmetric_bound(mtn: float, n: int) -> float:
 def mtn_floor_from_entanglement(ef: float, n: int) -> float | None:
     """Noise floor M_TN >= 1 + 2 e^{(2/n) E_F - 2}, valid once E_F >= 3n/4.
 
-    Returns None when the entanglement is below the validity threshold.
+    Returns None when the entanglement is below the validity threshold.  The
+    mode count n must be an integer >= 1.
     """
+    if not _is_count(n, 1):
+        raise ValueError(f"mode count n must be an integer >= 1, got {n!r}")
     if ef < 0.75 * n:
         return None
     return 1.0 + 2.0 * math.exp((2.0 / n) * ef - 2.0)
@@ -361,8 +364,10 @@ def qcs_implication_report(
 
     Two one-sided checks, each reported only when its hypothesis applies:
     E_N > n/e forces ln C^2 >= E_N / n - 1/e, and C^2 < e^{-n/e} forces
-    E_N = 0.
+    E_N = 0.  The mode count n must be an integer >= 1.
     """
+    if not _is_count(n, 1):
+        raise ValueError(f"mode count n must be an integer >= 1, got {n!r}")
     out = []
     if en > n / math.e:
         out.append(

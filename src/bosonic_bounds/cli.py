@@ -51,7 +51,7 @@ from .fock import (
     qcs2_fock,
 )
 from .gaussian import gaussian_measures, load_gaussian
-from .symplectic import Bipartition, default_bipartition
+from .symplectic import Bipartition, _check_split, default_bipartition
 from .tolerances import TAU_CHECK, TAU_TRUNC
 
 # Keys holding entanglement entropies or logarithmic negativities (nats);
@@ -83,10 +83,7 @@ def _bipartition(args, n: int) -> Bipartition | None:
         bp = Bipartition(int(a), int(b))
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bipartition must look like '1:2', got {text!r}") from exc
-    if bp.n != n:
-        raise SchemaError(
-            f"bipartition {text} covers {bp.n} modes but the state has {n}"
-        )
+    _check_split(bp, n)
     return bp
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import CutoffOverflowError, SchemaError, TruncationError
-from .symplectic import Bipartition, _is_count, _mode_pair
+from .symplectic import Bipartition, _check_split, _is_count, _mode_pair
 from .tolerances import TAU_TRUNC
 
 __all__ = [
@@ -524,14 +524,6 @@ def mtn_pure(psi: FockPureState) -> float:
     return total_noise(psi) / psi.n
 
 
-def _split_dims(psi: FockPureState, bp: Bipartition) -> tuple[int, int]:
-    if bp.n != psi.n:
-        raise ValueError(f"state has {psi.n} modes, bipartition {bp.n}")
-    da = int(np.prod(psi.cutoffs[: bp.n_a]))
-    db = int(np.prod(psi.cutoffs[bp.n_a :]))
-    return da, db
-
-
 def schmidt_coefficients(psi: FockPureState, bp: Bipartition) -> np.ndarray:
     """The min(da, db) singular values of the da x db amplitude matrix, descending.
 
@@ -541,9 +533,9 @@ def schmidt_coefficients(psi: FockPureState, bp: Bipartition) -> np.ndarray:
     np.unique page in code (numpy.ma for np.unique) each process pays for.
     Any other matrix, at once one with over min(da, db) nonzeros, takes an SVD.
     """
-    da, db = _split_dims(psi, bp)
-    mat = psi.amps.reshape(da, db)
-    k = min(da, db)
+    _check_split(bp, psi.n)
+    mat = psi.amps.reshape(int(np.prod(psi.cutoffs[: bp.n_a])), -1)
+    k = min(mat.shape)
     nz = mat != 0
     if np.count_nonzero(nz) <= k and nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1:
         s = sorted(np.abs(mat[nz]).tolist(), reverse=True)
@@ -822,10 +814,11 @@ def fock_from_dict(data: dict) -> FockPureState:
     rows = data["amps"]
     if not isinstance(rows, list):
         raise SchemaError("field 'amps' must be a list of [indices..., re, im] rows")
+    first_row = {}  # index tuple -> the row that listed it
     for rownum, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n + 2:
             raise SchemaError(f"field 'amps' row {rownum} must have {n + 2} entries")
-        idx = row[:n]
+        idx = tuple(row[:n])
         if not all(_is_count(x, 0) and x < c for x, c in zip(idx, cutoffs)):
             raise SchemaError(f"field 'amps' row {rownum} needs integer indices inside cutoffs")
         try:
@@ -836,7 +829,10 @@ def fock_from_dict(data: dict) -> FockPureState:
             raise SchemaError(f"field 'amps' row {rownum} has non-numeric amplitude")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise SchemaError(f"field 'amps' row {rownum} has a non-finite amplitude")
-        amps[tuple(idx)] = complex(re, im)
+        earlier = first_row.setdefault(idx, rownum)
+        if earlier != rownum:
+            raise SchemaError(f"field 'amps' rows {earlier} and {rownum} both list index {idx}")
+        amps[idx] = complex(re, im)
     tail = data.get("tail_mass", 0.0)
     try:
         tail = float(tail) if type(tail) in (int, float) else math.nan
@@ -844,7 +840,10 @@ def fock_from_dict(data: dict) -> FockPureState:
         tail = math.inf
     if not 0.0 <= tail < math.inf:
         raise SchemaError("field 'tail_mass' must be a finite nonnegative number")
-    return FockPureState(amps, tail)
+    try:
+        return FockPureState(amps, tail)
+    except ValueError as exc:
+        raise SchemaError(f"field 'amps' invalid: {exc}") from exc
 
 
 def save_fock(psi: FockPureState, path) -> None:

@@ -42,6 +42,23 @@ def _mode_pair(modes, n: int) -> tuple[int, int]:
     return i, j
 
 
+def _check_split(bp: Bipartition, n: int) -> None:
+    """The library's one split rule: bp must cover exactly the n modes of its state."""
+    if bp.n != n:
+        raise ValueError(
+            f"bipartition {bp.n_a}:{bp.n_b} covers {bp.n} modes but the state has {n}"
+        )
+
+
+def _real_square(V) -> np.ndarray:
+    """V as an array, refused unless its dtype is integer or float and it is 2n x 2n, n >= 1."""
+    V = np.asarray(V)
+    if (V.dtype.kind not in "iuf" or V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2
+            or not V.size):
+        raise ValueError(f"covariance matrix must be real and 2n x 2n, got {V.dtype} {V.shape}")
+    return V
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """Split of n = n_a + n_b modes, counts integers >= 1: A takes modes 0..n_a-1, B the rest."""
@@ -56,19 +73,6 @@ class Bipartition:
     @property
     def n(self) -> int:
         return self.n_a + self.n_b
-
-    @property
-    def a_modes(self) -> range:
-        return range(self.n_a)
-
-    @property
-    def b_modes(self) -> range:
-        return range(self.n_a, self.n)
-
-    def quad_indices(self, modes) -> np.ndarray:
-        """Flat quadrature indices (X_i, P_i interleaved) for the given modes."""
-        modes = np.asarray(list(modes), dtype=int)
-        return np.stack([2 * modes, 2 * modes + 1], axis=1).reshape(-1)
 
 
 def default_bipartition(n: int) -> Bipartition | None:
@@ -113,7 +117,8 @@ def validate_covariance(V) -> np.ndarray:
     Raises
     ------
     ValueError
-        If V is complex, is not 2n x 2n, or has a NaN or infinite entry.
+        If V is not an integer or float matrix (a complex one included), is
+        not 2n x 2n, or has a NaN or infinite entry.
         An infinity on the diagonal, or facing the same infinity across it,
         gives inf - inf in V - V^T, so numpy first warns "invalid value
         encountered in subtract" (a RuntimeWarning, which warnings-as-errors
@@ -129,11 +134,7 @@ def validate_covariance(V) -> np.ndarray:
     NonPositiveDefiniteError
         If V has an eigenvalue at or below the floor (or a NaN one).
     """
-    V = np.asarray(V)
-    if (V.dtype.kind == "c" or V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2
-            or not V.size):
-        raise ValueError(f"covariance matrix must be real and 2n x 2n, got {V.dtype} {V.shape}")
-    V = V.astype(float, copy=False)
+    V = _real_square(V).astype(float, copy=False)
     # V - V^T is NaN or infinite wherever V is, so an exactly symmetric V is
     # finite and needs neither a scale nor the symmetrizing sum
     asym = float(abs(V - V.T).max())
@@ -199,13 +200,11 @@ def partial_transpose(V, bp: Bipartition) -> np.ndarray:
 
     Flips the sign of every P quadrature belonging to a B mode, an exact
     involution, by one product with the split's sign matrix, built once per split.
-    A complex V raises ValueError naming its dtype, as in validate_covariance.
+    V must be real and 2n x 2n, as in validate_covariance (which is not run
+    here), and bp must cover its n modes; otherwise ValueError.
     """
-    V = np.asarray(V)
-    if V.dtype.kind == "c":
-        raise ValueError(f"covariance matrix must be real, got {V.dtype}")
-    if V.shape[0] != 2 * bp.n:
-        raise ValueError(f"covariance is for {V.shape[0] // 2} modes, bipartition has {bp.n}")
+    V = _real_square(V)
+    _check_split(bp, len(V) // 2)
     return V * _pt_signs(bp.n_a, bp.n_b)
 
 

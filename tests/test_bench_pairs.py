@@ -240,3 +240,42 @@ def test_main_refuses_trees_whose_names_differ_in_length_before_any_run(
     assert tool.main(argv) == 2
     err = capsys.readouterr().err
     assert f"{parent} and {change} have directory names of different lengths" in err
+
+
+def _benchmark_tree(root):
+    """A tree holding a copy of this tree's BENCHMARK.json and bench/ files."""
+    (root / "src" / "bosonic_bounds").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    for path in (ROOT / "bench").rglob("*.py"):
+        copy = root / path.relative_to(ROOT)
+        copy.parent.mkdir(parents=True, exist_ok=True)
+        copy.write_bytes(path.read_bytes())
+
+
+@pytest.mark.parametrize(
+    "edit, differing",
+    [
+        (lambda root: (root / "BENCHMARK.json").write_text("{}"), "BENCHMARK.json"),
+        (lambda root: (root / "bench" / "run.py").write_text("# edited\n"), "bench/run.py"),
+        (lambda root: (root / "bench" / "tests" / "test_bench.py").unlink(),
+         "bench/tests/test_bench.py"),
+        (lambda root: (root / "bench" / "extra.py").write_text(""), "bench/extra.py"),
+    ],
+    ids=["benchmark-json", "edited", "missing", "added"],
+)
+def test_main_refuses_trees_whose_benchmarks_differ_before_any_run(
+    tool, tmp_path, monkeypatch, capsys, edit, differing
+):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        _benchmark_tree(root)
+    # bytecode caches under bench/ are written by runs, not part of the benchmark
+    (parent / "bench" / "__pycache__").mkdir()
+    (parent / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
+    assert tool.benchmark_mismatch(parent, change) is None
+    edit(parent)
+    monkeypatch.setattr(tool, "ROOT", str(change))
+    monkeypatch.setattr(tool, "run_bench", lambda *a: pytest.fail("a run started"))
+    argv = ["--parent", str(parent), "--workload", "cli-requests", "--seed", "1"]
+    assert tool.main(argv) == 2
+    assert f"{differing} differs between {parent} and {change}" in capsys.readouterr().err

@@ -647,6 +647,42 @@ def test_non_finite_state_file_names_the_field(kind, data, field, tmp_path, caps
     assert field in err
 
 
+@pytest.mark.parametrize(
+    "kind, text, named",
+    [
+        ("--gaussian", "[1, 2]", "gaussian state file must hold a JSON object"),
+        ("--gaussian", "{not json", "not valid JSON"),
+        ("--gaussian", '{"n": 1, "mean": [0, 0], "cov": [[1, 0, 0], [0, 1, 0]]}',
+         "field 'cov' must be 2 x 2, got shape (2, 3)"),
+        ("--gaussian", '{"n": 1, "mean": [0, 0], "cov": [[1, 0.5], [0, 1]]}',
+         "field 'cov' invalid: covariance asymmetry"),
+        ("--gaussian", '{"n": 1, "mean": [0, 0], "cov": [[-1, 0], [0, 1]]}',
+         "field 'cov' invalid: covariance eigenvalue"),
+        ("--fock", "[]", "fock state file must hold a JSON object"),
+        ("--fock", "{not json", "not valid JSON"),
+        ("--fock", '{"n": 1, "cutoffs": [2], "amps": {"0": 1}}',
+         "field 'amps' must be a list of [indices..., re, im] rows"),
+        ("--fock", '{"n": 1, "cutoffs": [2], "amps": [[0, 1.0]]}',
+         "field 'amps' row 0 must have 3 entries"),
+        ("--fock", '{"n": 2, "cutoffs": [2, 2], "amps": [[0, 1, 1, 0], [1, 0, 1, 0], '
+         '[0, 1, 0, 0]]}', "field 'amps' rows 0 and 2 both list index (0, 1)"),
+        ("--fock", '{"n": 1, "cutoffs": [2], "amps": [[0, 1, 0], [1, 1, 0]]}',
+         "field 'amps' invalid: squared norm 2 exceeds 1"),
+    ],
+    ids=["gaussian-not-object", "gaussian-not-json", "gaussian-cov-shape",
+         "gaussian-cov-asymmetric", "gaussian-cov-indefinite", "fock-not-object",
+         "fock-not-json", "fock-amps-not-list", "fock-row-length", "fock-index-twice",
+         "fock-over-norm"],
+)
+def test_malformed_state_file_is_refused_naming_the_field(kind, text, named, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    for command in ("measure", "bound-check"):
+        code, out, err = run_cli([command, kind, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {named}")
+
+
 def test_jobs_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["audit", "--jobs", "4"])

@@ -24,7 +24,9 @@ from bosonic_bounds import (
     make_fock_coherent,
     make_fock_number,
     make_vacuum,
+    mtn_floor_from_entanglement,
     na_star_asymptotic,
+    qcs_implication_report,
     random_audit,
     random_gaussian_state,
     saturating_family,
@@ -106,6 +108,10 @@ ENTRY_POINTS = [
            1, 2, "n_minus <= n"),
     _entry("log_negativity_qcs_bound-n_minus",
            lambda v: log_negativity_qcs_bound(0.1, 2.0, 3, v), 1, 2, "1 <= n_minus"),
+    _entry("qcs_implication_report-n", lambda v: qcs_implication_report(0.5, 0.1, v), 1, 2,
+           "mode count n"),
+    _entry("mtn_floor_from_entanglement-n", lambda v: mtn_floor_from_entanglement(5.0, v), 1, 2,
+           "mode count n"),
 ]
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -34,8 +35,6 @@ def test_omega_is_antisymmetric_and_squares_to_minus_identity():
 def test_bipartition_validates_counts():
     bp = Bipartition(1, 2)
     assert bp.n == 3
-    assert tuple(bp.a_modes) == (0,)
-    assert tuple(bp.b_modes) == (1, 2)
     assert Bipartition(np.int64(1), np.int32(2)).n == 3
     for counts in [(0, 2), (1, -1), (1.5, 1), (1, 2.0), (True, 1), (1, np.bool_(True)), ("1", 1)]:
         with pytest.raises(ValueError, match="integer mode count"):
@@ -48,12 +47,6 @@ def test_bipartition_validates_counts():
 def test_default_bipartition(n, split):
     expected = Bipartition(*split) if split else None
     assert default_bipartition(n) == expected
-
-
-def test_bipartition_quad_indices_interleaved():
-    bp = Bipartition(1, 2)
-    assert list(bp.quad_indices(bp.a_modes)) == [0, 1]
-    assert list(bp.quad_indices(bp.b_modes)) == [2, 3, 4, 5]
 
 
 def test_validate_covariance_symmetrizes_within_tolerance():
@@ -156,6 +149,16 @@ def test_validate_covariance_rejects_a_complex_matrix_naming_its_dtype(V):
             validate_covariance(V)
 
 
+@pytest.mark.parametrize("V", [np.eye(4).astype(str), np.eye(4, dtype=bool),
+                               np.eye(4).astype(object)], ids=["str", "bool", "object"])
+def test_covariance_of_no_real_number_dtype_is_refused_naming_its_dtype(V):
+    message = re.escape(f"must be real and 2n x 2n, got {V.dtype} (4, 4)")
+    with pytest.raises(ValueError, match=message):
+        validate_covariance(V)
+    with pytest.raises(ValueError, match=message):
+        partial_transpose(V, Bipartition(1, 1))
+
+
 def test_validate_covariance_rejects_odd_dimension():
     with pytest.raises(ValueError):
         validate_covariance(np.eye(3))
@@ -235,7 +238,7 @@ def test_partial_transpose_leaves_the_frozen_bipartition_as_it_was():
 def test_partial_transpose_rejects_a_complex_matrix_naming_its_dtype(V):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no ComplexWarning, no imaginary part dropped
-        with pytest.raises(ValueError, match="must be real, got complex128"):
+        with pytest.raises(ValueError, match=r"real and 2n x 2n, got complex128 \(4, 4\)"):
             partial_transpose(V, Bipartition(1, 1))
 
 
@@ -272,7 +275,7 @@ def _dense_spectrum(V):
 def _dense_partial_transpose(V, bp):
     """The partial transpose built from a per-mode sign loop and an outer product."""
     signs = np.ones(2 * bp.n)
-    for j in bp.b_modes:
+    for j in range(bp.n_a, bp.n):
         signs[2 * j + 1] = -1.0
     return V * np.outer(signs, signs)
 

@@ -49,6 +49,11 @@ the length of its name alone (an A/A run of equal code in copies named
 exit code 2, two trees that are not in the same parent directory or whose
 directory names differ in length: copy both, for example to ``../parent``
 and ``../change``, and run the change copy's tool.
+
+The comparison times code, not benchmarks, so the tool also refuses, with
+exit code 2, two trees whose ``BENCHMARK.json`` or any file under
+``bench/`` (``__pycache__`` aside) differs in bytes, and names the first
+such path.
 """
 
 import argparse
@@ -82,6 +87,31 @@ def same_name_length(root_a, root_b):
     """Whether both trees' directory names are equally long, as the tool requires."""
     return len(os.path.basename(os.path.abspath(root_a))) == len(
         os.path.basename(os.path.abspath(root_b)))
+
+
+def _bytes(path):
+    """The bytes of the file at path, or None where there is none."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def benchmark_mismatch(root_a, root_b):
+    """The first of BENCHMARK.json and bench/'s files whose bytes differ, else None.
+
+    __pycache__ folders are skipped; a file that one tree lacks differs.
+    """
+    paths = {"BENCHMARK.json"}
+    for root in (root_a, root_b):
+        for folder, subfolders, files in os.walk(os.path.join(root, "bench")):
+            subfolders[:] = [name for name in subfolders if name != "__pycache__"]
+            paths.update(os.path.relpath(os.path.join(folder, name), root) for name in files)
+    for path in sorted(paths):
+        if _bytes(os.path.join(root_a, path)) != _bytes(os.path.join(root_b, path)):
+            return path
+    return None
 
 
 def run_bench(root, workload, seed, seconds):
@@ -212,6 +242,11 @@ def main(argv=None):
     if cached is not None:
         print(f"{cached} holds {BYTECODE_CACHE} and the other tree does not; "
               "remove it so both trees compile the package alike", file=sys.stderr)
+        return 2
+    differing = benchmark_mismatch(sides["parent"], sides["change"])
+    if differing is not None:
+        print(f"{differing} differs between {sides['parent']} and {sides['change']}; "
+              "both trees must run the same benchmark", file=sys.stderr)
         return 2
     runs = {"parent": [], "change": []}
     for pair in range(opts.pairs):
