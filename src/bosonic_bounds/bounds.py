@@ -52,8 +52,8 @@ def g(x: float) -> float:
 
     Increasing and strictly concave on x >= 0, with g(0) = 0.
     """
-    if x < 0.0:
-        raise ValueError(f"g requires x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:  # refuses NaN too
+        raise ValueError(f"g requires finite x >= 0, got {x}")
     if x == 0.0:
         return 0.0
     return math.log1p(x) + x * _log1p_ratio(1.0, x)
@@ -61,7 +61,7 @@ def g(x: float) -> float:
 
 def g_prime(x: float) -> float:
     """Derivative ln(1 + 1/x); positive and decreasing."""
-    if x <= 0.0:
+    if not x > 0.0:  # refuses NaN too
         raise ValueError(f"g_prime requires x > 0, got {x}")
     return _log1p_ratio(1.0, x)
 
@@ -72,8 +72,8 @@ def _mtn_at_least_one(mtn: float) -> float:
     Every physical state has M_TN >= 1, but a classical pure state's M_TN
     read from truncated Fock amplitudes can round a few ulps below it.
     """
-    if mtn < 1.0 - TAU_PHYS:
-        raise ValueError(f"M_TN must be >= 1, got {mtn}")
+    if not 1.0 - TAU_PHYS <= mtn < math.inf:  # refuses NaN too
+        raise ValueError(f"M_TN must be >= 1 and finite, got {mtn}")
     return max(mtn, 1.0)
 
 
@@ -93,13 +93,19 @@ def mtn_floor_from_entanglement(ef: float, n: int) -> float | None:
     """Noise floor M_TN >= 1 + 2 e^{(2/n) E_F - 2}, valid once E_F >= 3n/4.
 
     Returns None when the entanglement is below the validity threshold.  The
-    mode count n must be an integer >= 1.
+    mode count n must be an integer >= 1, and E_F finite with a floor in
+    float range.
     """
     if not _is_count(n, 1):
         raise ValueError(f"mode count n must be an integer >= 1, got {n!r}")
+    if not math.isfinite(ef):
+        raise ValueError(f"E_F must be finite, got {ef}")
     if ef < 0.75 * n:
         return None
-    return 1.0 + 2.0 * math.exp((2.0 / n) * ef - 2.0)
+    try:
+        return 1.0 + 2.0 * math.exp((2.0 / n) * ef - 2.0)
+    except OverflowError:
+        raise ValueError(f"noise floor for E_F = {ef} over {n} modes overflows") from None
 
 
 @dataclass(frozen=True)
@@ -283,6 +289,10 @@ class BoundCheck:
 
 def _check(provenance: str, lhs: float, rhs: float, tau_check: float) -> BoundCheck:
     margin = rhs - lhs
+    if not (math.isfinite(margin) and math.isfinite(tau_check)):
+        raise ValueError(
+            f"{provenance}: margin {margin} and tau_check {tau_check} must be finite"
+        )
     return BoundCheck(
         provenance=provenance,
         lhs=lhs,
@@ -314,6 +324,11 @@ def classical_checks(qcs2: float, en: float, tau_check: float = TAU_CHECK) -> li
     ]
 
 
+def _check_qcs2(qcs2: float):
+    if not qcs2 > 0.0:  # refuses NaN too
+        raise ValueError(f"QCS^2 must be positive, got {qcs2}")
+
+
 def log_negativity_qcs_bound(
     en: float,
     qcs2: float,
@@ -331,8 +346,7 @@ def log_negativity_qcs_bound(
             f"bound needs integers 1 <= n_minus <= n, got n_minus = {n_minus!r}, n = {n!r}; "
             "with n_minus = 0, E_N must vanish"
         )
-    if qcs2 <= 0.0:
-        raise ValueError("QCS^2 must be positive")
+    _check_qcs2(qcs2)
     rhs = n_minus * (math.log(qcs2) + math.log(n / n_minus))
     return _check("log-negativity vs coherence-scale (mode-counting)", en, rhs, tau_check)
 
@@ -350,7 +364,10 @@ def log_negativity_qcs_refined(
     """
     if not det_v > 0.0:  # refuses NaN too
         raise ValueError(f"det V must be positive, got {det_v!r}")
-    rhs = 0.5 * (math.exp(en) + math.exp(-en) / math.sqrt(det_v))
+    try:
+        rhs = 0.5 * (math.exp(en) + math.exp(-en) / math.sqrt(det_v))
+    except OverflowError:
+        raise ValueError(f"two-mode refinement overflows at E_N = {en}") from None
     return _check("two-mode coherence-scale refinement", rhs, qcs2, tau_check)
 
 
@@ -364,10 +381,11 @@ def qcs_implication_report(
 
     Two one-sided checks, each reported only when its hypothesis applies:
     E_N > n/e forces ln C^2 >= E_N / n - 1/e, and C^2 < e^{-n/e} forces
-    E_N = 0.  The mode count n must be an integer >= 1.
+    E_N = 0.  The mode count n must be an integer >= 1 and C^2 positive.
     """
     if not _is_count(n, 1):
         raise ValueError(f"mode count n must be an integer >= 1, got {n!r}")
+    _check_qcs2(qcs2)
     out = []
     if en > n / math.e:
         out.append(

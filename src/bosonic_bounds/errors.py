@@ -1,5 +1,17 @@
 """Exception types raised by validation and truncation guards."""
 
+__all__ = [
+    "NonPositiveDefiniteError",
+    "AsymmetricInputError",
+    "CovarianceOverflowError",
+    "UnphysicalStateError",
+    "MixedStateError",
+    "TruncationError",
+    "CutoffOverflowError",
+    "SchemaError",
+    "AuditViolationError",
+]
+
 
 class NonPositiveDefiniteError(ValueError):
     """A covariance matrix has an eigenvalue at or below the positivity floor."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CutoffOverflowError, SchemaError, TruncationError
 from .symplectic import Bipartition, _check_split, _is_count, _mode_pair
-from .tolerances import TAU_TRUNC
+from .tolerances import TAU_NORM, TAU_TRUNC
 
 __all__ = [
     "FockPureState",
@@ -83,11 +83,19 @@ def _check_budget(shape: tuple[int, ...], what: str):
         )
 
 
-def _check_tail_mass(tail_mass: float):
+def _check_mass(mass: float, tail_mass: float, what: str):
+    """Refuse a stored probability (squared norm or trace) over 1, a tail_mass
+    that is not finite and >= 0, or the two together missing over TAU_NORM."""
+    if mass > 1.0 + 1e-9:
+        raise ValueError(f"{what} {mass:.12g} exceeds 1")
     if not math.isfinite(tail_mass):
         raise ValueError(f"tail_mass {tail_mass} is not finite")
     if tail_mass < -1e-12:
         raise ValueError("tail_mass must be >= 0")
+    if mass + tail_mass < 1.0 - TAU_NORM:
+        raise ValueError(
+            f"{what} {mass:.12g} plus tail_mass {tail_mass:.3g} is below 1 - {TAU_NORM:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,8 +104,8 @@ class FockPureState:
 
     ``amps[k1, ..., kn]`` is the amplitude of ``|k1, ..., kn>``; indices run
     to ``cutoffs[i] - 1``.  ``tail_mass`` is the probability mass of the
-    untruncated state lying beyond the cutoffs, so ``norm^2 + tail_mass``
-    is approximately 1 for states built from analytic families.
+    untruncated state lying beyond the cutoffs: ``norm^2 <= 1`` and
+    ``norm^2 + tail_mass >= 1 - TAU_NORM``.
     """
 
     amps: np.ndarray
@@ -112,9 +120,7 @@ class FockPureState:
         norm2 = float(np.vdot(amps, amps).real)
         if not math.isfinite(norm2):
             raise ValueError("amplitude tensor has a non-finite entry")
-        if norm2 > 1.0 + 1e-9:
-            raise ValueError(f"squared norm {norm2:.12g} exceeds 1")
-        _check_tail_mass(self.tail_mass)
+        _check_mass(norm2, self.tail_mass, "squared norm")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "tail_mass", float(max(self.tail_mass, 0.0)))
@@ -137,7 +143,10 @@ class FockPureState:
 
 @dataclass(frozen=True)
 class FockDensityOperator:
-    """Density matrix over the flattened product Fock basis; D x D must fit the byte budget."""
+    """Density matrix over the flattened product Fock basis; D x D must fit the byte budget.
+
+    Like a pure state's squared norm, ``trace <= 1`` and ``trace + tail_mass >= 1 - TAU_NORM``.
+    """
 
     mat: np.ndarray
     cutoffs: tuple[int, ...]
@@ -152,7 +161,6 @@ class FockDensityOperator:
             raise ValueError(f"matrix shape {mat.shape} does not match cutoffs {cutoffs}")
         if dim == 0:
             raise ValueError(f"density matrix for cutoffs {cutoffs} is empty")
-        _check_tail_mass(self.tail_mass)
         herm = float(np.max(np.abs(mat - mat.conj().T)))
         # A NaN or infinite entry makes its own difference non-finite.
         if not math.isfinite(herm):
@@ -160,9 +168,7 @@ class FockDensityOperator:
         if herm > 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
             raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
         mat = 0.5 * (mat + mat.conj().T)
-        tr = float(mat.trace().real)
-        if tr > 1.0 + 1e-9:
-            raise ValueError(f"trace {tr:.12g} exceeds 1")
+        _check_mass(float(mat.trace().real), self.tail_mass, "trace")
         lo = float(np.linalg.eigvalsh(mat)[0])
         if lo < -1e-10:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")

@@ -59,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean quadrature vector (length 2n) and covariance matrix (2n x 2n), both real."""
+    """Mean quadrature vector (length 2n) and covariance matrix (2n x 2n), both real and finite."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -72,6 +72,8 @@ class GaussianState:
         cov = validate_covariance(self.cov)
         if mean.shape != (cov.shape[0],):
             raise ValueError(f"mean shape {mean.shape} does not match covariance {cov.shape}")
+        if not all(map(math.isfinite, mean.tolist())):  # faster than np.isfinite on a short vector
+            raise ValueError("mean vector has a non-finite entry")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -83,7 +85,9 @@ class GaussianState:
 
 
 def make_vacuum(n: int) -> GaussianState:
-    """n-mode vacuum: zero mean, identity covariance."""
+    """n-mode vacuum: zero mean, identity covariance; n is an integer >= 1."""
+    if not _is_count(n, 1):
+        raise ValueError(f"mode count n must be an integer >= 1, got {n!r}")
     return GaussianState(np.zeros(2 * n), np.eye(2 * n))
 
 

@@ -18,6 +18,9 @@ TAU_PHYS = 1e-9
 # maximum Fock-space tail mass tolerated by constructors and measures
 TAU_TRUNC = 1e-10
 
+# largest probability a Fock state may miss: norm^2 (or trace) + tail mass >= 1 - TAU_NORM
+TAU_NORM = 1e-6
+
 # residual tolerance for the transcendental root solve, scaled by max(1, N)
 TAU_ROOT = 1e-12
 

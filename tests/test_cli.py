@@ -668,11 +668,13 @@ def test_non_finite_state_file_names_the_field(kind, data, field, tmp_path, caps
          '[0, 1, 0, 0]]}', "field 'amps' rows 0 and 2 both list index (0, 1)"),
         ("--fock", '{"n": 1, "cutoffs": [2], "amps": [[0, 1, 0], [1, 1, 0]]}',
          "field 'amps' invalid: squared norm 2 exceeds 1"),
+        ("--fock", '{"n": 1, "cutoffs": [2], "amps": [[0, 0.5, 0]]}',
+         "field 'amps' invalid: squared norm 0.25 plus tail_mass 0 is below 1 - 1e-06"),
     ],
     ids=["gaussian-not-object", "gaussian-not-json", "gaussian-cov-shape",
          "gaussian-cov-asymmetric", "gaussian-cov-indefinite", "fock-not-object",
          "fock-not-json", "fock-amps-not-list", "fock-row-length", "fock-index-twice",
-         "fock-over-norm"],
+         "fock-over-norm", "fock-under-norm"],
 )
 def test_malformed_state_file_is_refused_naming_the_field(kind, text, named, tmp_path, capsys):
     path = tmp_path / "state.json"

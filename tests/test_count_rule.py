@@ -77,6 +77,7 @@ ENTRY_POINTS = [
     _entry("apply_beam_splitter_fock-modes",
            lambda v: apply_beam_splitter_fock(make_fock_number((1, 0, 0)), (v, 0)), 0, 2,
            "mode pair"),
+    _entry("make_vacuum-n", make_vacuum, 1, 2, "mode count n"),
     _entry("apply_beam_splitter-modes", lambda v: apply_beam_splitter(make_vacuum(3), (0, v)),
            0, 2, "mode pair"),
     _entry("gaussian_from_dict-n", _gaussian_file, 1, 1, "field 'n'", SchemaError),

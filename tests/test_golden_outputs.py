@@ -12,6 +12,14 @@ from bosonic_bounds import cli
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
+def _freeze_outputs():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "freeze_outputs.py"
+    spec = importlib.util.spec_from_file_location("freeze_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def _lines(label: str, data: bytes) -> list[str]:
     """The lines to diff: one column=value line per cell of a one-row CSV."""
     text = data.decode()
@@ -23,10 +31,7 @@ def _lines(label: str, data: bytes) -> list[str]:
 
 def test_outputs_equal_the_golden_files(tmp_path, monkeypatch):
     """Golden files pin stability, not correctness; tools/freeze_outputs.py writes them."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "freeze_outputs.py"
-    spec = importlib.util.spec_from_file_location("freeze_outputs", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _freeze_outputs()
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("BOSONIC_BOUNDS_SEED", raising=False)
     got = tool.golden_outputs()
@@ -39,7 +44,17 @@ def test_outputs_equal_the_golden_files(tmp_path, monkeypatch):
         elif want != data:
             diff = difflib.unified_diff(_lines(label, want), _lines(label, data), "golden", "now")
             problems.append(f"{label}:\n" + ("".join(diff) or "bytes differ, lines do not\n"))
-    assert not problems, "outputs differ from tests/golden/:\n" + "\n".join(problems)
+    assert not problems, (
+        f"OpenBLAS core {tool.blas_core()} (tests/golden/ was frozen under SkylakeX): "
+        "outputs differ from tests/golden/:\n" + "\n".join(problems)
+    )
+
+
+def test_blas_core_is_unknown_without_a_bundled_openblas(tmp_path, monkeypatch):
+    tool = _freeze_outputs()
+    assert tool.blas_core()
+    monkeypatch.setattr(tool.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert tool.blas_core() == "unknown"
 
 
 @pytest.mark.parametrize("modes, instances", [(2, 6), (3, 4), (4, 4)])

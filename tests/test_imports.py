@@ -1,22 +1,25 @@
 """Every module-level import in the package modules, demos, tools and tests is
-used, and every re-export of the package is public in its defining module.
+used, and the package exports exactly its modules' ``__all__``.
 
 A stdlib ``ast`` pass standing in for a linter: a name bound by a top-level
 ``import`` must appear as a name somewhere in the same module or be listed
-in its ``__all__``.  ``__init__.py`` is skipped there because its imports are
-the package's re-exports; those must instead be listed in the ``__all__`` of
-the module defining them, so ``import *`` and the module's own public list
-agree with the package.  Every constant in ``tolerances.py`` is also read
+in its ``__all__``.  ``__init__.py`` is skipped there: it holds only its
+docstring, ``__version__`` and a relative ``import *`` of each module that
+has an ``__all__``, so the package's public names are the union of those
+lists, no name in two of them.  Every constant in ``tolerances.py`` is also read
 somewhere in the package or the tests, so none is documented but dead.
 An exported name that only the tests use is named in the README, which
 says why it stays public.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 
 import pytest
+
+import bosonic_bounds
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bosonic_bounds"
@@ -40,14 +43,14 @@ def _exported_names(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return set(ast.literal_eval(node.value))
-    return set()
+            return ast.literal_eval(node.value)
+    return []
 
 
 def unused_imports(source):
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= _exported_names(tree)
+    used.update(_exported_names(tree))
     return sorted(set(_imported_names(tree)) - used)
 
 
@@ -70,31 +73,33 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _defined_names(tree):
-    return {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
-
-
-def test_package_reexports_are_in_module_all():
+def test_package_exports_exactly_its_modules_all():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
-    missing = []
-    for node in init.body:
-        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
-            continue
-        tree = ast.parse((PACKAGE / f"{node.module}.py").read_text())
-        exported = _exported_names(tree)
-        if not exported:
-            continue  # without __all__, import * takes every public name
-        defined = _defined_names(tree)
-        missing += [
-            f"{node.module}.{alias.name}"
-            for alias in node.names
-            if alias.name in defined and alias.name not in exported
-        ]
-    assert missing == []
+    docstring, version, *imports = init.body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert isinstance(version, ast.Assign)
+    assert [t.id for t in version.targets] == ["__version__"]
+    starred = [
+        node.module
+        for node in imports
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and [alias.name for alias in node.names] == ["*"]
+    ]
+    assert len(starred) == len(imports)
+    lists = {
+        path.stem: _exported_names(ast.parse(path.read_text()))
+        for path in MODULES
+    }
+    assert sorted(starred) == sorted(name for name, names in lists.items() if names)
+    union = [name for names in lists.values() for name in names]
+    assert len(union) == len(set(union)), "a name is in two modules' __all__"
+    public = {
+        name
+        for name, value in vars(bosonic_bounds).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(union)
 
 
 def _loaded_names(tree):
@@ -136,7 +141,7 @@ def unreferenced_exports(modules, sources):
         referenced.update(_referenced_names(ast.parse(source)))
     exported = set()
     for source in modules:
-        exported |= _exported_names(ast.parse(source))
+        exported.update(_exported_names(ast.parse(source)))
     return sorted(exported - referenced)
 
 

@@ -9,17 +9,23 @@ writes.  It goes to ``tests/golden/<name>``, ``<name>`` being its label with
 every run of characters outside ``[A-Za-z0-9=.,-]`` replaced by ``_``.  Files
 no command writes are removed; if a command exits with an unexpected code,
 nothing is written.  tests/test_golden_outputs.py compares the same outputs
-with these files.  Run from the repository root:
+with these files.  The stored files were frozen under OpenBLAS's SkylakeX
+kernel; other kernels round some outputs differently, so a failing
+comparison starts with the kernel in use (``blas_core``).  Run from the
+repository root:
 
     python tools/freeze_outputs.py
 """
 
 import contextlib
+import ctypes
 import io
 import os
 import pathlib
 import re
 import tempfile
+
+import numpy as np
 
 from bosonic_bounds import cli
 from bosonic_bounds.fock import make_fock_tmsv, save_fock
@@ -55,6 +61,20 @@ OPTION_ARGVS = (
     # Three modes, so total_noise = M_TN * n is not an exact power-of-two scaling.
     ["measure", "--fock", "N=1,2,3"],
 )
+
+
+def blas_core() -> str:
+    """The OpenBLAS kernel numpy runs on, read from its bundled library, or "unknown"."""
+    for lib in sorted((pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))  # the library numpy loaded, not a second copy
+        except OSError:
+            continue
+        getter = getattr(dll, "scipy_openblas_get_corename64_", None)
+        if getter is not None:
+            getter.restype = ctypes.c_char_p
+            return getter().decode()
+    return "unknown"
 
 
 def commands() -> list[tuple[str, list[str], int]]:
