@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,15 +92,25 @@ def make_vacuum(n: int) -> GaussianState:
     return GaussianState(np.zeros(2 * n), np.eye(2 * n))
 
 
+# largest |x| for which exp(x) and cosh(x) are finite floats
+_EXP_RANGE = math.log(sys.float_info.max)
+_COSH_RANGE = math.acosh(sys.float_info.max)
+
+
 def make_thermal(nbar) -> GaussianState:
     """Thermal state with mean photon number nbar per mode.
 
     ``nbar`` may be a scalar (one mode) or a sequence (one entry per mode);
     the covariance is diag(2 nbar_k + 1) on both quadratures of mode k.
+    Each nbar_k must be >= 0 with 2 nbar_k + 1 finite, else ValueError.
     """
     nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
-    if np.any(nbar < 0):
-        raise ValueError("thermal occupation must be >= 0")
+    for k, x in enumerate(nbar.tolist()):
+        if not (x >= 0.0 and math.isfinite(2.0 * x + 1.0)):  # NaN fails x >= 0
+            raise ValueError(
+                f"thermal occupation must be >= 0 with 2 nbar + 1 finite, got nbar {x!r} "
+                f"for mode {k}"
+            )
     diag = np.repeat(2.0 * nbar + 1.0, 2)
     return GaussianState(np.zeros(diag.size), np.diag(diag))
 
@@ -108,7 +119,12 @@ def make_squeezed(s: float, phi: float = 0.0) -> GaussianState:
     """Single-mode squeezed vacuum with strength s and squeezing axis at angle phi.
 
     phi = 0 squeezes X (cov diag(e^{-2s}, e^{2s})); phi = pi/2 squeezes P.
+    s must be finite with e^{|2s|} finite, and phi finite, else ValueError.
     """
+    if not abs(2.0 * s) <= _EXP_RANGE:  # NaN fails too
+        raise ValueError(f"squeezing s must be finite with |2s| <= {_EXP_RANGE!r}, got {s!r}")
+    if not math.isfinite(phi):
+        raise ValueError(f"squeezing angle phi must be finite, got {phi!r}")
     c, sn = np.cos(phi), np.sin(phi)
     rot = np.array([[c, -sn], [sn, c]])
     V = rot @ np.diag([np.exp(-2.0 * s), np.exp(2.0 * s)]) @ rot.T
@@ -119,7 +135,10 @@ def make_tmsv(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r.
 
     Block form: V_A = V_B = cosh(2r) I, cross block sinh(2r) diag(1, -1).
+    r must be finite with cosh(2r) finite, else ValueError.
     """
+    if not abs(2.0 * r) <= _COSH_RANGE:  # NaN fails too
+        raise ValueError(f"squeezing r must be finite with |2r| <= {_COSH_RANGE!r}, got {r!r}")
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     V = np.eye(4) * ch
     V[0, 2] = V[2, 0] = sh

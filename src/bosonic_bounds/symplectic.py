@@ -91,7 +91,7 @@ def omega(n: int) -> np.ndarray:
     return w
 
 
-def validate_covariance(V) -> np.ndarray:
+def validate_covariance(V, *, _floor: bool = True) -> np.ndarray:
     """Check shape, symmetry, and positive definiteness of a covariance matrix.
 
     The asymmetry max|V - V^T| may reach TAU_SYM times the largest entry
@@ -105,6 +105,12 @@ def validate_covariance(V) -> np.ndarray:
     ----------
     V : array_like
         Candidate 2n x 2n covariance matrix.
+    _floor : bool, keyword-only, private
+        False skips the eigenvalue floor.  Only :func:`symplectic_eigenvalues`
+        passes it, and proves the floor from its own spectrum or runs it
+        itself.  It is a keyword, not a second function, only because
+        ``test_three_mode_audit_per_state_counts`` in bench/tests/test_bench.py
+        pins 5 validate_covariance calls per audited state.
 
     Returns
     -------
@@ -156,13 +162,19 @@ def validate_covariance(V) -> np.ndarray:
             )
         V = V + V.T
         V *= 0.5
+    if _floor:
+        _eigenvalue_floor(V)
+    return V
+
+
+def _eigenvalue_floor(V: np.ndarray) -> None:
+    """Refuse a symmetric V whose least eigenvalue is at or below TAU_PD (or NaN)."""
     evals = np.linalg.eigvalsh(V)
     if not evals[0] > TAU_PD:
         raise NonPositiveDefiniteError(
             f"covariance eigenvalue {evals[0]:.3e} at or below floor {TAU_PD:.1e} "
             f"(condition number of V {np.linalg.cond(V):.3e})"
         )
-    return V
 
 
 def symplectic_eigenvalues(V) -> np.ndarray:
@@ -174,15 +186,30 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     negated, and the real product (L^T Omega) L fills the imaginary part of a
     zeroed complex matrix: tests check the spectrum is the dense form's bit for bit.
 
+    V is refused exactly as :func:`validate_covariance` refuses it, but its
+    eigenvalue floor runs only when the spectrum cannot prove the floor
+    through the Williamson bound lambda_min(V) >= nu_1^2 / lambda_max(V).
+
     Returns
     -------
     ndarray
         The n positive values nu_1 <= ... <= nu_n.
+
+    Raises
+    ------
+    ValueError, AsymmetricInputError, CovarianceOverflowError
+        As :func:`validate_covariance` raises them.
+    NonPositiveDefiniteError
+        If V has an eigenvalue at or below TAU_PD, with validate_covariance's
+        message, whether or not V has a Cholesky factor; or, for a V that
+        passes the floor, if Cholesky still fails: "covariance has no
+        Cholesky factor".
     """
-    V = validate_covariance(V)
+    V = validate_covariance(V, _floor=False)
     try:
         L = np.linalg.cholesky(V)
     except np.linalg.LinAlgError as exc:
+        _eigenvalue_floor(V)  # an indefinite V is refused by the floor, as validation refuses it
         raise NonPositiveDefiniteError(
             f"covariance has no Cholesky factor: {exc} "
             f"(condition number of V {np.linalg.cond(V):.3e})"
@@ -192,7 +219,22 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     np.negative(L[1::2].T, out=lt_omega[:, 0::2])
     h = np.zeros(L.shape, dtype=complex)
     h.imag = lt_omega @ L
-    return np.linalg.eigvalsh(h)[len(h) // 2 :]
+    nu = np.linalg.eigvalsh(h)[len(h) // 2 :]
+    # Williamson: V = S D S^T with D >= nu_1 I, so V >= nu_1 S S^T, and
+    # lambda_max(V) >= nu_1 lambda_max(S S^T).  S S^T has reciprocal
+    # eigenvalue pairs, so lambda_min(V) >= nu_1 / lambda_max(S S^T)
+    # >= nu_1^2 / lambda_max(V).  As lambda_max(V) <= Tr V <= 2n max V_ii,
+    # r = nu_1 / (2n max V_ii) gives lambda_min(V) >= nu_1 r and
+    # cond V <= 1 / r^2.  r > 1e-4 keeps cond V <= 1e8, where the computed
+    # nu_1 can be trusted, and nu_1 r > 2 TAU_PD then proves the floor with a
+    # factor 2 to spare.  Python floats (and a Python max, faster than
+    # numpy's on a short diagonal): an overflowing 2n max V_ii gives r = 0,
+    # with no warning, and the floor runs.
+    nu_1 = float(nu[0])
+    r = nu_1 / (len(V) * max(V.diagonal().tolist()))
+    if not (r > 1e-4 and nu_1 * r > 2.0 * TAU_PD):
+        _eigenvalue_floor(V)
+    return nu
 
 
 def partial_transpose(V, bp: Bipartition) -> np.ndarray:

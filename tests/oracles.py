@@ -12,6 +12,10 @@ library's own path, so a test that compares the two checks both:
 - ``sweep_csv_oracle`` writes a sweep CSV through ``csv.writer`` with one
   formatting call per cell, where ``experiments.write_sweep`` joins each
   row itself.
+- ``symplectic_eigenvalues_full_floor`` runs the full ``validate_covariance``,
+  eigenvalue floor included, before the Cholesky kernel of
+  ``symplectic.symplectic_eigenvalues``, which runs that floor only when its
+  own spectrum cannot prove it.
 
 Tests import them as ``from oracles import ...``.
 """
@@ -23,9 +27,10 @@ import math
 
 import numpy as np
 
+from bosonic_bounds.errors import NonPositiveDefiniteError
 from bosonic_bounds.fock import FockPureState, _ladder
 from bosonic_bounds.gaussian import GaussianState, _inverse
-from bosonic_bounds.symplectic import omega
+from bosonic_bounds.symplectic import omega, validate_covariance
 
 
 def quadrature_moments(psi: FockPureState) -> tuple[np.ndarray, np.ndarray]:
@@ -91,3 +96,26 @@ def sweep_csv_oracle(path, columns, rows) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in columns])
+
+
+def symplectic_eigenvalues_full_floor(V) -> np.ndarray:
+    """``symplectic_eigenvalues`` with every refusal decided before the spectrum.
+
+    The full validation's eigenvalue floor runs first, then the same
+    Cholesky kernel: the answer and every refusal, type and message, that
+    ``symplectic_eigenvalues`` must reproduce.
+    """
+    V = validate_covariance(V)
+    try:
+        L = np.linalg.cholesky(V)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveDefiniteError(
+            f"covariance has no Cholesky factor: {exc} "
+            f"(condition number of V {np.linalg.cond(V):.3e})"
+        ) from exc
+    lt_omega = np.empty_like(L)
+    lt_omega[:, 1::2] = L[0::2].T
+    np.negative(L[1::2].T, out=lt_omega[:, 0::2])
+    h = np.zeros(L.shape, dtype=complex)
+    h.imag = lt_omega @ L
+    return np.linalg.eigvalsh(h)[len(h) // 2 :]

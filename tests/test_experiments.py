@@ -13,6 +13,7 @@ from bosonic_bounds import (
     Bipartition,
     BoundCheck,
     FockPureState,
+    GaussianState,
     apply_beam_splitter,
     apply_beam_splitter_fock,
     beam_splitter_fock,
@@ -648,3 +649,35 @@ def test_counterexample_demo_flags():
     )
     assert result["satisfies_split_bound"]
     assert result["split_bound"] > result["ef_permuted"]
+
+
+def test_an_audited_gaussian_state_takes_one_real_eigensolve(monkeypatch):
+    """Its covariance's floor, once; each of the 4 spectra proves its own floor."""
+    kinds = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        kinds.append(np.asarray(a).dtype.kind)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    random_audit(40, modes=3, seed=5, fock_states=0, classical_states=0)
+    assert (kinds.count("f"), kinds.count("c"), len(kinds)) == (40, 160, 200)
+
+
+def test_no_spectrum_of_the_golden_audits_falls_back_to_the_eigenvalue_floor(monkeypatch):
+    """The floor runs once per GaussianState built, and never for a spectrum."""
+    counts = {"floor": 0, "state": 0}
+    floor, post_init = symplectic._eigenvalue_floor, GaussianState.__post_init__
+
+    def count(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(symplectic, "_eigenvalue_floor", count("floor", floor))
+    monkeypatch.setattr(GaussianState, "__post_init__", count("state", post_init))
+    for modes in (2, 3, 4):
+        random_audit(1000, modes=modes, seed=11)
+    assert counts["floor"] == counts["state"] > 0

@@ -3,7 +3,10 @@ import difflib
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -100,3 +103,38 @@ def test_the_exit_3_audit_violation_replays_through_bound_check(tmp_path, capsys
     checks = {c["provenance"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks[inst["check"]]["margin"] == inst["margin"]
     assert checks[inst["check"]]["holds"] is False
+
+
+_SECOND_KERNEL_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import freeze_outputs as tool
+core = tool.blas_core()
+got = tool.golden_outputs() if core == "Haswell" else {}
+differ = sorted(label for name, (label, data) in got.items()
+                if not (tool.GOLDEN / name).is_file() or (tool.GOLDEN / name).read_bytes() != data)
+print(json.dumps({"core": core, "differ": differ}))
+"""
+
+
+def test_under_a_second_blas_kernel_only_the_audit_outputs_differ(tmp_path):
+    """The cross-kernel contract: a named state's outputs do not follow the kernel.
+
+    The audits' sampled covariances come from BLAS products, whose last bits
+    are the kernel's, so their outputs may differ from tests/golden/ (frozen
+    under SkylakeX); no other output may.  The commands run in a child
+    process with OPENBLAS_CORETYPE=Haswell; the test is skipped where the
+    child does not get that kernel (no AVX2, or a numpy without its bundled
+    OpenBLAS).
+    """
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "BOSONIC_BOUNDS_SEED"}
+    env["OPENBLAS_CORETYPE"] = "Haswell"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SECOND_KERNEL_RUN, str(root / "tools")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    if result["core"] != "Haswell":
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell gave the kernel {result['core']}")
+    assert [label for label in result["differ"] if not label.startswith("audit")] == []

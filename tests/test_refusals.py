@@ -6,6 +6,7 @@ NaN or leaking an OverflowError.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from bosonic_bounds import (
     gaussian_pure_bound,
     log_negativity_qcs_bound,
     log_negativity_qcs_refined,
+    make_squeezed,
     make_thermal,
+    make_tmsv,
     mtn_floor_from_entanglement,
     qcs_implication_report,
     random_gaussian_state,
@@ -126,6 +129,28 @@ REFUSALS = [
          r"mean vector has a non-finite entry"),
     _row("make_thermal-negative", lambda: make_thermal([1.0, -0.5]), ValueError,
          r"thermal occupation must be >= 0"),
+    # the constructors refuse a parameter by name before numpy can warn or overflow
+    _row("make_thermal-nan", lambda: make_thermal(NAN), ValueError,
+         r"^thermal occupation must be >= 0 with 2 nbar \+ 1 finite, got nbar nan for mode 0$"),
+    _row("make_thermal-inf", lambda: make_thermal(INF), ValueError,
+         r"^thermal occupation must be >= 0 with 2 nbar \+ 1 finite, got nbar inf for mode 0$"),
+    _row("make_thermal-overflow", lambda: make_thermal([1.0, 1e308]), ValueError,
+         r"got nbar 1e\+308 for mode 1$"),
+    _row("make_squeezed-overflow", lambda: make_squeezed(400.0), ValueError,
+         r"^squeezing s must be finite with \|2s\| <= 709\.782712893384, got 400\.0$"),
+    _row("make_squeezed-nan", lambda: make_squeezed(NAN), ValueError,
+         r"^squeezing s must be finite with \|2s\| <= 709\.782712893384, got nan$"),
+    _row("make_squeezed-underflow", lambda: make_squeezed(-400.0), ValueError,
+         r"got -400\.0$"),
+    _row("make_squeezed-phi-inf", lambda: make_squeezed(0.5, INF), ValueError,
+         r"^squeezing angle phi must be finite, got inf$"),
+    _row("make_squeezed-phi-nan", lambda: make_squeezed(0.5, NAN), ValueError,
+         r"^squeezing angle phi must be finite, got nan$"),
+    _row("make_tmsv-overflow", lambda: make_tmsv(400.0), ValueError,
+         r"^squeezing r must be finite with \|2r\| <= 710\.4758600739439, got 400\.0$"),
+    _row("make_tmsv-inf", lambda: make_tmsv(INF), ValueError,
+         r"^squeezing r must be finite with \|2r\| <= 710\.4758600739439, got inf$"),
+    _row("make_tmsv-nan", lambda: make_tmsv(NAN), ValueError, r"got nan$"),
     _row("random_gaussian_state-profile",
          lambda: random_gaussian_state(2, 0, purity_profile="squeezed"), ValueError,
          r"unknown purity profile 'squeezed'"),
@@ -135,6 +160,7 @@ REFUSALS = [
 @pytest.mark.parametrize("call, error, message", REFUSALS)
 def test_refusal_raises_its_type_and_message(call, error, message, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # for the files write_sweep opens
-    with pytest.raises(error, match=message) as exc:
+    with warnings.catch_warnings(), pytest.raises(error, match=message) as exc:
+        warnings.simplefilter("error")  # a refusal comes before any numpy warning
         call()
     assert type(exc.value) is error

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -22,7 +23,9 @@ from bosonic_bounds import (
     symplectic_eigenvalues,
     validate_covariance,
 )
+from bosonic_bounds import symplectic
 from bosonic_bounds.tolerances import TAU_PD, TAU_PHYS, TAU_SYM
+from oracles import symplectic_eigenvalues_full_floor
 
 
 def test_omega_is_antisymmetric_and_squares_to_minus_identity():
@@ -314,3 +317,130 @@ def test_random_symplectic_equals_the_stacked_euler_form_bit_for_bit():
         d = np.stack([np.exp(-s), np.exp(s)], axis=1).reshape(-1)
         S = random_symplectic(n, np.random.default_rng(n), squeeze_max=1.5)
         assert np.array_equal(S, (o1 * d) @ o2)
+
+
+def _orthogonal(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def _log_uniform_spd(rng):
+    """Eigenvalues log-uniform in [e^-35, e^5]: most fail the floor, many by a hair."""
+    d = 2 * int(rng.integers(1, 5))
+    q = _orthogonal(rng, d)
+    return (q * np.exp(rng.uniform(-35.0, 5.0, d))) @ q.T
+
+
+def _near_singular(rng):
+    """A rank-deficient Gram matrix shifted by 1e-17..1e-9, scaled by 10^-5..10^300."""
+    d = 2 * int(rng.integers(1, 5))
+    b = rng.normal(size=(d, d - 1))
+    v = b @ b.T + 10.0 ** rng.uniform(-17.0, -9.0) * np.eye(d)
+    return v * 10.0 ** rng.uniform(-5.0, 300.0)
+
+
+def _indefinite(rng):
+    """Some eigenvalues negated, from -1e-16 to -1 of their size, scaled as above."""
+    d = 2 * int(rng.integers(1, 5))
+    q = _orthogonal(rng, d)
+    lam = np.exp(rng.uniform(-10.0, 3.0, d))
+    lam[: rng.integers(1, d + 1)] *= -(10.0 ** rng.uniform(-16.0, 0.0))
+    return ((q * lam) @ q.T) * 10.0 ** rng.uniform(-5.0, 300.0)
+
+
+def _physical(rng):
+    """S diag(nu) S^T at squeeze_max up to 9, pure or mixed, unvalidated."""
+    n = int(rng.integers(1, 5))
+    s = random_symplectic(n, rng, rng.uniform(0.0, 9.0))
+    nu = 1.0 + (rng.exponential(1.0, n) if rng.random() < 0.5 else np.zeros(n))
+    return (s * np.repeat(nu, 2)) @ s.T
+
+
+def _outcome(spectrum, V):
+    """The spectrum's bytes, or the refusal's type and message; a warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "answer", spectrum(V).tobytes()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "family, count, seed, seen",
+    [
+        (_log_uniform_spd, 1200, 1, {"proved", "floor", "refused"}),
+        (_near_singular, 600, 2, {"floor", "refused"}),
+        (_indefinite, 600, 3, {"refused"}),
+        (_physical, 600, 4, {"proved", "floor"}),
+    ],
+    ids=["log-uniform-spd", "near-singular", "indefinite", "physical"],
+)
+def test_spectrum_answers_and_refuses_as_the_full_floor_does(
+    family, count, seed, seen, monkeypatch
+):
+    """Proving the floor from the spectrum moves no answer bit and no refusal.
+
+    Each family reaches at least the outcomes in ``seen``: an answer whose
+    floor the spectrum proved, an answer after the eigenvalue floor ran, a
+    refusal.
+    """
+    floors = []
+    floor = symplectic._eigenvalue_floor
+    monkeypatch.setattr(symplectic, "_eigenvalue_floor", lambda V: floors.append(1) or floor(V))
+    rng = np.random.default_rng(seed)
+    reached = set()
+    for _ in range(count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 10^300 scalings of the draws
+            V = family(rng)
+        want = _outcome(symplectic_eigenvalues_full_floor, V)
+        before = len(floors)
+        assert _outcome(symplectic_eigenvalues, V) == want
+        if want[0] != "answer":
+            reached.add("refused")
+        else:
+            reached.add("floor" if len(floors) > before else "proved")
+    assert seen <= reached
+
+
+# The Gram matrix of 4 x 3 normal draws, nudged 3e-16 below singular along
+# its null vector and scaled by 1e160: Cholesky factors it and nu_1 r passes
+# 2 TAU_PD, so only the r > 1e-4 guard sends it to the floor, which refuses it.
+_B = np.random.default_rng(8).normal(size=(4, 3))
+_U = np.linalg.svd(_B)[0][:, 3]
+_SINGULAR = (_B @ _B.T - 3e-16 * np.outer(_U, _U)) * 1e160
+_SINGULAR = (_SINGULAR + _SINGULAR.T) / 2
+
+
+@pytest.mark.parametrize(
+    "V, answer, message",
+    [
+        (np.diag([TAU_PD, 1.0]), None, r"^covariance eigenvalue 1\.000e-12 at or below floor"),
+        (np.diag([2 * TAU_PD, 1.0]), [math.sqrt(2 * TAU_PD)], None),
+        (np.diag([1.0, -1.0]), None, r"^covariance eigenvalue -1\.000e\+00 at or below floor"),
+        (_SINGULAR, None, r"^covariance eigenvalue -\S+ at or below floor"),
+        (np.diag([1e308, 1e308]), [1e308], None),
+    ],
+    ids=["at-floor", "twice-floor", "indefinite", "scaled-singular", "near-float-max"],
+)
+def test_spectrum_refusal_rows(V, answer, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if answer is None:
+            with pytest.raises(NonPositiveDefiniteError, match=message) as exc:
+                symplectic_eigenvalues(V)
+            with pytest.raises(NonPositiveDefiniteError) as ref:
+                symplectic_eigenvalues_full_floor(V)
+            assert str(exc.value) == str(ref.value)
+        else:
+            nu = symplectic_eigenvalues(V)
+            assert np.array_equal(nu, symplectic_eigenvalues_full_floor(V))
+            assert nu.tolist() == answer
+
+
+def test_the_scaled_singular_row_passes_all_but_the_condition_guard():
+    L = np.linalg.cholesky(_SINGULAR)
+    nu_1 = np.linalg.eigvalsh(1j * L.T @ omega(2) @ L)[2]
+    r = nu_1 / (4 * _SINGULAR.diagonal().max())
+    assert r < 1e-4 and nu_1 * r > 2 * TAU_PD
