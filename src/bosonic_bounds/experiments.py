@@ -64,7 +64,7 @@ from .gaussian import (
     random_classical_state,
     random_gaussian_state,
 )
-from .symplectic import Bipartition, _is_count, default_bipartition
+from .symplectic import Bipartition, _is_count, _lapack, default_bipartition
 from .tolerances import TAU_CHECK, TAU_TRUNC
 
 __all__ = [
@@ -529,7 +529,7 @@ def state_checks(state, bp: Bipartition | None, tau_check: float = TAU_CHECK) ->
     if isinstance(state, GaussianState):
         rep = gaussian_measures(state, bp)
         measures = {"qcs2": rep.qcs2, "log_negativity": rep.log_negativity, "n_minus": rep.n_minus}
-        det_v = float(np.linalg.det(state.cov)) if state.n == 2 else math.nan
+        det_v = float(_lapack("det", state.cov, "d->d")) if state.n == 2 else math.nan
         return measures, coherence_scale_checks(
             rep.log_negativity, rep.qcs2, state.n, rep.n_minus, det_v, tau_check)
     if bp is None:

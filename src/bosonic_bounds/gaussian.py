@@ -25,6 +25,7 @@ from .symplectic import (
     Bipartition,
     _check_split,
     _is_count,
+    _lapack,
     _mode_pair,
     check_physicality,
     default_bipartition,
@@ -196,13 +197,13 @@ def _inverse(V: np.ndarray) -> np.ndarray:
     Far past the squeezing envelope the positivity floor can pass while LU
     still meets an exact zero pivot.
     """
-    try:
-        return np.linalg.inv(V)
-    except np.linalg.LinAlgError as exc:
+    inv = _lapack("inv", V, "d->d")
+    if math.isnan(inv[0, 0]):  # a failed inverse is NaN throughout
         raise NonPositiveDefiniteError(
             f"covariance matrix is singular to working precision "
             f"(condition number of V {np.linalg.cond(V):.3e})"
-        ) from exc
+        )
+    return inv
 
 
 def qcs2_gaussian(st: GaussianState) -> float:

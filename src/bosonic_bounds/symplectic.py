@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import AsymmetricInputError, CovarianceOverflowError, NonPositiveDefiniteError
 from .tolerances import TAU_PD, TAU_PHYS, TAU_SYM
@@ -48,6 +49,20 @@ def _check_split(bp: Bipartition, n: int) -> None:
         raise ValueError(
             f"bipartition {bp.n_a}:{bp.n_b} covers {bp.n} modes but the state has {n}"
         )
+
+
+def _lapack(name: str, a: np.ndarray, signature: str) -> np.ndarray:
+    """numpy.linalg's own LAPACK gufunc ``_umath_linalg.<name>`` on a, without its wrapper.
+
+    ``eigvalsh_lo``, ``cholesky_lo``, ``inv`` and ``det`` with signature
+    "d->d" (or "D->d" for a complex eigvalsh) return, bit for bit, what
+    numpy.linalg's function of that name returns for a float64 (complex128)
+    a; that wrapper's checks cost as much as LAPACK on the small matrices
+    of one state.  Where the wrapper raises LinAlgError the gufunc fills its
+    result with NaN, emitting no warning, so a caller refuses a NaN.
+    """
+    with np.errstate(all="ignore"):
+        return getattr(_umath_linalg, name)(a, signature=signature)
 
 
 def _real_square(V) -> np.ndarray:
@@ -138,7 +153,8 @@ def validate_covariance(V, *, _floor: bool = True) -> np.ndarray:
         entry above half the largest float, so that V + V^T would overflow;
         the message names that entry.  No non-finite matrix is returned.
     NonPositiveDefiniteError
-        If V has an eigenvalue at or below the floor (or a NaN one).
+        If V has an eigenvalue at or below the floor (or a NaN one, as an
+        eigensolve that does not converge gives).
     """
     V = _real_square(V).astype(float, copy=False)
     # V - V^T is NaN or infinite wherever V is, so an exactly symmetric V is
@@ -169,7 +185,7 @@ def validate_covariance(V, *, _floor: bool = True) -> np.ndarray:
 
 def _eigenvalue_floor(V: np.ndarray) -> None:
     """Refuse a symmetric V whose least eigenvalue is at or below TAU_PD (or NaN)."""
-    evals = np.linalg.eigvalsh(V)
+    evals = _lapack("eigvalsh_lo", V, "d->d")
     if not evals[0] > TAU_PD:
         raise NonPositiveDefiniteError(
             f"covariance eigenvalue {evals[0]:.3e} at or below floor {TAU_PD:.1e} "
@@ -203,23 +219,25 @@ def symplectic_eigenvalues(V) -> np.ndarray:
         If V has an eigenvalue at or below TAU_PD, with validate_covariance's
         message, whether or not V has a Cholesky factor; or, for a V that
         passes the floor, if Cholesky still fails: "covariance has no
-        Cholesky factor".
+        Cholesky factor", or if the eigensolve of L^T (i Omega) L does not
+        converge: "symplectic eigensolve did not converge".  Each message
+        ends with "(condition number of V ...)"; no LinAlgError and no NaN
+        spectrum escapes.
     """
     V = validate_covariance(V, _floor=False)
-    try:
-        L = np.linalg.cholesky(V)
-    except np.linalg.LinAlgError as exc:
+    L = _lapack("cholesky_lo", V, "d->d")
+    if math.isnan(L[0, 0]):  # a failed factor is NaN throughout
         _eigenvalue_floor(V)  # an indefinite V is refused by the floor, as validation refuses it
         raise NonPositiveDefiniteError(
-            f"covariance has no Cholesky factor: {exc} "
+            "covariance has no Cholesky factor: Matrix is not positive definite "
             f"(condition number of V {np.linalg.cond(V):.3e})"
-        ) from exc
+        )
     lt_omega = np.empty_like(L)
     lt_omega[:, 1::2] = L[0::2].T
     np.negative(L[1::2].T, out=lt_omega[:, 0::2])
     h = np.zeros(L.shape, dtype=complex)
     h.imag = lt_omega @ L
-    nu = np.linalg.eigvalsh(h)[len(h) // 2 :]
+    nu = _lapack("eigvalsh_lo", h, "D->d")[len(h) // 2 :]
     # Williamson: V = S D S^T with D >= nu_1 I, so V >= nu_1 S S^T, and
     # lambda_max(V) >= nu_1 lambda_max(S S^T).  S S^T has reciprocal
     # eigenvalue pairs, so lambda_min(V) >= nu_1 / lambda_max(S S^T)
@@ -229,11 +247,17 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     # nu_1 can be trusted, and nu_1 r > 2 TAU_PD then proves the floor with a
     # factor 2 to spare.  Python floats (and a Python max, faster than
     # numpy's on a short diagonal): an overflowing 2n max V_ii gives r = 0,
-    # with no warning, and the floor runs.
+    # with no warning, and the floor runs.  A spectrum that did not
+    # converge is NaN throughout, so it fails the certificate too.
     nu_1 = float(nu[0])
     r = nu_1 / (len(V) * max(V.diagonal().tolist()))
     if not (r > 1e-4 and nu_1 * r > 2.0 * TAU_PD):
         _eigenvalue_floor(V)
+        if math.isnan(nu_1):
+            raise NonPositiveDefiniteError(
+                "symplectic eigensolve did not converge "
+                f"(condition number of V {np.linalg.cond(V):.3e})"
+            )
     return nu
 
 

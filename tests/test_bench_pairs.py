@@ -40,12 +40,13 @@ def test_summary_quartiles_and_parent_iqr(tool):
     assert row["wins"] == 5 and row["p_value"] == 0.0625 and not row["gain"]
 
 
-def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr(tool):
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_the_interval_beyond_the_noise_floor(tool):
     parent = _runs([100.0 + k for k in range(10)])
-    # every pair won, but the medians differ by 1, less than the parent's IQR of 4.5
+    # every pair won, but by 0.91% to 0.99%, inside the 1% noise floor
     close = tool.summarize(parent, _runs([101.0 + k for k in range(10)]),
                            {"items_per_s": "higher"})["items_per_s"]
-    assert close["wins"] == 10 and close["parent_iqr"] == 4.5 and not close["gain"]
+    assert tool.NOISE_FLOOR == 0.01
+    assert close["wins"] == 10 and close["log_ratio_interval"][1] < 0.01 and not close["gain"]
     # a large median gain with only 8 of 10 pairs won is no gain either
     eight = _runs([120.0 + k for k in range(8)] + [50.0, 50.0])
     row = tool.summarize(parent, eight, {"items_per_s": "higher"})["items_per_s"]
@@ -56,13 +57,13 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr(tool
 
 def test_a_gain_needs_the_sign_test_as_well(tool):
     # Three pairs all won, the medians 25 apart against a parent IQR of 5:
-    # the sign test gives 3 of 3 p = 0.25, which is no gain.
+    # the sign test gives 3 of 3 p = 0.25 and the interval is unbounded, no gain.
     parent, change = [5500.0, 5505.0, 5510.0], [5530.0, 5531.0, 5540.0]
     for row in _both_directions(tool, parent, change):
         assert (row["wins"], row["losses"], row["p_value"]) == (3, 0, 0.25)
         assert abs(row["change"][1] - row["parent"][1]) > row["parent_iqr"]
         assert not row["gain"] and not row["worse"]
-    # Ten of ten, with the same gap beyond the parent's IQR, is a gain.
+    # Ten of ten, each by 2%, is a gain.
     parent = [5000.0 * d for d in DRIFT]
     for row in _both_directions(tool, parent, [1.02 * p for p in parent]):
         assert (row["wins"], row["p_value"]) == (10, 0.001953125) and row["gain"]
@@ -77,17 +78,17 @@ def test_summary_of_one_pair_and_lower_is_better_metrics(tool):
         tool.summarize([], [], {"peak_rss_mb": "lower"})
 
 
-def test_worse_needs_the_median_to_lose_by_more_than_the_parent_iqr(tool):
-    parent = [100.0 + k for k in range(10)]  # median 104.5, IQR 4.5
+def test_worse_needs_the_interval_beyond_the_noise_floor(tool):
+    parent = [100.0 + k for k in range(10)]
     for better, sign in (("higher", 1.0), ("lower", -1.0)):
         def row(shift):  # the change's values move by shift in the better direction
             change = [p + sign * shift for p in parent]
             return tool.summarize(_runs(parent), _runs(change), {"items_per_s": better})[
                 "items_per_s"]
 
-        slightly = row(-4.0)  # worse by 4 < 4.5
+        slightly = row(-0.5)  # worse by 0.46% to 0.50%
         assert slightly["losses"] == 10 and not slightly["worse"] and not slightly["gain"]
-        assert row(-5.0)["worse"]  # worse by 5 > 4.5
+        assert row(-2.0)["worse"]  # worse by 1.8% to 2%
         better_row = row(20.0)
         assert better_row["gain"] and not better_row["worse"]
 
@@ -279,3 +280,16 @@ def test_main_refuses_trees_whose_benchmarks_differ_before_any_run(
     argv = ["--parent", str(parent), "--workload", "cli-requests", "--seed", "1"]
     assert tool.main(argv) == 2
     assert f"{differing} differs between {parent} and {change}" in capsys.readouterr().err
+
+
+def test_a_steady_rss_offset_inside_the_noise_floor_is_not_worse(tool):
+    # cli-requests peak_rss_mb at +0.66% in all 10 pairs, a heap-layout offset
+    # that the parent's IQR alone read as worse
+    parent = [41.70 + 0.01 * e for e in (1, -1, 2, 0, -2, 1, 1, -1, 0, 2)]
+    change = [1.0066 * p for p in parent]
+    row = tool.summarize(_runs(parent, "peak_rss_mb"), _runs(change, "peak_rss_mb"),
+                         {"peak_rss_mb": "lower"})["peak_rss_mb"]
+    assert (row["wins"], row["losses"], row["p_value"]) == (0, 10, 0.001953125)
+    assert row["change"][1] - row["parent"][1] > row["parent_iqr"]
+    assert row["log_ratio_median"] == pytest.approx(math.log(1.0066))
+    assert not row["worse"] and not row["gain"]

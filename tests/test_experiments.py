@@ -654,15 +654,16 @@ def test_counterexample_demo_flags():
 def test_an_audited_gaussian_state_takes_one_real_eigensolve(monkeypatch):
     """Its covariance's floor, once; each of the 4 spectra proves its own floor."""
     kinds = []
-    eigvalsh = np.linalg.eigvalsh
+    lapack = symplectic._lapack
 
-    def spy(a, *args, **kwargs):
-        kinds.append(np.asarray(a).dtype.kind)
-        return eigvalsh(a, *args, **kwargs)
+    def spy(name, a, signature):
+        if name == "eigvalsh_lo":
+            kinds.append(signature)
+        return lapack(name, a, signature)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(symplectic, "_lapack", spy)
     random_audit(40, modes=3, seed=5, fock_states=0, classical_states=0)
-    assert (kinds.count("f"), kinds.count("c"), len(kinds)) == (40, 160, 200)
+    assert (kinds.count("d->d"), kinds.count("D->d"), len(kinds)) == (40, 160, 200)
 
 
 def test_no_spectrum_of_the_golden_audits_falls_back_to_the_eigenvalue_floor(monkeypatch):

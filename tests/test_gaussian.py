@@ -34,6 +34,7 @@ from bosonic_bounds import (
     save_gaussian,
     tensor,
 )
+from bosonic_bounds import gaussian
 from oracles import qcs2_gaussian_char_oracle
 
 
@@ -148,6 +149,22 @@ def test_qcs2_characteristic_oracle_matches_main_formula(n, seed):
     assert qcs2_gaussian(st) == pytest.approx(
         qcs2_gaussian_char_oracle(st), rel=1e-10, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("V, patch", [(np.zeros((2, 2)), False), (np.eye(2), True)],
+                         ids=["singular", "nan-inverse"])
+def test_a_failed_inverse_is_refused_with_the_singular_message(V, patch, monkeypatch):
+    """An exact zero pivot, or any inverse that comes back NaN, is a library error."""
+    if patch:
+        monkeypatch.setattr(gaussian, "_lapack", lambda name, a, sig: np.full_like(a, np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            NonPositiveDefiniteError,
+            match=r"^covariance matrix is singular to working precision "
+                  r"\(condition number of V \S+\)$",
+        ):
+            gaussian._inverse(V)
 
 
 def test_gaussian_measures_report_fields():

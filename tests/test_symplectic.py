@@ -132,7 +132,7 @@ def test_entries_past_half_the_float_range_never_give_a_non_finite_result():
 
 
 def test_a_nan_eigenvalue_fails_the_positivity_floor(monkeypatch):
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda v: np.array([np.nan, 1.0]))
+    monkeypatch.setattr(symplectic, "_lapack", lambda name, a, sig: np.array([np.nan, 1.0]))
     with pytest.raises(NonPositiveDefiniteError, match="eigenvalue nan"):
         validate_covariance(np.eye(2))
 
@@ -200,15 +200,34 @@ def test_symplectic_eigenvalues_recover_a_known_williamson_spectrum(n):
         assert_allclose(symplectic_eigenvalues(v), np.sort(nu), rtol=1e-10)
 
 
+def _failing(name, signature):
+    """symplectic._lapack with the one call (name, signature) failing: a NaN result."""
+    lapack = symplectic._lapack
+
+    def patched(n, a, sig):
+        out = lapack(n, a, sig)
+        return np.full_like(out, np.nan) if (n, sig) == (name, signature) else out
+
+    return patched
+
+
 def test_symplectic_eigenvalues_turn_a_failed_factorization_into_a_library_error(
     monkeypatch,
 ):
-    def no_factor(a):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    monkeypatch.setattr(symplectic, "_lapack", _failing("cholesky_lo", "d->d"))
     with pytest.raises(NonPositiveDefiniteError, match=r"\(condition number of V "):
         symplectic_eigenvalues(make_tmsv(0.7).cov)
+
+
+def test_a_spectrum_that_does_not_converge_is_refused_not_returned_as_nan(monkeypatch):
+    monkeypatch.setattr(symplectic, "_lapack", _failing("eigvalsh_lo", "D->d"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            NonPositiveDefiniteError,
+            match=r"^symplectic eigensolve did not converge \(condition number of V \S+\)$",
+        ):
+            symplectic_eigenvalues(make_tmsv(0.7).cov)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -444,3 +463,51 @@ def test_the_scaled_singular_row_passes_all_but_the_condition_guard():
     nu_1 = np.linalg.eigvalsh(1j * L.T @ omega(2) @ L)[2]
     r = nu_1 / (4 * _SINGULAR.diagonal().max())
     assert r < 1e-4 and nu_1 * r > 2 * TAU_PD
+
+
+_PUBLIC = {"eigvalsh_lo": np.linalg.eigvalsh, "cholesky_lo": np.linalg.cholesky,
+           "inv": np.linalg.inv, "det": np.linalg.det}
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_the_lapack_helper_equals_numpy_linalg_byte_for_byte(monkeypatch):
+    """A numpy that renames or changes one of these gufuncs fails here."""
+    complex_inputs = []
+    lapack = symplectic._lapack
+
+    def spy(name, a, sig):
+        if sig == "D->d":
+            complex_inputs.append(a.copy())
+        return lapack(name, a, sig)
+
+    rng = np.random.default_rng(39)
+    for n in range(1, 7):
+        for _ in range(4):
+            V = random_gaussian_state(n, rng).cov
+            for name, public in _PUBLIC.items():
+                assert _same_bytes(lapack(name, V, "d->d"), public(V)), (n, name)
+            with monkeypatch.context() as m:
+                m.setattr(symplectic, "_lapack", spy)
+                symplectic_eigenvalues(V)
+                for n_a in range(1, n):
+                    symplectic_eigenvalues(partial_transpose(V, Bipartition(n_a, n - n_a)))
+    assert len(complex_inputs) == 4 * sum(range(1, 7))  # n spectra per n-mode state
+    for h in complex_inputs:
+        assert h.dtype == complex
+        assert _same_bytes(lapack("eigvalsh_lo", h, "D->d"), np.linalg.eigvalsh(h))
+
+
+@pytest.mark.parametrize(
+    "name, a", [("cholesky_lo", np.diag([1.0, -1.0])), ("inv", np.zeros((2, 2)))]
+)
+def test_the_lapack_helper_returns_nan_where_numpy_linalg_raises(name, a):
+    with pytest.raises(np.linalg.LinAlgError):
+        _PUBLIC[name](a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = symplectic._lapack(name, a, "d->d")
+    assert out.shape == (2, 2) and np.isnan(out).all()

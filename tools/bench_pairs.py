@@ -14,15 +14,19 @@ end-to-end metric of BENCHMARK.json it prints:
   such pair exists and the interval is unbounded;
 - the pairs the change won and lost in the better direction (ties count for
   neither) and the exact two-sided sign-test p-value of that split;
-- ``gain``: the change won at least nine tenths of the pairs, the sign test
-  puts that split at p <= 0.05, and the medians differ, in the better
-  direction, by more than the parent's interquartile range; so 3 of 3 won
-  pairs (p = 0.25) are no gain, and a gain needs at least six pairs;
-- ``worse``: the change lost more pairs than it won, the sign test puts that
-  split at p <= 0.05, and the change's median trails the parent's by more
-  than the parent's interquartile range.  A median gap alone, which over a
-  few pairs can beat a narrow range on equal code, is not enough; with fewer
-  than six untied pairs no split reaches p <= 0.05, so ``worse`` reads no.
+- ``gain``: the change won at least nine tenths of the pairs, and the whole
+  interval of the median log ratio lies in the better direction beyond
+  NOISE_FLOOR, so that the nearer end is above 0 by more than the floor;
+- ``worse``: the whole interval lies in the worse direction beyond
+  NOISE_FLOOR.
+
+Below six pairs the interval is unbounded, so neither verdict can read
+yes; at ten pairs its nearer end beyond the floor needs nine ratios beyond
+it.  NOISE_FLOOR = 0.01 is the stated floor on |ln ratio| until an A/A run
+measures one per workload and metric.  ``peak_rss_mb`` has moved by up to
+about 0.7% in every pair with no change in the work done (heap layout, the
+checkout's directory name), which a verdict against the parent's
+interquartile range read as ``worse``; that range is still printed.
 
 Run from the root of a copy of the changed checkout, next to the parent copy:
 
@@ -67,6 +71,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
 ALPHA = 0.05
+NOISE_FLOOR = 0.01
 BYTECODE_CACHE = os.path.join("src", "bosonic_bounds", "__pycache__")
 
 
@@ -173,7 +178,8 @@ def summarize(parent_runs, change_runs, better):
     sides' quartiles, the median per-pair ln(change / parent) and its
     :func:`median_interval` (low, high, coverage), the wins,
     losses, ties and pairs, the sign-test p-value, the parent's IQR, whether
-    a gain may be claimed and whether the change is worse.
+    a gain may be claimed and whether the change is worse: both verdicts read
+    the interval against NOISE_FLOOR.
     """
     if len(parent_runs) != len(change_runs) or not parent_runs:
         raise ValueError("need the same positive number of parent and change runs")
@@ -186,22 +192,23 @@ def summarize(parent_runs, change_runs, better):
         wins = sum(sign * r > 0 for r in ratios)
         losses = sum(sign * r < 0 for r in ratios)
         p_value = sign_test_p(wins, losses)
-        p_q, c_q = quartiles(parent), quartiles(change)
-        iqr = p_q[2] - p_q[0]
-        gap = sign * (c_q[1] - p_q[1])
+        p_q = quartiles(parent)
+        interval = median_interval(ratios)
+        # the interval's ends in the better direction, nearer end first
+        near, far = sorted(sign * end for end in interval[:2])
         out[name] = {
             "parent": p_q,
-            "change": c_q,
+            "change": quartiles(change),
             "log_ratio_median": statistics.median(ratios),
-            "log_ratio_interval": median_interval(ratios),
+            "log_ratio_interval": interval,
             "wins": wins,
             "losses": losses,
             "ties": len(ratios) - wins - losses,
             "pairs": len(ratios),
             "p_value": p_value,
-            "parent_iqr": iqr,
-            "gain": wins >= WIN_SHARE * len(ratios) and p_value <= ALPHA and gap > iqr,
-            "worse": losses > wins and p_value <= ALPHA and gap < -iqr,
+            "parent_iqr": p_q[2] - p_q[0],
+            "gain": wins >= WIN_SHARE * len(ratios) and near > NOISE_FLOOR,
+            "worse": far < -NOISE_FLOOR,
         }
     return out
 
