@@ -588,13 +588,15 @@ def random_audit(
     Draws Gaussian states (mixed profile), classical states, and random pure
     Fock states, evaluates every applicable bound, and raises
     AuditViolationError carrying the seed and offending instance if any
-    margin dips below -tau_check.  Results are deterministic in (seed,
-    counts): the Gaussian, classical and Fock slices each draw from their
-    own generator spawned from ``seed``, so one slice's count does not move
-    another slice's states.  The Gaussian and classical slices draw their
-    states in stacked blocks of at most SAMPLE_BLOCK, fewer where the block
-    would pass fock.AMPLITUDE_BUDGET_BYTES; a mode count at which one state
-    does not fit raises ValueError before any draw.  The random stream does not
+    margin dips below -tau_check.  ``seed`` is None (read as 0) or an
+    integer >= 0; anything else raises ValueError.  Results are
+    deterministic in (seed, counts): the Gaussian, classical and Fock slices
+    each draw from their own generator spawned from ``seed``, so one slice's
+    count does not move another slice's states.  The Gaussian and
+    classical slices draw their states in stacked blocks of at most
+    SAMPLE_BLOCK, fewer where the block would pass
+    fock.AMPLITUDE_BUDGET_BYTES; a mode count at which one state does not
+    fit raises ValueError before any draw.  The random stream does not
     depend on the block size; the report does not either as long as numpy
     sends each slice of a stacked QR and matmul to the same BLAS and LAPACK
     routine as a lone matrix, which the tier-1 tests check.
@@ -613,6 +615,8 @@ def random_audit(
             raise ValueError(f"{kind} state count must be >= 0, got {count}")
     if seed is None:
         seed = 0
+    elif not _is_count(seed, 0):
+        raise ValueError(f"seed must be None or an integer >= 0, got {seed!r}")
     report = AuditReport(seed=seed, counts=counts)
     gauss_rng, classical_rng, fock_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)

@@ -83,9 +83,10 @@ def _check_budget(shape: tuple[int, ...], what: str):
         )
 
 
-def _check_mass(mass: float, tail_mass: float, what: str):
+def _check_mass(mass: float, tail_mass: float, what: str) -> float:
     """Refuse a stored probability (squared norm or trace) over 1, a tail_mass
-    that is not finite and >= 0, or the two together missing over TAU_NORM."""
+    that is not finite and >= 0, or the two together off 1 by over TAU_NORM;
+    return the tail_mass to store, at least 0.0 (never -0.0)."""
     if mass > 1.0 + 1e-9:
         raise ValueError(f"{what} {mass:.12g} exceeds 1")
     if not math.isfinite(tail_mass):
@@ -96,6 +97,11 @@ def _check_mass(mass: float, tail_mass: float, what: str):
         raise ValueError(
             f"{what} {mass:.12g} plus tail_mass {tail_mass:.3g} is below 1 - {TAU_NORM:g}"
         )
+    if mass + tail_mass > 1.0 + TAU_NORM:
+        raise ValueError(
+            f"{what} {mass:.12g} plus tail_mass {tail_mass:.3g} exceeds 1 + {TAU_NORM:g}"
+        )
+    return float(max(0.0, tail_mass))  # 0.0 first: max keeps it over an equal -0.0
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,7 @@ class FockPureState:
     ``amps[k1, ..., kn]`` is the amplitude of ``|k1, ..., kn>``; indices run
     to ``cutoffs[i] - 1``.  ``tail_mass`` is the probability mass of the
     untruncated state lying beyond the cutoffs: ``norm^2 <= 1`` and
-    ``norm^2 + tail_mass >= 1 - TAU_NORM``.
+    ``|norm^2 + tail_mass - 1| <= TAU_NORM``.
     """
 
     amps: np.ndarray
@@ -120,10 +126,10 @@ class FockPureState:
         norm2 = float(np.vdot(amps, amps).real)
         if not math.isfinite(norm2):
             raise ValueError("amplitude tensor has a non-finite entry")
-        _check_mass(norm2, self.tail_mass, "squared norm")
+        tail_mass = _check_mass(norm2, self.tail_mass, "squared norm")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "tail_mass", float(max(self.tail_mass, 0.0)))
+        object.__setattr__(self, "tail_mass", tail_mass)
 
     @property
     def n(self) -> int:
@@ -145,7 +151,7 @@ class FockPureState:
 class FockDensityOperator:
     """Density matrix over the flattened product Fock basis; D x D must fit the byte budget.
 
-    Like a pure state's squared norm, ``trace <= 1`` and ``trace + tail_mass >= 1 - TAU_NORM``.
+    Like a pure state's squared norm, ``trace <= 1`` and ``|trace + tail_mass - 1| <= TAU_NORM``.
     """
 
     mat: np.ndarray
@@ -168,14 +174,14 @@ class FockDensityOperator:
         if herm > 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
             raise ValueError(f"density matrix not Hermitian (deviation {herm:.3e})")
         mat = 0.5 * (mat + mat.conj().T)
-        _check_mass(float(mat.trace().real), self.tail_mass, "trace")
+        tail_mass = _check_mass(float(mat.trace().real), self.tail_mass, "trace")
         lo = float(np.linalg.eigvalsh(mat)[0])
         if lo < -1e-10:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "cutoffs", cutoffs)
-        object.__setattr__(self, "tail_mass", float(max(self.tail_mass, 0.0)))
+        object.__setattr__(self, "tail_mass", tail_mass)
 
     @property
     def n(self) -> int:
@@ -763,7 +769,7 @@ def make_counterexample_states(
     at least k + 2; default cutoff up to q = 0.992 and k = 2894.
     """
     if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
+        raise ValueError(f"q = {q!r} must lie in (0, 1)")
     if not _is_count(k, 2):
         raise ValueError(f"k = {k!r} must be an integer >= 2 so the swap lowers the photon number")
     if cutoff is not None and k >= cutoff:

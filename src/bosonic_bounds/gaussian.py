@@ -303,9 +303,14 @@ def gaussian_measures(st: GaussianState, bp: Bipartition | None = None) -> Measu
     )
 
 
-def _as_rng(seed) -> np.random.Generator:
+def _as_rng(seed, name: str = "seed") -> np.random.Generator:
+    """The generator seed names: itself, or a fresh one from None or an integer >= 0."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if seed is not None and not _is_count(seed, 0):
+        raise ValueError(
+            f"{name} must be None, a numpy Generator or an integer >= 0, got {seed!r}"
+        )
     return np.random.default_rng(seed)
 
 
@@ -364,7 +369,7 @@ def random_symplectic(n: int, rng=None, squeeze_max: float = 1.0) -> np.ndarray:
     O1 and O2 come from Haar unitaries; s_k is uniform on [0, squeeze_max].
     """
     _check_sampler(n, squeeze_max)
-    rng = _as_rng(rng)
+    rng = _as_rng(rng, "rng")
     w = rng.normal(size=(2, 2, n, n))
     return _euler_symplectic(w, rng.uniform(0.0, squeeze_max, size=n))
 
@@ -385,8 +390,8 @@ def random_gaussian_state(
     n : int
         Mode count, at least 1.
     seed : int, Generator, or None
-        Determinism contract: the same integer seed yields the same state
-        bit for bit.
+        An integer >= 0, a numpy Generator or None.  Determinism contract:
+        the same integer seed yields the same state bit for bit.
     purity_profile : {"mixed", "pure"}
         "pure" sets every symplectic eigenvalue to 1; "mixed" draws
         nu_k = 1 + Exponential(1).
@@ -408,8 +413,8 @@ def random_gaussian_state(
     Raises
     ------
     ValueError
-        For an unknown profile, or an n, squeeze_max or size out of range;
-        these are checked before any draw.
+        For an unknown profile, or an n, squeeze_max, size or seed out of
+        range; these are checked before any draw.
     """
     count = _check_sampler(n, squeeze_max, size)
     if purity_profile not in ("mixed", "pure"):

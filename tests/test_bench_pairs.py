@@ -93,15 +93,16 @@ def test_worse_needs_the_interval_beyond_the_noise_floor(tool):
         assert better_row["gain"] and not better_row["worse"]
 
 
-def test_cache_mismatch_names_the_tree_that_alone_holds_the_bytecode_cache(tool, tmp_path):
+def test_mismatch_names_the_tree_that_alone_holds_the_bytecode_cache(tool, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):
         (root / "src" / "bosonic_bounds").mkdir(parents=True)
-    assert tool.cache_mismatch(a, b) is None
+    assert tool.mismatch(a, b) is None
     (b / tool.BYTECODE_CACHE).mkdir()
-    assert tool.cache_mismatch(a, b) == b and tool.cache_mismatch(b, a) == b
+    for reason in (tool.mismatch(a, b), tool.mismatch(b, a)):
+        assert reason.startswith(f"{b} holds {tool.BYTECODE_CACHE} and the other tree")
     (a / tool.BYTECODE_CACHE).mkdir()
-    assert tool.cache_mismatch(a, b) is None
+    assert tool.mismatch(a, b) is None
 
 
 def test_main_refuses_trees_whose_caches_differ_before_any_run(tool, tmp_path, monkeypatch, capsys):
@@ -116,12 +117,13 @@ def test_main_refuses_trees_whose_caches_differ_before_any_run(tool, tmp_path, m
     assert f"{parent} holds {tool.BYTECODE_CACHE}" in capsys.readouterr().err
 
 
-def test_siblings_holds_only_for_trees_in_one_directory(tool, tmp_path):
+def test_mismatch_takes_only_trees_in_one_directory(tool, tmp_path):
     a, b, deeper = tmp_path / "a", tmp_path / "b", tmp_path / "sub" / "b"
     for root in (a, b, deeper):
         root.mkdir(parents=True)
-    assert tool.siblings(a, b) and tool.siblings(f"{a}/", str(b))
-    assert not tool.siblings(a, deeper) and not tool.siblings(deeper, a)
+    assert tool.mismatch(a, b) is None and tool.mismatch(f"{a}/", str(b)) is None
+    for pair in ((a, deeper), (deeper, a)):
+        assert "are not in the same directory" in tool.mismatch(*pair)
 
 
 def test_main_refuses_trees_in_different_directories_before_any_run(
@@ -222,10 +224,11 @@ def test_a_five_percent_loss_in_nine_of_ten_pairs_reads_worse(tool):
     assert higher["log_ratio_median"] == pytest.approx(math.log(0.95))
 
 
-def test_same_name_length_compares_the_trees_directory_names(tool, tmp_path):
-    assert tool.same_name_length(tmp_path / "parent", tmp_path / "change")
-    assert tool.same_name_length(f"{tmp_path}/parent/", tmp_path / "paren2")
-    assert not tool.same_name_length(tmp_path / "parent", tmp_path / "aa")
+def test_mismatch_compares_the_trees_directory_name_lengths(tool, tmp_path):
+    assert tool.mismatch(tmp_path / "parent", tmp_path / "change") is None
+    assert tool.mismatch(f"{tmp_path}/parent/", tmp_path / "paren2") is None
+    reason = tool.mismatch(tmp_path / "parent", tmp_path / "aa")
+    assert "have directory names of different lengths" in reason
 
 
 def test_main_refuses_trees_whose_names_differ_in_length_before_any_run(
@@ -273,7 +276,7 @@ def test_main_refuses_trees_whose_benchmarks_differ_before_any_run(
     # bytecode caches under bench/ are written by runs, not part of the benchmark
     (parent / "bench" / "__pycache__").mkdir()
     (parent / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
-    assert tool.benchmark_mismatch(parent, change) is None
+    assert tool.mismatch(parent, change) is None
     edit(parent)
     monkeypatch.setattr(tool, "ROOT", str(change))
     monkeypatch.setattr(tool, "run_bench", lambda *a: pytest.fail("a run started"))

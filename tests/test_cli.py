@@ -670,11 +670,13 @@ def test_non_finite_state_file_names_the_field(kind, data, field, tmp_path, caps
          "field 'amps' invalid: squared norm 2 exceeds 1"),
         ("--fock", '{"n": 1, "cutoffs": [2], "amps": [[0, 0.5, 0]]}',
          "field 'amps' invalid: squared norm 0.25 plus tail_mass 0 is below 1 - 1e-06"),
+        ("--fock", '{"n": 1, "cutoffs": [2], "amps": [[0, 1, 0]], "tail_mass": 1.0}',
+         "field 'amps' invalid: squared norm 1 plus tail_mass 1 exceeds 1 + 1e-06"),
     ],
     ids=["gaussian-not-object", "gaussian-not-json", "gaussian-cov-shape",
          "gaussian-cov-asymmetric", "gaussian-cov-indefinite", "fock-not-object",
          "fock-not-json", "fock-amps-not-list", "fock-row-length", "fock-index-twice",
-         "fock-over-norm", "fock-under-norm"],
+         "fock-over-norm", "fock-under-norm", "fock-over-tail"],
 )
 def test_malformed_state_file_is_refused_naming_the_field(kind, text, named, tmp_path, capsys):
     path = tmp_path / "state.json"
@@ -1046,3 +1048,38 @@ def test_beamsplitter_takes_an_analytic_state_saved_at_its_default_cutoff(tmp_pa
     assert 0.0 <= payload["ef"] <= 1e-9
     assert payload["tail_mass"] == pytest.approx(1.937e-11, rel=1e-3)
     assert payload["config"]["tau_trunc"] == TAU_TRUNC
+
+
+@pytest.mark.parametrize(
+    "argv, env, shown",
+    [(["audit", "--seed", "-1"], None, "got -1"),
+     (["audit"], "-3", "got -3"),
+     (["audit", "--modes", "1"], None, "got 1"),
+     (["audit", "--states", "-1"], None, "got '-1'"),
+     (["nastar", "--N", "nan", "--nA", "1", "--nB", "2"], None, "got 'nan'"),
+     (["nastar", "--N", "10", "--nA", "0", "--nB", "2"], None, "got 0 and 2"),
+     (["counterexample", "--q", "1.5"], None, "q = 1.5"),
+     (["counterexample", "--q", "nan"], None, "q = nan"),
+     (["counterexample", "--k", "1"], None, "k = 1"),
+     (["measure", "--fock", "N=-1,0"], None, "'N=-1,0'"),
+     (["measure", "--fock", "N=3,7", "--bipartition", "0:2"], None, "'0:2'"),
+     (["bound-check", "--fock", "N=3,7", "--tau-check", "nan"], None, "got 'nan'"),
+     (["beamsplitter", "--fock", "N=3,7", "--tau-trunc", "-1"], None, "got '-1'")],
+    ids=["audit-seed", "audit-seed-env", "audit-modes", "audit-states", "nastar-N",
+         "nastar-nA", "counterexample-q-high", "counterexample-q-nan", "counterexample-k",
+         "measure-occupation", "measure-bipartition", "bound-check-tau-check",
+         "beamsplitter-tau-trunc"],
+)
+def test_every_usage_error_names_the_value_it_refuses(argv, env, shown, monkeypatch, capsys):
+    """Exit 2, the refused text in the last stderr line, from argparse and library alike."""
+    monkeypatch.delenv("BOSONIC_BOUNDS_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("BOSONIC_BOUNDS_SEED", env)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "Traceback" not in captured.err
+    assert shown in captured.err.strip().splitlines()[-1]

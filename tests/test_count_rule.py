@@ -28,7 +28,9 @@ from bosonic_bounds import (
     na_star_asymptotic,
     qcs_implication_report,
     random_audit,
+    random_classical_state,
     random_gaussian_state,
+    random_symplectic,
     saturating_family,
     solve_na_star,
     theorem_split_bound,
@@ -87,6 +89,12 @@ ENTRY_POINTS = [
            "fock state count"),
     _entry("random_audit-classical_states", lambda v: _audit(classical_states=v), 0, 1,
            "classical state count"),
+    _entry("random_audit-seed", lambda v: _audit(seed=v), 0, 3, "seed must be"),
+    _entry("random_gaussian_state-seed", lambda v: random_gaussian_state(2, v), 0, 3,
+           "seed must be"),
+    _entry("random_classical_state-seed", lambda v: random_classical_state(2, v), 0, 3,
+           "seed must be"),
+    _entry("random_symplectic-rng", lambda v: random_symplectic(2, v), 0, 3, "rng must be"),
     _entry("solve_na_star-n_a", lambda v: solve_na_star(10.0, v, 2), 1, 1, "mode counts"),
     _entry("solve_na_star-n_b", lambda v: solve_na_star(10.0, 2, v), 1, 3, "mode counts"),
     _entry("na_star_asymptotic-n_a", lambda v: na_star_asymptotic(100.0, v, 2), 1, 1,

@@ -1307,6 +1307,14 @@ def test_fock_from_dict_names_offending_field():
         fock_from_dict(d2)
 
 
+def test_a_signed_zero_tail_is_read_back_as_positive_zero(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text('{"n": 1, "cutoffs": [2], "amps": [[0, 1.0, 0.0]], "tail_mass": -0.0}')
+    psi = load_fock(path)
+    assert psi.tail_mass == 0.0 and math.copysign(1.0, psi.tail_mass) == 1.0
+    assert json.dumps(fock_to_dict(psi)["tail_mass"]) == "0.0"
+
+
 def test_norm_validation():
     with pytest.raises(ValueError):
         FockPureState(np.full((2,), 1.0 + 0j))

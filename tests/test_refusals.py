@@ -98,6 +98,8 @@ REFUSALS = [
          rf"squared norm 0 plus tail_mass 0 is below 1 - {TAU_NORM:g}"),
     _row("pure-half-missing", lambda: FockPureState([0.5, 0.0]), ValueError,
          rf"squared norm 0.25 plus tail_mass 0 is below 1 - {TAU_NORM:g}"),
+    _row("pure-over-tail", lambda: FockPureState(np.array([1.0]), tail_mass=0.9), ValueError,
+         rf"squared norm 1 plus tail_mass 0.9 exceeds 1 \+ {TAU_NORM:g}"),
     _row("pure-file-half-missing",
          lambda: fock_from_dict({"n": 1, "cutoffs": [2], "amps": [[0, 0.5, 0.0]]}),
          SchemaError, r"field 'amps' invalid: squared norm 0.25 plus tail_mass 0 is below"),
@@ -112,6 +114,8 @@ REFUSALS = [
          r"trace 2 exceeds 1"),
     _row("density-zero", lambda: _density(np.zeros((2, 2))), ValueError,
          rf"trace 0 plus tail_mass 0 is below 1 - {TAU_NORM:g}"),
+    _row("density-over-tail", lambda: _density(np.eye(1), (1,), tail_mass=0.5), ValueError,
+         rf"trace 1 plus tail_mass 0.5 exceeds 1 \+ {TAU_NORM:g}"),
     _row("density-negative-eigenvalue", lambda: _density([[0.5, 0.6], [0.6, 0.5]]), ValueError,
          r"density matrix has negative eigenvalue -1.000e-01"),
     # fock: number-preserving unitaries

@@ -28,36 +28,34 @@ about 0.7% in every pair with no change in the work done (heap layout, the
 checkout's directory name), which a verdict against the parent's
 interquartile range read as ``worse``; that range is still printed.
 
-Run from the root of a copy of the changed checkout, next to the parent copy:
+Copy the parent commit and the change (``git archive`` or ``git clone``)
+side by side, for example to ``../parent`` and ``../change``, and run from
+the root of the change copy:
 
     python tools/bench_pairs.py --parent ../parent --workload gaussian-audit \\
         --pairs 10 --seed 9
 
 ``--workload`` takes one of BENCHMARK.json's workload names and ``--pairs``
-an integer of at least 1; anything else exits 2 before any run.
+an integer of at least 1; anything else exits 2 before any run.  Nothing
+under either tree's ``bench/`` is edited; each run leaves its record in
+that tree's ``.bench_runs/``.
 
-The parent directory is a plain copy of the parent commit (``git archive``
-or ``git clone``).  Nothing under either tree's ``bench/`` is edited; each
-run leaves its record in that tree's ``.bench_runs/``.
+The two trees may differ only in their code.  Before any run the tool
+exits 2, naming the first of these conditions that fails:
 
-Each bench worker imports the package from ``src/``.  Where bytecode is not
-written (``PYTHONDONTWRITEBYTECODE``), a tree without
-``src/bosonic_bounds/__pycache__`` compiles it in every worker, which costs
-``setup_s`` and ``peak_rss_mb``; a cache left in one tree alone would fake a
-gain for it.  So the tool refuses, with exit code 2, to compare a tree that
-holds that cache with one that does not.  Compare both without it.
-
-A worker's metrics also moved with the directory a tree sits in, and with
-the length of its name alone (an A/A run of equal code in copies named
-``parent`` and ``aa`` read a throughput ``gain``), so the tool refuses, with
-exit code 2, two trees that are not in the same parent directory or whose
-directory names differ in length: copy both, for example to ``../parent``
-and ``../change``, and run the change copy's tool.
-
-The comparison times code, not benchmarks, so the tool also refuses, with
-exit code 2, two trees whose ``BENCHMARK.json`` or any file under
-``bench/`` (``__pycache__`` aside) differs in bytes, and names the first
-such path.
+1. Both trees sit in one directory: a worker's metrics moved with the
+   directory a tree sits in.
+2. Their directory names have equal length: the metrics moved with that
+   length alone (an A/A run of equal code in copies named ``parent`` and
+   ``aa`` read a throughput ``gain``).
+3. Both or neither hold ``src/bosonic_bounds/__pycache__``: each worker
+   imports the package from ``src/``, and where bytecode is not written
+   (``PYTHONDONTWRITEBYTECODE``) a tree without that cache compiles it in
+   every worker, which costs ``setup_s`` and ``peak_rss_mb``; a cache in one
+   tree alone would fake a gain for it.
+4. ``BENCHMARK.json`` and every file under ``bench/`` (``__pycache__``
+   aside) hold equal bytes in both, the first differing path named: the
+   comparison times code, not benchmarks.
 """
 
 import argparse
@@ -75,25 +73,6 @@ NOISE_FLOOR = 0.01
 BYTECODE_CACHE = os.path.join("src", "bosonic_bounds", "__pycache__")
 
 
-def cache_mismatch(root_a, root_b):
-    """The tree that holds the package's bytecode cache when the other does not, else None."""
-    has_a, has_b = (os.path.isdir(os.path.join(root, BYTECODE_CACHE)) for root in (root_a, root_b))
-    if has_a == has_b:
-        return None
-    return root_a if has_a else root_b
-
-
-def siblings(root_a, root_b):
-    """Whether both trees sit in the same parent directory, as the tool requires."""
-    return os.path.dirname(os.path.abspath(root_a)) == os.path.dirname(os.path.abspath(root_b))
-
-
-def same_name_length(root_a, root_b):
-    """Whether both trees' directory names are equally long, as the tool requires."""
-    return len(os.path.basename(os.path.abspath(root_a))) == len(
-        os.path.basename(os.path.abspath(root_b)))
-
-
 def _bytes(path):
     """The bytes of the file at path, or None where there is none."""
     try:
@@ -103,19 +82,29 @@ def _bytes(path):
         return None
 
 
-def benchmark_mismatch(root_a, root_b):
-    """The first of BENCHMARK.json and bench/'s files whose bytes differ, else None.
-
-    __pycache__ folders are skipped; a file that one tree lacks differs.
-    """
+def mismatch(parent, change):
+    """The first reason the two trees could differ in more than their code, else None."""
+    parent, change = os.path.abspath(parent), os.path.abspath(change)
+    if os.path.dirname(parent) != os.path.dirname(change):
+        return (f"{parent} and {change} are not in the same directory; "
+                "copy both trees into one so that only their code differs")
+    if len(os.path.basename(parent)) != len(os.path.basename(change)):
+        return (f"{parent} and {change} have directory names of different "
+                "lengths; rename one so that only their code differs")
+    cached = [root for root in (parent, change)
+              if os.path.isdir(os.path.join(root, BYTECODE_CACHE))]
+    if len(cached) == 1:
+        return (f"{cached[0]} holds {BYTECODE_CACHE} and the other tree does not; "
+                "remove it so both trees compile the package alike")
     paths = {"BENCHMARK.json"}
-    for root in (root_a, root_b):
+    for root in (parent, change):
         for folder, subfolders, files in os.walk(os.path.join(root, "bench")):
             subfolders[:] = [name for name in subfolders if name != "__pycache__"]
             paths.update(os.path.relpath(os.path.join(folder, name), root) for name in files)
     for path in sorted(paths):
-        if _bytes(os.path.join(root_a, path)) != _bytes(os.path.join(root_b, path)):
-            return path
+        if _bytes(os.path.join(parent, path)) != _bytes(os.path.join(change, path)):
+            return (f"{path} differs between {parent} and {change}; "
+                    "both trees must run the same benchmark")
     return None
 
 
@@ -227,7 +216,8 @@ def _positive_int(text):
 def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="root of the parent checkout")
     parser.add_argument("--workload", required=True,
                         choices=[spec["name"] for spec in benchmark["workloads"]])
@@ -237,23 +227,9 @@ def main(argv=None):
     better = {spec["name"]: spec["better"] for spec in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     sides = {"parent": os.path.abspath(opts.parent), "change": ROOT}
-    if not siblings(sides["parent"], sides["change"]):
-        print(f"{sides['parent']} and {sides['change']} are not in the same directory; "
-              "copy both trees into one so that only their code differs", file=sys.stderr)
-        return 2
-    if not same_name_length(sides["parent"], sides["change"]):
-        print(f"{sides['parent']} and {sides['change']} have directory names of different "
-              "lengths; rename one so that only their code differs", file=sys.stderr)
-        return 2
-    cached = cache_mismatch(sides["parent"], sides["change"])
-    if cached is not None:
-        print(f"{cached} holds {BYTECODE_CACHE} and the other tree does not; "
-              "remove it so both trees compile the package alike", file=sys.stderr)
-        return 2
-    differing = benchmark_mismatch(sides["parent"], sides["change"])
-    if differing is not None:
-        print(f"{differing} differs between {sides['parent']} and {sides['change']}; "
-              "both trees must run the same benchmark", file=sys.stderr)
+    reason = mismatch(sides["parent"], sides["change"])
+    if reason is not None:
+        print(reason, file=sys.stderr)
         return 2
     runs = {"parent": [], "change": []}
     for pair in range(opts.pairs):
